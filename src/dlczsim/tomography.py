@@ -10,8 +10,11 @@ measurement configurations provides an independent cross-check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -241,10 +244,15 @@ class DiagonalEstimate:
         return self.values[key]
 
 
+@lru_cache(maxsize=64)
 def forward_class_matrix(eff: EfficiencyModel) -> np.ndarray:
     """Map from the diagonal populations (p00, p01, p10, p11, p02) to the
     aggregated class probabilities, built by sending each basis state through
-    the exact detection model."""
+    the exact detection model.
+
+    Cached per (frozen) efficiency model: every caller gets the same
+    read-only array, so derive new arrays from it rather than writing to it.
+    """
     register = ModeRegister(2, 2)
     cols = []
     for occ in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2)):
@@ -252,7 +260,9 @@ def forward_class_matrix(eff: EfficiencyModel) -> np.ndarray:
         probs = diagonal_layout_probabilities(rho, eff.d2a, eff.d2b, eff.d2c, eff.split)
         agg = aggregate_split_detector(probs, SPLIT_PAIR)
         cols.append([agg.get(cls_, 0.0) for cls_ in Q_CLASSES])
-    return np.array(cols).T  # shape (6 classes, 5 populations)
+    out = np.array(cols).T  # shape (6 classes, 5 populations)
+    out.setflags(write=False)
+    return out
 
 
 def invert_diagonal(
@@ -667,37 +677,26 @@ _BLOCK_IDX = [_REGISTER2.index(occ) for occ in _BLOCK_OCCS]
 
 def _bench_unitary(eff: EfficiencyModel, phi: float | None) -> np.ndarray:
     """Exact 3-mode matrix of the analysis bench (phase, recombiner, splitter)."""
-    levels = 3
-    dim = levels**3
-    occ3 = ModeRegister(3, 2).occupations()
-
-    def embed_pair(mat: np.ndarray, i: int, j: int) -> np.ndarray:
-        out = np.zeros((dim, dim), dtype=complex)
-        for col in range(dim):
-            vec = np.zeros(dim, dtype=complex)
-            vec[col] = 1.0
-            t = vec.reshape(3, 3, 3)
-            t = np.moveaxis(t, (i, j), (0, 1)).reshape(9, -1)
-            t = mat @ t
-            t = np.moveaxis(t.reshape(3, 3, 3), (0, 1), (i, j))
-            out[:, col] = t.reshape(dim)
-        return out
-
-    u = np.eye(dim, dtype=complex)
+    eye = np.eye(3)
+    u = np.eye(27, dtype=complex)
     if phi is not None:
-        u = np.diag(np.exp(1j * phi * occ3[:, 0])) @ u
-        u = embed_pair(beamsplitter_unitary(2, eff.bs2_T), 0, 1) @ u
-    u = embed_pair(beamsplitter_unitary(2, eff.split), 1, 2) @ u
-    return u
+        u = np.diag(np.exp(1j * phi * ModeRegister(3, 2).mode_numbers(0))) @ u
+        u = np.kron(beamsplitter_unitary(2, eff.bs2_T), eye) @ u
+    return np.kron(eye, beamsplitter_unitary(2, eff.split)) @ u
 
 
-def _setting_povm(eff: EfficiencyModel, phi: float | None) -> dict[tuple[int, int, int], np.ndarray]:
+@lru_cache(maxsize=64)
+def _setting_povm(eff: EfficiencyModel, phi: float | None) -> Mapping[tuple[int, int, int], np.ndarray]:
     """POVM elements on the two-mode space for one measurement setting,
-    restricted to the two-photon block basis."""
-    import itertools
+    restricted to the two-photon block basis.
 
+    Cached per (efficiency model, phase): every caller gets the same
+    read-only mapping of read-only arrays, so derive new arrays from them
+    rather than writing to them.
+    """
     reg3 = ModeRegister(3, 2)
     u = _bench_unitary(eff, phi)
+    uh = u.conj().T
     effs = (eff.d2a, eff.d2b, eff.d2c)
     no_click = [
         (1.0 - e) ** reg3.mode_numbers(mode).astype(float) for mode, e in enumerate(effs)
@@ -708,10 +707,12 @@ def _setting_povm(eff: EfficiencyModel, phi: float | None) -> dict[tuple[int, in
         w = np.ones(reg3.dim)
         for bit, wk in zip(pattern, no_click):
             w = w * (wk if bit == 0 else 1.0 - wk)
-        e_full = u.conj().T @ np.diag(w.astype(complex)) @ u
+        e_full = (uh * w) @ u
         e2 = e_full[np.ix_(pullback_rows, pullback_rows)]
-        out[pattern] = e2[np.ix_(_BLOCK_IDX, _BLOCK_IDX)]
-    return out
+        element = e2[np.ix_(_BLOCK_IDX, _BLOCK_IDX)]
+        element.setflags(write=False)
+        out[pattern] = element
+    return MappingProxyType(out)
 
 
 def _params_to_factor(x: np.ndarray) -> np.ndarray:
@@ -758,12 +759,8 @@ def _collect_mle_data(
         for pattern, e in diag_povm.items():
             elements.append(e)
             counts.append(record.tally.get(pattern, 0))
-    fringe_cache: dict[float, dict] = {}
     for record in fringe_records:
-        phi = float(record.phase)
-        if phi not in fringe_cache:
-            fringe_cache[phi] = _setting_povm(eff, phi)
-        for pattern, e in fringe_cache[phi].items():
+        for pattern, e in _setting_povm(eff, float(record.phase)).items():
             elements.append(e)
             counts.append(record.tally.get(pattern, 0))
     return np.array(elements), np.array(counts)

@@ -13,8 +13,9 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from dlczsim.fock import ModeRegister, PureState
-from dlczsim.tomography import RestrictedDensity
+from dlczsim.detection import substream_rng
+from dlczsim.fock import ModeRegister, PureState, beamsplitter_unitary
+from dlczsim.tomography import _BLOCK_IDX, EfficiencyModel, RestrictedDensity
 
 
 def ladder(cutoff: int) -> np.ndarray:
@@ -51,6 +52,66 @@ def expm_beamsplitter(cutoff: int, transmittance: float) -> np.ndarray:
     theta = math.atan2(math.sqrt(1.0 - transmittance), math.sqrt(transmittance))
     gen = a.conj().T @ b - a @ b.conj().T
     return expm(theta * gen)
+
+
+def bench_unitary_embed_pair(eff: EfficiencyModel, phi: float | None) -> np.ndarray:
+    """Analysis-bench unitary with each two-mode splitter embedded in the
+    three-mode space column by column (axis moves, no Kronecker products)."""
+    dim = 27
+    occ3 = ModeRegister(3, 2).occupations()
+
+    def embed_pair(mat: np.ndarray, i: int, j: int) -> np.ndarray:
+        out = np.zeros((dim, dim), dtype=complex)
+        for col in range(dim):
+            vec = np.zeros(dim, dtype=complex)
+            vec[col] = 1.0
+            t = vec.reshape(3, 3, 3)
+            t = np.moveaxis(t, (i, j), (0, 1)).reshape(9, -1)
+            t = mat @ t
+            t = np.moveaxis(t.reshape(3, 3, 3), (0, 1), (i, j))
+            out[:, col] = t.reshape(dim)
+        return out
+
+    u = np.eye(dim, dtype=complex)
+    if phi is not None:
+        u = np.diag(np.exp(1j * phi * occ3[:, 0])) @ u
+        u = embed_pair(beamsplitter_unitary(2, eff.bs2_T), 0, 1) @ u
+    u = embed_pair(beamsplitter_unitary(2, eff.split), 1, 2) @ u
+    return u
+
+
+def setting_povm_oracle(eff: EfficiencyModel, phi: float | None) -> dict:
+    """Block-basis POVM of one bench setting from ``bench_unitary_embed_pair``
+    and an explicit diagonal click-weight matrix."""
+    reg3 = ModeRegister(3, 2)
+    u = bench_unitary_embed_pair(eff, phi)
+    effs = (eff.d2a, eff.d2b, eff.d2c)
+    no_click = [(1.0 - e) ** reg3.mode_numbers(mode).astype(float) for mode, e in enumerate(effs)]
+    pullback_rows = np.arange(9) * 3  # aux mode in vacuum
+    out = {}
+    for pattern in itertools.product((0, 1), repeat=3):
+        w = np.ones(reg3.dim)
+        for bit, wk in zip(pattern, no_click):
+            w = w * (wk if bit == 0 else 1.0 - wk)
+        e_full = u.conj().T @ np.diag(w.astype(complex)) @ u
+        e2 = e_full[np.ix_(pullback_rows, pullback_rows)]
+        out[pattern] = e2[np.ix_(_BLOCK_IDX, _BLOCK_IDX)]
+    return out
+
+
+def concurrence_mc_sigma_loop(rd: RestrictedDensity, mc_samples: int, seed: int) -> float:
+    """Gaussian-resampling spread of the restricted-state concurrence, one
+    scalar normal deviate at a time in (p00, p01, p10, p11, d) order."""
+    sig = {k.removeprefix("sigma_"): v for k, v in rd.sigmas.items()}
+    base = {"p00": rd.p00, "p01": rd.p01, "p10": rd.p10, "p11": rd.p11, "d": rd.d_abs}
+    rng = substream_rng(seed, stream=0xC0)
+    draws = []
+    for _ in range(mc_samples):
+        sample = {key: max(v + rng.normal() * sig.get(key, 0.0), 0.0) for key, v in base.items()}
+        pt = sample["p00"] + sample["p01"] + sample["p10"] + sample["p11"]
+        c = max(2.0 * sample["d"] - 2.0 * math.sqrt(max(sample["p00"] * sample["p11"], 0.0)), 0.0)
+        draws.append(c / pt)
+    return float(np.std(draws, ddof=1))
 
 
 def brute_force_pattern_probs(rho: np.ndarray, register: ModeRegister, detectors) -> dict:

@@ -21,7 +21,7 @@ from dlczsim.entanglement import (
 from dlczsim.pipeline import full_experiment
 from dlczsim.tomography import RestrictedDensity, restrict
 
-from helpers import ideal_config_dict, random_restricted
+from helpers import concurrence_mc_sigma_loop, ideal_config_dict, random_restricted
 
 PUBLISHED_D1A = dict(p00=0.98510, p10=7.38e-3, p01=7.51e-3, p11=1.7e-5)
 PUBLISHED_D1B = dict(p00=0.98501, p10=6.19e-3, p01=8.78e-3, p11=1.9e-5)
@@ -60,6 +60,24 @@ def test_concurrence_published_detector_values():
 
     res_b = concurrence_restricted(_published_rd(PUBLISHED_D1B, 0.71), herald="D1b")
     assert 1.3e-3 <= res_b.concurrence <= 2.5e-3
+
+
+@pytest.mark.parametrize(
+    "rd",
+    [
+        _published_rd(PUBLISHED_D1A, 0.70),
+        # C clamps at 0 while the resampled coherence straddles the boundary
+        RestrictedDensity(
+            p00=0.98, p01=7e-3, p10=7e-3, p11=1e-5, d=3e-3, sigmas={**PUBLISHED_SIGMAS, "sigma_d": 3e-4}
+        ),
+        RestrictedDensity(d=0.7 * 7.4e-3, sigmas=PUBLISHED_SIGMAS, **PUBLISHED_D1A),
+    ],
+    ids=["paper", "clamped", "no_sigma_d"],
+)
+def test_concurrence_mc_sigma_matches_scalar_loop(rd):
+    res = concurrence_restricted(rd, mc_samples=3000, seed=7)
+    assert res.mc_sigma > 0.0
+    assert res.mc_sigma == concurrence_mc_sigma_loop(rd, 3000, seed=7)
 
 
 def test_concurrence_zero_coherence():

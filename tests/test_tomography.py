@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from dlczsim.tomography import (
     two_stage_block,
 )
 
-from helpers import random_restricted
+from helpers import bench_unitary_embed_pair, random_restricted, setting_povm_oracle
 
 PUBLISHED_D1A = {"p00": 0.98510, "p10": 7.38e-3, "p01": 7.51e-3, "p11": 1.7e-5, "p02": 2.2e-5}
 
@@ -64,6 +65,36 @@ def _exact_record(probs, trials, phase=None):
     counts = {p: int(round(probs.probabilities[p] * trials)) for p in patterns}
     counts[patterns[0]] += trials - sum(counts.values())
     return CountRecord(tuple(probs.detector_ids), trials, counts, phase=phase)
+
+
+# ---------------------------------------------------------------------------
+# bench model
+
+
+@pytest.mark.parametrize(
+    "eff", [EFF_BENCH, dataclasses.replace(EFF_BENCH, split=0.3, bs2_T=0.6)], ids=["balanced", "unbalanced"]
+)
+def test_setting_povm_matches_embed_pair_oracle(eff):
+    for phi in [None, *(float(p) for p in np.linspace(0.0, 2.0 * math.pi, 13))]:
+        assert np.array_equal(tom._bench_unitary(eff, phi), bench_unitary_embed_pair(eff, phi))
+        povm = tom._setting_povm(eff, phi)
+        oracle = setting_povm_oracle(eff, phi)
+        assert list(povm) == list(oracle)
+        for pattern, element in oracle.items():
+            assert np.array_equal(povm[pattern], element)
+
+
+def test_cached_bench_model_is_shared_and_read_only():
+    povm = tom._setting_povm(EFF_BENCH, 0.5)
+    assert tom._setting_povm(EFF_BENCH, 0.5) is povm
+    with pytest.raises(ValueError):
+        povm[(0, 0, 0)][0, 0] = 1.0
+    with pytest.raises(TypeError):
+        povm[(0, 0, 0)] = np.eye(6)
+    m = forward_class_matrix(EFF_BENCH)
+    assert forward_class_matrix(EFF_BENCH) is m
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
