@@ -199,9 +199,11 @@ class ChannelBudget:
         for plane in (from_plane, to_plane):
             if plane not in PLANES:
                 raise ValueError(f"unknown plane {plane!r}")
-        keys = set(PLANES[to_plane]) - set(PLANES[from_plane])
         if set(PLANES[from_plane]) - set(PLANES[to_plane]):
             raise ValueError(f"target plane {to_plane} is downstream of {from_plane}")
+        # a fixed multiplication order keeps the product independent of
+        # string hashing (PYTHONHASHSEED)
+        keys = [key for key in COMPONENT_KEYS if key in PLANES[to_plane] and key not in PLANES[from_plane]]
         comps = self.left if side == "L" else self.right
         alpha = 1.0
         rel_var = 0.0

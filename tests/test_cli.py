@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import dlczsim
 from dlczsim.cli import EXIT_CONFIG, EXIT_FIT, EXIT_INTEGRITY, EXIT_PHYSICS, main
 from dlczsim.config import (
     ConfigError,
@@ -153,6 +157,22 @@ def test_analyze_round_trip_and_exit_codes(runner, tmp_path):
     csv_rows = (ana_out / "concurrence_planes.csv").read_text().strip().splitlines()
     assert csv_rows[0].startswith("plane,herald,concurrence")
     assert len(csv_rows) == 3  # header + detectors + z2
+
+
+def test_analyze_bytes_independent_of_hash_seed(tmp_path):
+    # fresh interpreters, so that string hashing (and set order) differs
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(dlczsim.__file__).parents[1]), env.get("PYTHONPATH")]))
+    for hash_seed in ("1", "2"):
+        env["PYTHONHASHSEED"] = hash_seed
+        sim, ana = tmp_path / hash_seed / "sim", tmp_path / hash_seed / "ana"
+        for args in (
+            ["simulate", "--preset", "paper", "--layout", "both", "--trials", "400000", "--seed", "3", "--out", str(sim)],
+            ["analyze", "--preset", "paper", "--records", str(sim), "--mle", "--plane", "z2", "--seed", "3", "--out", str(ana)],
+        ):
+            subprocess.run([sys.executable, "-m", "dlczsim.cli", *args], env=env, check=True)
+    for name in ("tomography_result.json", "concurrence_planes.csv"):
+        assert (tmp_path / "1" / "ana" / name).read_bytes() == (tmp_path / "2" / "ana" / name).read_bytes(), name
 
 
 def test_analyze_requires_records(runner, tmp_path):
