@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -173,12 +172,6 @@ class DensityOperator:
     def purity(self) -> float:
         return float(np.real(np.vdot(self.matrix, self.matrix)))
 
-    def tensor(self, other: "DensityOperator") -> "DensityOperator":
-        if other.register.cutoff != self.register.cutoff:
-            raise ValueError("tensor product requires equal cutoffs")
-        reg = ModeRegister(self.register.n_modes + other.register.n_modes, self.register.cutoff)
-        return DensityOperator(reg, np.kron(self.matrix, other.matrix), _skip_positivity=True)
-
     def __repr__(self):
         return f"DensityOperator(n_modes={self.register.n_modes}, cutoff={self.register.cutoff})"
 
@@ -225,16 +218,6 @@ def two_mode_squeezed(chi: float, cutoff: int) -> PureState:
     deficit = chi ** (cutoff + 1)
     amps /= np.linalg.norm(amps)
     return PureState(register, amps, truncation_deficit=deficit)
-
-
-def random_density_operator(register: ModeRegister, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
-    """Random full-support state from the Ginibre ensemble (test utility)."""
-    dim = register.dim
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return DensityOperator(register, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +273,7 @@ def beamsplitter_unitary(cutoff: int, transmittance: float) -> np.ndarray:
     block diagonal in total photon number.  Sectors with total <= cutoff are
     built exactly from the binomial expansion of the transformed creation
     operators; truncation-clipped sectors are completed by exponentiating the
-    clipped generator so the whole matrix stays exactly unitary.
+    clipped generator (in the eigenbasis of 1j * gen) so U stays unitary.
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
@@ -326,7 +309,8 @@ def beamsplitter_unitary(cutoff: int, transmittance: float) -> np.ndarray:
                 gen[pos + 1, pos] = elem   # a+ b
                 gen[pos, pos + 1] = -elem  # -a b+
             theta = math.atan2(s, c)
-            block = expm(theta * gen)
+            lam, vec = np.linalg.eigh(1j * gen)
+            block = ((vec * np.exp(-1j * theta * lam)) @ vec.conj().T).real
             for col, m in enumerate(ks):
                 for row, p in enumerate(ks):
                     out[idx(p, total - p), idx(m, total - m)] = block[row, col]

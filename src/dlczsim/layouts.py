@@ -3,16 +3,42 @@
 Two arrangements are used: the population (diagonal) layout with one detector
 on 2_L and a split detector pair on 2_R, and the interference (fringe) layout
 where a relative phase and a recombining beam splitter are inserted first.
-Both return exact joint click-pattern probabilities.
+Both read exact joint click-pattern probabilities off one cached POVM.
 """
 
 from __future__ import annotations
 
-from .detection import DetectorSpec, JointProbabilities, click_probabilities
-from .fock import DensityOperator, ModeRegister, apply_beamsplitter, apply_phase, vacuum
+from functools import lru_cache
+
+import numpy as np
+
+from .detection import JointProbabilities
+from .fock import DensityOperator, ModeRegister, apply_phase, beamsplitter_unitary, no_click_weights
 
 D2_IDS = ("D2a", "D2b", "D2c")
 SPLIT_PAIR = ("D2b", "D2c")
+PATTERNS = tuple(np.ndindex(2, 2, 2))  # click bits in D2_IDS order
+
+
+@lru_cache(maxsize=64)
+def bench_povm(
+    cutoff: int, eta_d2a: float, eta_d2b: float, eta_d2c: float, split: float, bs2_T: float | None, dark_prob: float
+) -> np.ndarray:
+    """Read-only POVM on the two-mode input (2_L, 2_R), one element per pattern
+    of ``PATTERNS``, with the auxiliary splitter port in vacuum.  ``bs2_T=None``
+    is the population layout; otherwise the recombiner is included at phase 0."""
+    levels = cutoff + 1
+    u = np.kron(np.eye(levels), beamsplitter_unitary(cutoff, split))
+    if bs2_T is not None:
+        u = u @ np.kron(beamsplitter_unitary(cutoff, bs2_T), np.eye(levels))
+    u = u[:, ::levels]  # input columns |n_L, n_R, 0>
+    register = ModeRegister(3, cutoff)
+    etas = (eta_d2a, eta_d2b, eta_d2c)
+    no_click = np.array([no_click_weights(register, [mode], eta, dark_prob) for mode, eta in enumerate(etas)])
+    weights = np.where(np.array(PATTERNS)[:, :, None] == 0, no_click, 1.0 - no_click).prod(axis=1)
+    povm = np.einsum("pk,ki,kj->pij", weights, u.conj(), u)
+    povm.setflags(write=False)
+    return povm
 
 
 def diagonal_layout_probabilities(
@@ -25,15 +51,9 @@ def diagonal_layout_probabilities(
 ) -> JointProbabilities:
     """Population measurement: D2a on 2_L; 2_R divided on a splitter of
     transmittance ``split`` toward D2b, remainder toward D2c."""
-    aux = vacuum(ModeRegister(1, rho.register.cutoff)).to_density()
-    work = rho.tensor(aux)
-    work = apply_beamsplitter(work, split, 1, 2)
-    detectors = [
-        DetectorSpec("D2a", eta_d2a, 0, dark_prob),
-        DetectorSpec("D2b", eta_d2b, 1, dark_prob),
-        DetectorSpec("D2c", eta_d2c, 2, dark_prob),
-    ]
-    return click_probabilities(work, detectors)
+    povm = bench_povm(rho.register.cutoff, eta_d2a, eta_d2b, eta_d2c, split, None, dark_prob)
+    probs = np.diagonal(povm, axis1=1, axis2=2).real @ rho.probabilities()  # elements are Fock diagonal
+    return JointProbabilities(D2_IDS, dict(zip(PATTERNS, map(float, probs))))
 
 
 def fringe_layout_probabilities(
@@ -48,14 +68,6 @@ def fringe_layout_probabilities(
 ) -> JointProbabilities:
     """Coherence measurement: phase ``phi`` on 2_L, recombination on the
     analysis beam splitter, D2a on one output, split pair on the other."""
-    work = apply_phase(rho, phi, 0)
-    work = apply_beamsplitter(work, bs2_T, 0, 1)
-    aux = vacuum(ModeRegister(1, rho.register.cutoff)).to_density()
-    work = work.tensor(aux)
-    work = apply_beamsplitter(work, split, 1, 2)
-    detectors = [
-        DetectorSpec("D2a", eta_d2a, 0, dark_prob),
-        DetectorSpec("D2b", eta_d2b, 1, dark_prob),
-        DetectorSpec("D2c", eta_d2c, 2, dark_prob),
-    ]
-    return click_probabilities(work, detectors)
+    povm = bench_povm(rho.register.cutoff, eta_d2a, eta_d2b, eta_d2c, split, bs2_T, dark_prob)
+    probs = np.einsum("pij,ji->p", povm, apply_phase(rho, phi, 0).matrix).real
+    return JointProbabilities(D2_IDS, dict(zip(PATTERNS, map(float, probs))))

@@ -18,7 +18,6 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .detection import (
     CountRecord,
@@ -809,6 +808,8 @@ def mle_fit(
     rho = G+ G / Tr(G+ G); the optimizer's accepted iterates are recorded and
     the log likelihood is non-decreasing along them.
     """
+    from scipy.optimize import minimize  # here, so that importing dlczsim loads no scipy
+
     elements, counts = _collect_mle_data(diag_records, fringe_records, eff)
     total_counts = counts.sum()
     if total_counts <= 0:

@@ -13,8 +13,15 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from dlczsim.detection import substream_rng
-from dlczsim.fock import ModeRegister, PureState, beamsplitter_unitary
+from dlczsim.detection import DetectorSpec, JointProbabilities, click_probabilities, substream_rng
+from dlczsim.fock import (
+    DensityOperator,
+    ModeRegister,
+    PureState,
+    apply_beamsplitter,
+    apply_phase,
+    beamsplitter_unitary,
+)
 from dlczsim.tomography import _BLOCK_IDX, EfficiencyModel, RestrictedDensity
 
 
@@ -52,6 +59,58 @@ def expm_beamsplitter(cutoff: int, transmittance: float) -> np.ndarray:
     theta = math.atan2(math.sqrt(1.0 - transmittance), math.sqrt(transmittance))
     gen = a.conj().T @ b - a @ b.conj().T
     return expm(theta * gen)
+
+
+def random_density_operator(register: ModeRegister, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
+    """Random full-support state from the Ginibre ensemble."""
+    dim = register.dim
+    rank = dim if rank is None else rank
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return DensityOperator(register, rho)
+
+
+def _bench_detectors(eta_d2a: float, eta_d2b: float, eta_d2c: float, dark_prob: float) -> list[DetectorSpec]:
+    return [
+        DetectorSpec("D2a", eta_d2a, 0, dark_prob),
+        DetectorSpec("D2b", eta_d2b, 1, dark_prob),
+        DetectorSpec("D2c", eta_d2c, 2, dark_prob),
+    ]
+
+
+def _with_vacuum_port(rho: DensityOperator) -> DensityOperator:
+    """rho on (2_L, 2_R) times the vacuum of the auxiliary splitter port."""
+    register = ModeRegister(3, rho.register.cutoff)
+    aux = np.zeros((register.levels, register.levels))
+    aux[0, 0] = 1.0
+    return DensityOperator(register, np.kron(rho.matrix, aux), _skip_positivity=True)
+
+
+def diagonal_layout_oracle(
+    rho: DensityOperator, eta_d2a: float, eta_d2b: float, eta_d2c: float, split: float = 0.5, dark_prob: float = 0.0
+) -> JointProbabilities:
+    """Population layout by propagating the density matrix through the bench
+    on the three-mode register (auxiliary splitter port in vacuum)."""
+    work = apply_beamsplitter(_with_vacuum_port(rho), split, 1, 2)
+    return click_probabilities(work, _bench_detectors(eta_d2a, eta_d2b, eta_d2c, dark_prob))
+
+
+def fringe_layout_oracle(
+    rho: DensityOperator,
+    phi: float,
+    eta_d2a: float,
+    eta_d2b: float,
+    eta_d2c: float,
+    split: float = 0.5,
+    bs2_T: float = 0.5,
+    dark_prob: float = 0.0,
+) -> JointProbabilities:
+    """Fringe layout by density-matrix propagation: phase on 2_L, recombiner,
+    then the population bench on the three-mode register."""
+    work = apply_beamsplitter(apply_phase(rho, phi, 0), bs2_T, 0, 1)
+    work = apply_beamsplitter(_with_vacuum_port(work), split, 1, 2)
+    return click_probabilities(work, _bench_detectors(eta_d2a, eta_d2b, eta_d2c, dark_prob))
 
 
 def bench_unitary_embed_pair(eff: EfficiencyModel, phi: float | None) -> np.ndarray:

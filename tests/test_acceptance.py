@@ -23,7 +23,7 @@ from dlczsim.entanglement import (
     witnesses,
     wootters_concurrence,
 )
-from dlczsim.fock import ModeRegister, random_density_operator
+from dlczsim.fock import ModeRegister
 from dlczsim.layouts import diagonal_layout_probabilities, fringe_layout_probabilities
 from dlczsim.pipeline import full_experiment, sample_fringe_records
 from dlczsim.protocol import EnsembleParams, HeraldChoice, InterferometerParams, herald, overlap_from_extinction_db, read_stage, write_stage
@@ -44,7 +44,7 @@ from dlczsim.tomography import (
 
 import dlczsim.tomography as tom
 
-from helpers import brute_force_pattern_probs, ideal_config_dict, random_restricted
+from helpers import brute_force_pattern_probs, ideal_config_dict, random_density_operator, random_restricted
 
 PUBLISHED_D1A = dict(p00=0.98510, p10=7.38e-3, p01=7.51e-3, p11=1.7e-5)
 PUBLISHED_D1B = dict(p00=0.98501, p10=6.19e-3, p01=8.78e-3, p11=1.9e-5)

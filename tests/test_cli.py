@@ -159,10 +159,23 @@ def test_analyze_round_trip_and_exit_codes(runner, tmp_path):
     assert len(csv_rows) == 3  # header + detectors + z2
 
 
-def test_analyze_bytes_independent_of_hash_seed(tmp_path):
-    # fresh interpreters, so that string hashing (and set order) differs
+def _fresh_interpreter_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(dlczsim.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, dlczsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_fresh_interpreter_env(), check=True, capture_output=True, text=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
+def test_analyze_bytes_independent_of_hash_seed(tmp_path):
+    # fresh interpreters, so that string hashing (and set order) differs
+    env = _fresh_interpreter_env()
     for hash_seed in ("1", "2"):
         env["PYTHONHASHSEED"] = hash_seed
         sim, ana = tmp_path / hash_seed / "sim", tmp_path / hash_seed / "ana"

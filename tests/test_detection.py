@@ -25,12 +25,11 @@ from dlczsim.fock import (
     apply_beamsplitter,
     fock_state,
     partial_trace,
-    random_density_operator,
     two_mode_squeezed,
     vacuum,
 )
 
-from helpers import brute_force_pattern_probs
+from helpers import brute_force_pattern_probs, random_density_operator
 
 
 def test_vacuum_never_clicks():

@@ -20,12 +20,11 @@ from dlczsim.fock import (
     no_click_weights,
     normal_ordered_expectation,
     partial_trace,
-    random_density_operator,
     two_mode_squeezed,
     vacuum,
 )
 
-from helpers import expm_beamsplitter, pi0_series_matrix, tmss_probabilities_series
+from helpers import expm_beamsplitter, pi0_series_matrix, random_density_operator, tmss_probabilities_series
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +131,15 @@ def test_beamsplitter_hong_ou_mandel():
     assert abs(out.amplitudes[reg.index((1, 1))]) ** 2 < 1e-24
 
 
-@pytest.mark.parametrize("cutoff", [2, 3])
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
 @pytest.mark.parametrize("transmittance", [0.0, 0.17, 0.5, 0.85, 1.0])
 def test_beamsplitter_matches_expm_oracle(cutoff, transmittance):
+    # the largest clipped sector (total photon number cutoff + 1) has size
+    # cutoff, so cutoff 5 exponentiates 5x5 generator blocks
     mat = beamsplitter_unitary(cutoff, transmittance)
     oracle = expm_beamsplitter(cutoff, transmittance)
     assert np.max(np.abs(mat - oracle)) < 1e-10
+    assert np.max(np.abs(mat.conj().T @ mat - np.eye((cutoff + 1) ** 2))) < 1e-13
 
 
 def test_beamsplitter_composition_unitary_and_number_conserving():

@@ -7,7 +7,7 @@ from scipy.stats import binomtest
 
 import dlczsim.tomography as tom
 from dlczsim.detection import CountRecord, sample_counts
-from dlczsim.fock import DensityOperator, ModeRegister, fidelity, random_density_operator
+from dlczsim.fock import DensityOperator, ModeRegister, fidelity
 from dlczsim.layouts import diagonal_layout_probabilities, fringe_layout_probabilities
 from dlczsim.tomography import (
     AggregatedCounts,
@@ -32,7 +32,7 @@ from dlczsim.tomography import (
     two_stage_block,
 )
 
-from helpers import bench_unitary_embed_pair, random_restricted, setting_povm_oracle
+from helpers import bench_unitary_embed_pair, random_density_operator, random_restricted, setting_povm_oracle
 
 PUBLISHED_D1A = {"p00": 0.98510, "p10": 7.38e-3, "p01": 7.51e-3, "p11": 1.7e-5, "p02": 2.2e-5}
 
