@@ -590,12 +590,15 @@ def estimate_coherence(
         d_abs = visibility / slope
         var = (sigma_visibility / slope) ** 2
         if diagonal_sigmas:
-            # numeric partials of 1/slope with respect to the diagonals
+            # numeric partials of 1/slope, stepping down where the model's p00 would go negative
+            others = sum(max(float(diagonals.get(k, 0.0)), 0.0) for k in ("p01", "p10", "p11", "p02"))
             for key in ("p01", "p10", "p11", "p02"):
                 s_key = diagonal_sigmas.get(key, 0.0)
                 if s_key == 0.0 or key not in diagonals:
                     continue
                 step = max(1e-6, 0.01 * abs(float(diagonals[key])))
+                if others + step > 1.0:
+                    step = -step
                 bumped = dict(diagonals)
                 bumped[key] = float(diagonals[key]) + step
                 slope_b = _model_visibility_slope(bumped, eff)

@@ -159,6 +159,19 @@ def test_analyze_round_trip_and_exit_codes(runner, tmp_path):
     assert len(csv_rows) == 3  # header + detectors + z2
 
 
+def test_analyze_ideal_preset_records(runner, tmp_path):
+    # the lossless heralded state has p00 ~ 0, so the numeric partials of the
+    # full coherence inversion must not step the model's implicit p00 below 0
+    sim_out = tmp_path / "sim"
+    assert _run(runner, ["simulate", "--preset", "ideal", "--layout", "both", "--seed", "11", "--out", str(sim_out)]).exit_code == 0
+    ana_out = tmp_path / "ana"
+    result = _run(runner, ["analyze", "--preset", "ideal", "--records", str(sim_out), "--out", str(ana_out)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads((ana_out / "tomography_result.json").read_text())
+    assert payload["coherence"]["mode"] == "full"
+    assert 0.0 < payload["coherence"]["sigma"] < 0.01
+
+
 def _fresh_interpreter_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(dlczsim.__file__).parents[1]), env.get("PYTHONPATH")]))
