@@ -22,7 +22,6 @@ import jsonschema
 
 from .entanglement import ChannelBudget
 from .protocol import EnsembleParams, HeraldChoice, InterferometerParams
-from .tomography import EfficiencyModel
 
 SCHEMA_VERSION = 1
 
@@ -117,7 +116,6 @@ CONFIG_SCHEMA: dict[str, Any] = {
             "required": ["L", "R"],
             "additionalProperties": False,
         },
-        "storage_delay_us": {"type": "number", "minimum": 0},
         "provenance": {"type": "object"},
     },
     "required": ["schema_version", "ensembles", "channel"],
@@ -166,28 +164,7 @@ class ExperimentConfig:
     trials: int = 0
     seed: int = 0
     description: str = ""
-    storage_delay_us: float = 1.0
     provenance: Mapping[str, str] = field(default_factory=dict)
-
-    def efficiency_model(self, plane: str = "detectors") -> EfficiencyModel:
-        """Efficiency model seen by the tomography stage for data quoted at
-        ``plane`` (the forward simulation detects at the raw detector level,
-        so 'detectors' is the model matching simulated records)."""
-        if plane != "detectors":
-            raise ValueError("records are always referenced to the detector plane")
-        eta_l = eta_r = 1.0
-        if self.budget is not None:
-            eta_l = self.budget.segment("L", "z0", "z2")[0]
-            eta_r = self.budget.segment("R", "z0", "z2")[0]
-        return EfficiencyModel(
-            eta_l=eta_l,
-            eta_r=eta_r,
-            eta_1=self.detectors.eta_d2a,
-            eta_2=self.detectors.eta_d2b,
-            eta_3=self.detectors.eta_d2c,
-            split=self.detectors.split,
-            bs2_T=self.detectors.bs2_T,
-        )
 
 
 def _phases_from_entry(entry: Any) -> tuple[float, ...]:
@@ -253,7 +230,6 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
         trials=data.get("trials", 0),
         seed=data.get("seed", 0),
         description=data.get("description", ""),
-        storage_delay_us=data.get("storage_delay_us", 1.0),
         provenance=dict(data.get("provenance", {})),
     )
 
@@ -293,7 +269,6 @@ def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
             "dark_prob": config.detectors.dark_prob,
         },
         "channel": config.budget.as_dict() if config.budget else None,
-        "storage_delay_us": config.storage_delay_us,
     }
     if config.budget is None:
         del out["channel"]

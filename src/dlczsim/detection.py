@@ -110,12 +110,18 @@ class CountRecord:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.trials < 1:
+            raise RecordIntegrityError(f"trials must be >= 1, got {self.trials}")
         total = sum(self.tally.values())
         if total != self.trials:
             raise RecordIntegrityError(f"tally sums to {total}, trials is {self.trials}")
-        for pattern in self.tally:
+        for pattern, n in self.tally.items():
             if len(pattern) != len(self.detector_ids):
                 raise RecordIntegrityError("pattern length must match detector count")
+            if any(bit not in (0, 1) for bit in pattern):
+                raise RecordIntegrityError(f"pattern {pattern} has bits other than 0/1")
+            if n < 0:
+                raise RecordIntegrityError(f"pattern {pattern} has negative count {n}")
 
     def frequency(self, pattern: ClickPattern) -> float:
         return self.tally.get(tuple(pattern), 0) / self.trials
@@ -123,6 +129,9 @@ class CountRecord:
     def clicked_count(self, detector_id: str) -> int:
         pos = self.detector_ids.index(detector_id)
         return sum(n for pattern, n in self.tally.items() if pattern[pos] == 1)
+
+    def items(self):
+        return self.tally.items()
 
 
 def merge_counts(a: CountRecord, b: CountRecord) -> CountRecord:
@@ -212,14 +221,15 @@ def condition_on_pattern(
 
 
 def aggregate_split_detector(
-    probs: JointProbabilities, pair: tuple[str, str]
+    probs: JointProbabilities | CountRecord, pair: tuple[str, str]
 ) -> dict[tuple[int, ...], float]:
     """Collapse a detector pair behind a splitter into photon-count classes.
 
     The two binary outcomes of ``pair`` are replaced by n = (number of
     detectors in the pair that clicked) in {0, 1, 2}; remaining detectors keep
     their binary outcome and position.  Marginals over the untouched
-    detectors are preserved exactly.
+    detectors are preserved exactly.  Probabilities sum to probabilities,
+    the counts of a record to integer counts.
     """
     ia = probs.detector_ids.index(pair[0])
     ib = probs.detector_ids.index(pair[1])
@@ -227,19 +237,7 @@ def aggregate_split_detector(
     for pattern, p in probs.items():
         rest = tuple(b for k, b in enumerate(pattern) if k not in (ia, ib))
         key = rest[: min(ia, ib)] + (pattern[ia] + pattern[ib],) + rest[min(ia, ib):]
-        out[key] = out.get(key, 0.0) + p
-    return out
-
-
-def aggregate_split_counts(record: CountRecord, pair: tuple[str, str]) -> dict[tuple[int, ...], int]:
-    """Count-level version of :func:`aggregate_split_detector`."""
-    ia = record.detector_ids.index(pair[0])
-    ib = record.detector_ids.index(pair[1])
-    out: dict[tuple[int, ...], int] = {}
-    for pattern, n in record.tally.items():
-        rest = tuple(b for k, b in enumerate(pattern) if k not in (ia, ib))
-        key = rest[: min(ia, ib)] + (pattern[ia] + pattern[ib],) + rest[min(ia, ib):]
-        out[key] = out.get(key, 0) + n
+        out[key] = out.get(key, 0) + p
     return out
 
 
@@ -353,15 +351,15 @@ def read_count_records_json(path: str | Path) -> list[CountRecord]:
     if not payload:
         raise RecordIntegrityError(f"{path}: no records")
     records = []
-    for entry in payload:
-        tally = {tuple(int(ch) for ch in bits): n for bits, n in entry["tally"].items()}
+    for index, entry in enumerate(payload):
+        try:
+            tally = {tuple(int(ch) for ch in bits): n for bits, n in entry["tally"].items()}
+            detector_ids, trials = tuple(entry["detector_ids"]), entry["trials"]
+        except KeyError as exc:
+            raise RecordIntegrityError(f"{path}: record {index} has no field {exc}") from exc
+        except ValueError as exc:
+            raise RecordIntegrityError(f"{path}: record {index} has malformed pattern bits ({exc})") from exc
         records.append(
-            CountRecord(
-                tuple(entry["detector_ids"]),
-                entry["trials"],
-                tally,
-                phase=entry.get("phase_phi_radians"),
-                seed=entry.get("seed"),
-            )
+            CountRecord(detector_ids, trials, tally, phase=entry.get("phase_phi_radians"), seed=entry.get("seed"))
         )
     return records

@@ -4,8 +4,8 @@ States live on a tensor product of bosonic modes, each truncated at a
 configurable photon-number cutoff.  The module provides the state carriers
 (:class:`PureState`, :class:`DensityOperator`), the linear-optics primitives
 (beam splitter, phase shifter, attenuation channel, phase-jitter dephasing),
-partial traces, and normally ordered expectation values used by detector
-models.
+partial traces, and the Fock diagonal of the no-click detector element, the
+normally ordered :exp(-eta n):.
 
 All values are immutable after construction and every operation is a pure
 function, so the API is safe to use from concurrent callers.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,10 +33,6 @@ EIGEN_CHECK_MAX_DIM = 1024
 
 # Guard against accidentally requesting an enormous tensor product.
 DEFAULT_MAX_DIM = 1 << 16
-
-
-class TruncationError(ValueError):
-    """An operator or state needs photon-number levels above the cutoff."""
 
 
 @dataclass(frozen=True)
@@ -461,82 +457,7 @@ def partial_trace(state: State, keep: Sequence[int]) -> DensityOperator:
 
 
 # ---------------------------------------------------------------------------
-# normally ordered expectation values
-
-
-@dataclass(frozen=True)
-class NormalOrderedExp:
-    """:exp(- sum_m kappa_m n_m):  -- Fock diagonal with entries prod (1-kappa)^n."""
-
-    weights: Mapping[int, float]
-
-    def max_reach(self) -> int:
-        return 0
-
-    def to_matrix(self, register: ModeRegister) -> np.ndarray:
-        diag = np.ones(register.dim)
-        for mode, kappa in self.weights.items():
-            _check_mode(register, mode)
-            diag = diag * (1.0 - kappa) ** register.mode_numbers(mode)
-        return np.diag(diag.astype(complex))
-
-
-@dataclass(frozen=True)
-class NormalOrderedPoly:
-    """Sum of normally ordered monomials  sum_k c_k prod_m (a_m^dag)^p (a_m)^q."""
-
-    terms: Sequence[tuple[complex, Mapping[int, tuple[int, int]]]]
-
-    def max_reach(self) -> int:
-        reach = 0
-        for _, factors in self.terms:
-            for p, q in factors.values():
-                reach = max(reach, p, q)
-        return reach
-
-    def to_matrix(self, register: ModeRegister) -> np.ndarray:
-        if self.max_reach() > register.cutoff:
-            raise TruncationError(
-                f"operator reaches {self.max_reach()} photons, cutoff is {register.cutoff}"
-            )
-        dim = register.dim
-        out = np.zeros((dim, dim), dtype=complex)
-        for coeff, factors in self.terms:
-            term = np.eye(dim, dtype=complex) * coeff
-            for mode, (p, q) in factors.items():
-                _check_mode(register, mode)
-                single = _monomial_matrix(register.cutoff, p, q)
-                term = term @ _embed_single(single, register, mode)
-            out += term
-        return out
-
-
-def _monomial_matrix(cutoff: int, p: int, q: int) -> np.ndarray:
-    """Matrix of (a^dag)^p a^q on one truncated mode."""
-    levels = cutoff + 1
-    mat = np.zeros((levels, levels))
-    for n in range(q, levels):
-        m = n - q + p
-        if m <= cutoff:
-            mat[m, n] = math.sqrt(math.factorial(n) / math.factorial(n - q)) * math.sqrt(
-                math.factorial(m) / math.factorial(n - q)
-            )
-    return mat
-
-
-def _embed_single(single: np.ndarray, register: ModeRegister, mode: int) -> np.ndarray:
-    out = np.array([[1.0]], dtype=complex)
-    eye = np.eye(register.levels)
-    for m in range(register.n_modes):
-        out = np.kron(out, single if m == mode else eye)
-    return out
-
-
-def normal_ordered_expectation(state: State, op: NormalOrderedExp | NormalOrderedPoly) -> float:
-    """Tr(rho :O:) evaluated by exact Fock matrix elements at the cutoff."""
-    rho = as_density(state)
-    mat = op.to_matrix(state.register)
-    return float(np.real(np.trace(rho.matrix @ mat)))
+# detector elements
 
 
 def no_click_weights(register: ModeRegister, modes: Iterable[int], efficiency: float, dark_prob: float = 0.0) -> np.ndarray:

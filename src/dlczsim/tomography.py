@@ -6,27 +6,24 @@ visibility and converts it into the single-excitation coherence, either with
 the textbook relation |d| = V (p10 + p01) / 2 or by inverting the exact
 fringe-layout forward model.  A joint maximum-likelihood fit over both
 measurement configurations provides an independent cross-check.
+
+Every bench quantity here (class matrix, coherence slope, MLE elements) is
+read off the simulator's own cached POVM, ``layouts.bench_povm``, at the
+two-photon cutoff; the analysis phase enters analytically.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .detection import (
-    CountRecord,
-    aggregate_split_counts,
-    aggregate_split_detector,
-    substream_rng,
-)
-from .fock import DensityOperator, ModeRegister, beamsplitter_unitary, fock_state
-from .layouts import SPLIT_PAIR, diagonal_layout_probabilities, fringe_layout_probabilities
+from .detection import CountRecord, aggregate_split_detector, substream_rng
+from .fock import DensityOperator, ModeRegister
+from .layouts import PATTERNS, SPLIT_PAIR, bench_povm
+from .layouts import diagonal_layout_probabilities, fringe_layout_probabilities  # noqa: F401 - bound here for the benchmark's layer tracer
 
 TWO_PI = 2.0 * math.pi
 P_TILDE_TOL = 1e-3
@@ -34,6 +31,13 @@ PSD_REL_TOL = 1e-9
 
 Q_CLASSES: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
 DIAG_KEYS = ("p00", "p01", "p10", "p11", "p02")
+
+_REGISTER2 = ModeRegister(2, 2)  # the inversion works at the two-photon cutoff
+_DIAG_IDX = [_REGISTER2.index(occ) for occ in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2))]  # DIAG_KEYS order
+_I01, _I10 = _REGISTER2.index((0, 1)), _REGISTER2.index((1, 0))
+_PATTERN_CLASS = [Q_CLASSES.index((a, b + c)) for a, b, c in PATTERNS]
+# fringe arms per pattern: clicks at D2a, and clicks summed over the split pair
+_ARM_WEIGHTS = np.array([[a for a, _, _ in PATTERNS], [b + c for _, b, c in PATTERNS]], dtype=float)
 
 
 class DataQualityError(ValueError):
@@ -222,7 +226,7 @@ class AggregatedCounts:
 
     @classmethod
     def from_record(cls, record: CountRecord, pair: tuple[str, str] = SPLIT_PAIR) -> "AggregatedCounts":
-        agg = aggregate_split_counts(record, pair)
+        agg = aggregate_split_detector(record, pair)
         return cls(counts={k: int(v) for k, v in agg.items()}, trials=record.trials)
 
     def frequencies(self) -> np.ndarray:
@@ -243,24 +247,23 @@ class DiagonalEstimate:
         return self.values[key]
 
 
-@lru_cache(maxsize=64)
+def _population_povm(eff: EfficiencyModel) -> np.ndarray:
+    return bench_povm(2, eff.d2a, eff.d2b, eff.d2c, eff.split, None, 0.0)
+
+
+def _fringe_povm(eff: EfficiencyModel) -> np.ndarray:
+    """Fringe-layout elements at phase 0; phase phi multiplies entry (i, j)
+    by exp(-i phi (n_L[i] - n_L[j]))."""
+    return bench_povm(2, eff.d2a, eff.d2b, eff.d2c, eff.split, eff.bs2_T, 0.0)
+
+
 def forward_class_matrix(eff: EfficiencyModel) -> np.ndarray:
     """Map from the diagonal populations (p00, p01, p10, p11, p02) to the
-    aggregated class probabilities, built by sending each basis state through
-    the exact detection model.
-
-    Cached per (frozen) efficiency model: every caller gets the same
-    read-only array, so derive new arrays from it rather than writing to it.
-    """
-    register = ModeRegister(2, 2)
-    cols = []
-    for occ in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2)):
-        rho = fock_state(register, occ).to_density()
-        probs = diagonal_layout_probabilities(rho, eff.d2a, eff.d2b, eff.d2c, eff.split)
-        agg = aggregate_split_detector(probs, SPLIT_PAIR)
-        cols.append([agg.get(cls_, 0.0) for cls_ in Q_CLASSES])
-    out = np.array(cols).T  # shape (6 classes, 5 populations)
-    out.setflags(write=False)
+    aggregated class probabilities: the population POVM's diagonal on those
+    basis states, summed over the patterns of each class."""
+    diag = np.diagonal(_population_povm(eff), axis1=1, axis2=2).real[:, _DIAG_IDX]
+    out = np.zeros((len(Q_CLASSES), len(DIAG_KEYS)))  # shape (6 classes, 5 populations)
+    np.add.at(out, _PATTERN_CLASS, diag)
     return out
 
 
@@ -287,12 +290,15 @@ def invert_diagonal(
         raise InconsistentCountsError("class frequencies outside the simplex")
     m = forward_class_matrix(eff)
 
-    # substitute p00 = 1 - sum(others); drop the (0,0) class as redundant
+    # substitute p00 = 1 - sum(others); drop the most populated class as
+    # redundant (with an empty one dropped, the kept frequencies sum to 1 and
+    # their floored multinomial covariance is indefinite)
+    kept = np.arange(len(Q_CLASSES)) != np.argmax(q)
     a_full = m[:, 1:] - m[:, [0]]
     b_full = q - m[:, 0]
-    a = a_full[1:, :]
-    b = b_full[1:]
-    q_floor = np.clip(q[1:], 0.5 / n, None)
+    a = a_full[kept, :]
+    b = b_full[kept]
+    q_floor = np.clip(q[kept], 0.5 / n, None)
     cov_q = (np.diag(q_floor) - np.outer(q_floor, q_floor)) / n
     w = np.linalg.inv(cov_q)
     normal = a.T @ w @ a
@@ -331,7 +337,7 @@ def invert_diagonal(
         for _ in range(bootstrap):
             counts = rng.multinomial(n, pvals)
             qb = counts / n
-            bb = (qb - m[:, 0])[1:]
+            bb = (qb - m[:, 0])[kept]
             xb = cov_x @ (a.T @ w @ bb)
             samples["p00"].append(1.0 - xb.sum())
             for key, v in zip(DIAG_KEYS[1:], xb):
@@ -512,47 +518,22 @@ class CoherenceEstimate:
     flags: tuple[str, ...] = ()
 
 
-def _restricted_matrix_for_model(diagonals: Mapping[str, float], d: float) -> DensityOperator:
-    register = ModeRegister(2, 2)
-    mat = np.zeros((9, 9), dtype=complex)
-    total = 0.0
-    for occ, key in (((0, 0), "p00"), ((0, 1), "p01"), ((1, 0), "p10"), ((1, 1), "p11"), ((0, 2), "p02")):
-        v = max(float(diagonals.get(key, 0.0)), 0.0)
-        mat[register.index(occ), register.index(occ)] = v
-        total += v
-    mat[register.index((0, 0)), register.index((0, 0))] += 1.0 - total
-    i01, i10 = register.index((0, 1)), register.index((1, 0))
-    mat[i01, i10] = d
-    mat[i10, i01] = d
-    return DensityOperator(register, mat, _skip_positivity=True)
-
-
 def _model_visibility_slope(diagonals: Mapping[str, float], eff: EfficiencyModel) -> float:
     """d(V_avg)/d(|d|) of the exact fringe forward model at fixed diagonals.
 
-    Both arm visibilities are exactly linear in the coherence, so a single
-    evaluation at a reference coherence fixes the slope.
+    For a real coherence d between |0,1> and |1,0> each arm reads
+    base + 2 d |e| cos(phi + arg e), where base contracts the arm's POVM
+    diagonal with the populations (p00 = 1 - the others) and e is the arm's
+    <0,1|E|1,0> at phase 0; so V_arm = 2 d |e| / base, and V_avg / d is the
+    sum over arms of |e| / base.
     """
-    d_ref = 0.5 * math.sqrt(max(diagonals.get("p01", 0.0) * diagonals.get("p10", 0.0), 0.0))
-    if d_ref <= 0.0:
+    if not diagonals.get("p01", 0.0) * diagonals.get("p10", 0.0) > 0.0:
         raise DataQualityError("model slope undefined: p01 p10 = 0")
-    rho = _restricted_matrix_for_model(diagonals, d_ref)
-    phis = np.linspace(0.0, TWO_PI, 9)
-    rows_a, rows_bc = [], []
-    for phi in phis:
-        probs = fringe_layout_probabilities(
-            rho, phi, eff.d2a, eff.d2b, eff.d2c, eff.split, eff.bs2_T
-        )
-        pa = sum(p for pat, p in probs.items() if pat[0] == 1)
-        pbc = sum(p * (pat[1] + pat[2]) for pat, p in probs.items())
-        rows_a.append(pa)
-        rows_bc.append(pbc)
-    ones = np.ones_like(phis)
-    slope = 0.0
-    for rows in (np.array(rows_a), np.array(rows_bc)):
-        fit = _fit_single_arm(phis, rows, ones)
-        slope += 0.5 * fit.visibility / d_ref
-    return slope
+    pops = [max(float(diagonals.get(key, 0.0)), 0.0) for key in DIAG_KEYS[1:]]
+    pops = np.array([1.0 - sum(pops), *pops])
+    arms = np.einsum("ap,pij->aij", _ARM_WEIGHTS, _fringe_povm(eff))
+    base = np.diagonal(arms, axis1=1, axis2=2).real[:, _DIAG_IDX] @ pops
+    return float(np.sum(np.abs(arms[:, _I01, _I10]) / base))
 
 
 def estimate_coherence(
@@ -672,49 +653,9 @@ class MLEResult:
     history: tuple[float, ...]
 
 
-_REGISTER2 = ModeRegister(2, 2)
 _BLOCK_OCCS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
 _BLOCK_IDX = [_REGISTER2.index(occ) for occ in _BLOCK_OCCS]
-
-
-def _bench_unitary(eff: EfficiencyModel, phi: float | None) -> np.ndarray:
-    """Exact 3-mode matrix of the analysis bench (phase, recombiner, splitter)."""
-    eye = np.eye(3)
-    u = np.eye(27, dtype=complex)
-    if phi is not None:
-        u = np.diag(np.exp(1j * phi * ModeRegister(3, 2).mode_numbers(0))) @ u
-        u = np.kron(beamsplitter_unitary(2, eff.bs2_T), eye) @ u
-    return np.kron(eye, beamsplitter_unitary(2, eff.split)) @ u
-
-
-@lru_cache(maxsize=64)
-def _setting_povm(eff: EfficiencyModel, phi: float | None) -> Mapping[tuple[int, int, int], np.ndarray]:
-    """POVM elements on the two-mode space for one measurement setting,
-    restricted to the two-photon block basis.
-
-    Cached per (efficiency model, phase): every caller gets the same
-    read-only mapping of read-only arrays, so derive new arrays from them
-    rather than writing to them.
-    """
-    reg3 = ModeRegister(3, 2)
-    u = _bench_unitary(eff, phi)
-    uh = u.conj().T
-    effs = (eff.d2a, eff.d2b, eff.d2c)
-    no_click = [
-        (1.0 - e) ** reg3.mode_numbers(mode).astype(float) for mode, e in enumerate(effs)
-    ]
-    pullback_rows = np.arange(9) * 3  # aux mode in vacuum
-    out = {}
-    for pattern in itertools.product((0, 1), repeat=3):
-        w = np.ones(reg3.dim)
-        for bit, wk in zip(pattern, no_click):
-            w = w * (wk if bit == 0 else 1.0 - wk)
-        e_full = (uh * w) @ u
-        e2 = e_full[np.ix_(pullback_rows, pullback_rows)]
-        element = e2[np.ix_(_BLOCK_IDX, _BLOCK_IDX)]
-        element.setflags(write=False)
-        out[pattern] = element
-    return MappingProxyType(out)
+_BLOCK_NL = np.array([n_l for n_l, _ in _BLOCK_OCCS])
 
 
 def _params_to_factor(x: np.ndarray) -> np.ndarray:
@@ -751,21 +692,19 @@ def _collect_mle_data(
     fringe_records: Sequence[CountRecord],
     eff: EfficiencyModel,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack POVM elements and counts across both configurations."""
+    """Stack POVM elements on the block basis and counts across both
+    configurations: one element per record and pattern, in ``PATTERNS`` order."""
     if not diag_records and not fringe_records:
         raise ValueError("maximum-likelihood fit needs at least one record")
-    elements: list[np.ndarray] = []
-    counts: list[float] = []
-    diag_povm = _setting_povm(eff, None)
-    for record in diag_records:
-        for pattern, e in diag_povm.items():
-            elements.append(e)
-            counts.append(record.tally.get(pattern, 0))
-    for record in fringe_records:
-        for pattern, e in _setting_povm(eff, float(record.phase)).items():
-            elements.append(e)
-            counts.append(record.tally.get(pattern, 0))
-    return np.array(elements), np.array(counts)
+    block = np.ix_(range(len(PATTERNS)), _BLOCK_IDX, _BLOCK_IDX)
+    diag = np.broadcast_to(_population_povm(eff)[block], (len(diag_records), len(PATTERNS), 6, 6))
+    phis = np.array([float(record.phase) for record in fringe_records])
+    rotation = np.exp(-1j * phis[:, None, None] * (_BLOCK_NL[:, None] - _BLOCK_NL[None, :]))
+    fringe = _fringe_povm(eff)[block][None, :, :, :] * rotation[:, None, :, :]
+    elements = np.concatenate([diag, fringe]).reshape(-1, 6, 6)
+    records = [*diag_records, *fringe_records]
+    counts = np.array([[record.tally.get(pattern, 0) for pattern in PATTERNS] for record in records])
+    return elements, counts.reshape(-1)
 
 
 def log_likelihood(

@@ -139,6 +139,39 @@ def bench_unitary_embed_pair(eff: EfficiencyModel, phi: float | None) -> np.ndar
     return u
 
 
+def restricted_matrix_for_model(diagonals: dict, d: float) -> DensityOperator:
+    """Two-photon-cutoff state with the given diagonals (p00 takes the rest of
+    the unit trace) and a real coherence ``d`` between |0,1> and |1,0>."""
+    register = ModeRegister(2, 2)
+    mat = np.zeros((9, 9), dtype=complex)
+    total = 0.0
+    for occ, key in (((0, 0), "p00"), ((0, 1), "p01"), ((1, 0), "p10"), ((1, 1), "p11"), ((0, 2), "p02")):
+        v = max(float(diagonals.get(key, 0.0)), 0.0)
+        mat[register.index(occ), register.index(occ)] = v
+        total += v
+    mat[register.index((0, 0)), register.index((0, 0))] += 1.0 - total
+    i01, i10 = register.index((0, 1)), register.index((1, 0))
+    mat[i01, i10] = d
+    mat[i10, i01] = d
+    return DensityOperator(register, mat, _skip_positivity=True)
+
+
+def visibility_slope_oracle(diagonals: dict, eff: EfficiencyModel) -> float:
+    """d(V_avg)/d(|d|) by propagating a reference state through the fringe
+    bench at 9 phases and least-squares fitting A + B cos(phi) + C sin(phi)
+    to each arm."""
+    d_ref = 0.5 * math.sqrt(diagonals["p01"] * diagonals["p10"])
+    rho = restricted_matrix_for_model(diagonals, d_ref)
+    phis = np.linspace(0.0, 2.0 * math.pi, 9)
+    rows = []
+    for phi in phis:
+        probs = fringe_layout_oracle(rho, phi, eff.d2a, eff.d2b, eff.d2c, eff.split, eff.bs2_T)
+        rows.append([sum(p * pat[0] for pat, p in probs.items()), sum(p * (pat[1] + pat[2]) for pat, p in probs.items())])
+    design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
+    (a, b, c), *_ = np.linalg.lstsq(design, np.array(rows), rcond=None)
+    return float(np.sum(0.5 * np.hypot(b, c) / a / d_ref))
+
+
 def setting_povm_oracle(eff: EfficiencyModel, phi: float | None) -> dict:
     """Block-basis POVM of one bench setting from ``bench_unitary_embed_pair``
     and an explicit diagonal click-weight matrix."""

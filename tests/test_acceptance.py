@@ -42,9 +42,13 @@ from dlczsim.tomography import (
     two_stage_block,
 )
 
-import dlczsim.tomography as tom
-
-from helpers import brute_force_pattern_probs, ideal_config_dict, random_density_operator, random_restricted
+from helpers import (
+    brute_force_pattern_probs,
+    ideal_config_dict,
+    random_density_operator,
+    random_restricted,
+    restricted_matrix_for_model,
+)
 
 PUBLISHED_D1A = dict(p00=0.98510, p10=7.38e-3, p01=7.51e-3, p11=1.7e-5)
 PUBLISHED_D1B = dict(p00=0.98501, p10=6.19e-3, p01=8.78e-3, p11=1.9e-5)
@@ -190,7 +194,7 @@ def test_criterion_6_round_trip_tomography():
     for index in range(n_states):
         rd = random_restricted(rng)
         diagonals = {"p00": rd.p00, "p01": rd.p01, "p10": rd.p10, "p11": rd.p11, "p02": 0.0}
-        rho = tom._restricted_matrix_for_model(diagonals, rd.d_abs)
+        rho = restricted_matrix_for_model(diagonals, rd.d_abs)
         dprobs = diagonal_layout_probabilities(rho, eff.d2a, eff.d2b, eff.d2c, eff.split)
         diag_rec = sample_counts(dprobs, diag_trials, seed=5000 + index, stream=0)
         fringe_recs = []

@@ -172,6 +172,40 @@ def test_analyze_ideal_preset_records(runner, tmp_path):
     assert 0.0 < payload["coherence"]["sigma"] < 0.01
 
 
+def test_analyze_ideal_preset_without_vacuum_events(runner, tmp_path):
+    # lossless records hold no (0,0) event; p00 ~ 0 is clamped and flagged,
+    # not rejected as inconsistent counts
+    sim_out = tmp_path / "sim"
+    assert _run(runner, ["simulate", "--preset", "ideal", "--layout", "both", "--seed", "3", "--out", str(sim_out)]).exit_code == 0
+    ana_out = tmp_path / "ana"
+    result = _run(runner, ["analyze", "--preset", "ideal", "--records", str(sim_out), "--out", str(ana_out)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads((ana_out / "tomography_result.json").read_text())
+    assert "clamped_p00" in payload["flags"]
+    assert payload["populations"]["p00"] == 0.0 < payload["sigmas"]["p00"]
+
+
+_MALFORMED_RECORDS = {  # case -> (record, expected message)
+    "negative_count": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": {"000": 15, "100": -5}}, "negative count"),
+    "zero_trials": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 0, "tally": {"000": 0}}, "trials must be >= 1"),
+    "non_binary_bits": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": {"020": 10}}, "bits other than 0/1"),
+    "missing_tally": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10}, "has no field 'tally'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_RECORDS))
+def test_analyze_malformed_record_exits_integrity_code(runner, tmp_path, case):
+    record, message = _MALFORMED_RECORDS[case]
+    records = tmp_path / "counts.json"
+    records.write_text(json.dumps([record]))
+    result = runner.invoke(
+        main,
+        ["analyze", "--preset", "paper", "--diag", str(records), "--fringe", str(records), "--out", str(tmp_path / "o")],
+    )
+    assert result.exit_code == EXIT_INTEGRITY, result.output
+    assert message in result.output
+
+
 def _fresh_interpreter_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(dlczsim.__file__).parents[1]), env.get("PYTHONPATH")]))
@@ -236,6 +270,14 @@ def test_bad_config_exits_config_code(runner, tmp_path):
     bad.write_text(json.dumps({"schema_version": 1}))
     result = runner.invoke(main, ["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert result.exit_code == EXIT_CONFIG
+
+
+def test_removed_storage_delay_key_exits_config_code(runner, tmp_path):
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps({**preset_dict("ideal"), "storage_delay_us": 1.0}))
+    result = runner.invoke(main, ["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == EXIT_CONFIG
+    assert "storage_delay_us" in result.output
 
 
 def test_backprop_direct_values_reproduces_published(runner, tmp_path):

@@ -286,6 +286,12 @@ def test_merge_counts_associative():
 def test_count_record_integrity():
     with pytest.raises(RecordIntegrityError):
         CountRecord(("A",), 10, {(0,): 4, (1,): 5})
+    with pytest.raises(RecordIntegrityError, match="negative count"):
+        CountRecord(("A",), 10, {(0,): 15, (1,): -5})
+    with pytest.raises(RecordIntegrityError, match="trials"):
+        CountRecord(("A",), 0, {(0,): 0})
+    with pytest.raises(RecordIntegrityError, match="0/1"):
+        CountRecord(("A",), 10, {(2,): 10})
 
 
 def test_csv_json_round_trip(tmp_path):

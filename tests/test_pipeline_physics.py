@@ -12,7 +12,7 @@ from dlczsim.pipeline import full_experiment, unconditioned_field_state
 from dlczsim.protocol import EnsembleParams, HeraldChoice, InterferometerParams, herald, write_stage
 from dlczsim.tomography import restrict
 
-from helpers import ideal_config_dict
+from helpers import ideal_config_dict, restricted_matrix_for_model
 
 
 def test_unconditioned_suppression_ratio_near_one():
@@ -100,11 +100,10 @@ def test_mle_fringe_only_records():
     from dlczsim.detection import sample_counts
     from dlczsim.layouts import fringe_layout_probabilities
     from dlczsim.tomography import EfficiencyModel, RestrictedDensity, mle_fit
-    import dlczsim.tomography as tom
 
     eff = EfficiencyModel.unit()
     diagonals = {"p00": 0.94, "p01": 0.03, "p10": 0.028, "p11": 1e-3, "p02": 0.0}
-    rho = tom._restricted_matrix_for_model(diagonals, 0.02)
+    rho = restricted_matrix_for_model(diagonals, 0.02)
     records = []
     for k, phi in enumerate(np.linspace(0.0, 2.0 * math.pi, 13)):
         probs = fringe_layout_probabilities(rho, float(phi), 1.0, 1.0, 1.0)

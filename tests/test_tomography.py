@@ -8,7 +8,7 @@ from scipy.stats import binomtest
 import dlczsim.tomography as tom
 from dlczsim.detection import CountRecord, sample_counts
 from dlczsim.fock import DensityOperator, ModeRegister, fidelity
-from dlczsim.layouts import diagonal_layout_probabilities, fringe_layout_probabilities
+from dlczsim.layouts import PATTERNS, bench_povm, diagonal_layout_probabilities, fringe_layout_probabilities
 from dlczsim.tomography import (
     AggregatedCounts,
     DIAG_KEYS,
@@ -32,7 +32,13 @@ from dlczsim.tomography import (
     two_stage_block,
 )
 
-from helpers import bench_unitary_embed_pair, random_density_operator, random_restricted, setting_povm_oracle
+from helpers import (
+    random_density_operator,
+    random_restricted,
+    restricted_matrix_for_model,
+    setting_povm_oracle,
+    visibility_slope_oracle,
+)
 
 PUBLISHED_D1A = {"p00": 0.98510, "p10": 7.38e-3, "p01": 7.51e-3, "p11": 1.7e-5, "p02": 2.2e-5}
 
@@ -42,7 +48,7 @@ EFF_BENCH = EfficiencyModel(eta_l=0.392, eta_r=0.364, eta_1=0.32, eta_2=0.40, et
 def _records_from_restricted(rd, eff, diag_trials, fringe_trials, seed, phases=None, exact=False):
     """Forward-simulate both layouts for a restricted-form state."""
     diagonals = {"p00": rd.p00, "p01": rd.p01, "p10": rd.p10, "p11": rd.p11, "p02": rd.p02 or 0.0}
-    rho = tom._restricted_matrix_for_model(diagonals, rd.d_abs)
+    rho = restricted_matrix_for_model(diagonals, rd.d_abs)
     dprobs = diagonal_layout_probabilities(rho, eff.d2a, eff.d2b, eff.d2c, eff.split)
     if exact:
         diag_rec = _exact_record(dprobs, diag_trials)
@@ -71,30 +77,54 @@ def _exact_record(probs, trials, phase=None):
 # bench model
 
 
+EFF_UNBALANCED = dataclasses.replace(EFF_BENCH, split=0.3, bs2_T=0.6)
+
+
+@pytest.mark.parametrize("eff", [EFF_BENCH, EFF_UNBALANCED], ids=["balanced", "unbalanced"])
+def test_mle_elements_match_setting_povm_oracle(eff):
+    phases = [float(p) for p in np.linspace(0.0, 2.0 * math.pi, 13)]
+    diag_rec = CountRecord(("D2a", "D2b", "D2c"), 1, {(0, 0, 0): 1})
+    fringe_recs = [dataclasses.replace(diag_rec, phase=phi) for phi in phases]
+    elements, counts = tom._collect_mle_data([diag_rec], fringe_recs, eff)
+    oracle = [setting_povm_oracle(eff, phi)[pattern] for phi in [None, *phases] for pattern in PATTERNS]
+    assert elements.shape == (14 * len(PATTERNS), 6, 6)
+    assert np.max(np.abs(elements - np.array(oracle))) < 1e-14
+    assert list(counts) == [1, 0, 0, 0, 0, 0, 0, 0] * 14
+
+
 @pytest.mark.parametrize(
-    "eff", [EFF_BENCH, dataclasses.replace(EFF_BENCH, split=0.3, bs2_T=0.6)], ids=["balanced", "unbalanced"]
+    "eff", [EFF_BENCH, EFF_UNBALANCED, EfficiencyModel.unit()], ids=["balanced", "unbalanced", "unit"]
 )
-def test_setting_povm_matches_embed_pair_oracle(eff):
-    for phi in [None, *(float(p) for p in np.linspace(0.0, 2.0 * math.pi, 13))]:
-        assert np.array_equal(tom._bench_unitary(eff, phi), bench_unitary_embed_pair(eff, phi))
-        povm = tom._setting_povm(eff, phi)
-        oracle = setting_povm_oracle(eff, phi)
-        assert list(povm) == list(oracle)
-        for pattern, element in oracle.items():
-            assert np.array_equal(povm[pattern], element)
+def test_visibility_slope_matches_nine_phase_oracle(eff):
+    for diagonals in (
+        {"p00": 0.925, "p01": 0.045, "p10": 0.028, "p11": 1.1e-3, "p02": 0.4e-3},
+        {"p01": 7.51e-3, "p10": 7.38e-3, "p11": 1.7e-5, "p02": 2.2e-5},
+        {"p00": 0.0, "p01": 0.5, "p10": 0.5},
+    ):
+        oracle = visibility_slope_oracle(diagonals, eff)
+        assert abs(tom._model_visibility_slope(diagonals, eff) - oracle) < 1e-12 * oracle
+    with pytest.raises(DataQualityError):
+        tom._model_visibility_slope({"p01": 0.1, "p10": 0.0}, eff)
 
 
-def test_cached_bench_model_is_shared_and_read_only():
-    povm = tom._setting_povm(EFF_BENCH, 0.5)
-    assert tom._setting_povm(EFF_BENCH, 0.5) is povm
-    with pytest.raises(ValueError):
-        povm[(0, 0, 0)][0, 0] = 1.0
-    with pytest.raises(TypeError):
-        povm[(0, 0, 0)] = np.eye(6)
-    m = forward_class_matrix(EFF_BENCH)
-    assert forward_class_matrix(EFF_BENCH) is m
-    with pytest.raises(ValueError):
-        m[0, 0] = 1.0
+def test_bench_quantities_share_the_bench_povm_cache():
+    # an efficiency model no other test uses: the simulator builds its two
+    # bench settings (population and fringe layout at cutoff 2) while making
+    # the records; the inversion, the coherence slope and the MLE only read them
+    eff = dataclasses.replace(EFF_BENCH, eta_1=0.3125)
+    before = bench_povm.cache_info()
+    diag_rec, fringe_recs = _records_from_restricted(random_restricted(np.random.default_rng(3)), eff, 10**5, 10**4, seed=4)
+    simulated = bench_povm.cache_info()
+    assert simulated.misses == before.misses + 2
+    for read in (
+        lambda: forward_class_matrix(eff),
+        lambda: estimate_coherence(0.5, invert_diagonal(AggregatedCounts.from_record(diag_rec), eff), eff, "full", 0.01),
+        lambda: mle_fit([diag_rec], fringe_recs, eff),
+    ):
+        hits = bench_povm.cache_info().hits
+        read()
+        assert bench_povm.cache_info().hits > hits
+    assert bench_povm.cache_info().misses == simulated.misses
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +191,24 @@ def test_inversion_inconsistent_counts_raise():
     counts = {(0, 0): 900000, (0, 2): 100000}
     with pytest.raises(InconsistentCountsError):
         invert_diagonal(AggregatedCounts(counts=counts, trials=10**6), EfficiencyModel.unit())
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        {(0, 0): 0, (0, 1): 49724, (0, 2): 15, (1, 0): 50210, (1, 1): 51, (1, 2): 0},
+        {(0, 0): 0, (0, 1): 50101, (0, 2): 12, (1, 0): 49831, (1, 1): 55, (1, 2): 1},
+    ],
+    ids=["no_vacuum", "no_vacuum_one_triple"],
+)
+def test_inversion_without_vacuum_events(counts):
+    # lossless records (the ideal preset) never show the (0,0) class; the
+    # inversion must still weight the other classes consistently
+    n = sum(counts.values())
+    est = invert_diagonal(AggregatedCounts(counts=counts, trials=n), EfficiencyModel.unit())
+    assert 0.0 < est.sigmas["p00"] < 1e-4
+    assert est["p00"] < 3.0 * est.sigmas["p00"]
+    assert abs(est["p10"] - counts[(1, 0)] / n) < 3.0 * est.sigmas["p10"]
 
 
 def test_uncertainty_calibration_68_percent():
@@ -241,7 +289,7 @@ def test_simplified_coherence_arithmetic():
 def test_full_inversion_recovers_exact_coherence():
     diagonals = {"p00": 0.925, "p01": 0.045, "p10": 0.028, "p11": 1.1e-3, "p02": 0.4e-3}
     d_true = 0.6 * math.sqrt(diagonals["p01"] * diagonals["p10"])
-    rho = tom._restricted_matrix_for_model(diagonals, d_true)
+    rho = restricted_matrix_for_model(diagonals, d_true)
     phases = np.linspace(0.0, 2.0 * math.pi, 13)
     records = []
     for phi in phases:
@@ -262,7 +310,7 @@ def test_full_inversion_handles_unbalanced_splitters():
     eff = EfficiencyModel(eta_l=0.5, eta_r=0.45, eta_1=0.3, eta_2=0.42, eta_3=0.38, split=0.61, bs2_T=0.44)
     diagonals = {"p00": 0.94, "p01": 0.032, "p10": 0.026, "p11": 0.9e-3, "p02": 0.3e-3}
     d_true = 0.55 * math.sqrt(diagonals["p01"] * diagonals["p10"])
-    rho = tom._restricted_matrix_for_model(diagonals, d_true)
+    rho = restricted_matrix_for_model(diagonals, d_true)
     phases = np.linspace(0.0, 2.0 * math.pi, 13)
     records = []
     for phi in phases:
@@ -337,7 +385,7 @@ def test_restricted_density_invariants():
 
 def test_mle_on_vacuum_data():
     probs = diagonal_layout_probabilities(
-        tom._restricted_matrix_for_model({"p00": 1.0}, 0.0), 1.0, 1.0, 1.0
+        restricted_matrix_for_model({"p00": 1.0}, 0.0), 1.0, 1.0, 1.0
     )
     rec = _exact_record(probs, 10**6)
     result = mle_fit([rec], [], EfficiencyModel.unit())
@@ -356,7 +404,7 @@ def test_mle_round_trip_and_likelihood_dominance():
     two_stage = assemble_restricted(est, coh, fit.phase0)
 
     result = mle_fit([diag_rec], fringe_recs, eff, initial=two_stage)
-    truth = tom._restricted_matrix_for_model(
+    truth = restricted_matrix_for_model(
         {"p00": rd.p00, "p01": rd.p01, "p10": rd.p10, "p11": rd.p11}, rd.d_abs
     )
     assert fidelity(result.rho, DensityOperator(truth.register, truth.matrix)) >= 0.999

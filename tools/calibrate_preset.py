@@ -138,7 +138,6 @@ def main():
         "herald": {"which": "D1a", "exclusive": True, "d1a_efficiency": 1.0, "d1b_efficiency": 1.0},
         "detectors": {**DETECTORS, "dark_prob": 0.0},
         "channel": CHANNEL,
-        "storage_delay_us": 1.0,
         "provenance": {
             "channel": "measured",
             "detectors": "measured",
