@@ -176,7 +176,7 @@ def _round_sig(x: float, sig: int = 12) -> float:
         return float(x)
     from math import floor, log10
 
-    return round(x, sig - 1 - floor(log10(abs(x))))
+    return float(round(x, sig - 1 - floor(log10(abs(x)))))
 
 
 def _round_floats(obj, sig: int = 12):

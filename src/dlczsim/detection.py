@@ -359,7 +359,13 @@ def read_count_records_json(path: str | Path) -> list[CountRecord]:
             raise RecordIntegrityError(f"{path}: record {index} has no field {exc}") from exc
         except ValueError as exc:
             raise RecordIntegrityError(f"{path}: record {index} has malformed pattern bits ({exc})") from exc
-        records.append(
-            CountRecord(detector_ids, trials, tally, phase=entry.get("phase_phi_radians"), seed=entry.get("seed"))
-        )
+        except (AttributeError, TypeError) as exc:
+            raise RecordIntegrityError(f"{path}: record {index} has a field of the wrong type ({exc})") from exc
+        try:
+            record = CountRecord(
+                detector_ids, trials, tally, phase=entry.get("phase_phi_radians"), seed=entry.get("seed")
+            )
+        except TypeError as exc:
+            raise RecordIntegrityError(f"{path}: record {index} has a field of the wrong type ({exc})") from exc
+        records.append(record)
     return records

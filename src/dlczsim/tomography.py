@@ -333,16 +333,14 @@ def invert_diagonal(
         rng = substream_rng(seed, stream=0x626F6F74)
         pvals = np.clip(q, 0.0, None)
         pvals = pvals / pvals.sum()
-        samples = {key: [] for key in DIAG_KEYS}
-        for _ in range(bootstrap):
-            counts = rng.multinomial(n, pvals)
-            qb = counts / n
-            bb = (qb - m[:, 0])[kept]
-            xb = cov_x @ (a.T @ w @ bb)
-            samples["p00"].append(1.0 - xb.sum())
-            for key, v in zip(DIAG_KEYS[1:], xb):
-                samples[key].append(v)
-        boot_sigmas = {key: float(np.std(vals, ddof=1)) for key, vals in samples.items()}
+        # one draw per replicate, as a size= draw gives another stream when a class is empty
+        qb = np.array([rng.multinomial(n, pvals) for _ in range(bootstrap)]) / n
+        # each replicate is its own matrix-vector product, as in a one-at-a-time
+        # solve: with an empty class the GLS weights reach 1e10, and a
+        # reassociated product moves the sigmas by 1e-10 relative
+        xb = (cov_x @ (a.T @ w @ (qb - m[:, 0])[:, kept, None]))[..., 0]
+        samples = np.column_stack([1.0 - xb.sum(axis=1), xb])
+        boot_sigmas = dict(zip(DIAG_KEYS, np.std(samples, axis=0, ddof=1).tolist()))
 
     return DiagonalEstimate(
         values=values,
@@ -639,8 +637,8 @@ def assemble_restricted(
 class MLEOptions:
     max_iterations: int = 500
     tol: float = 1e-10
-    # positivity is enforced by fitting a Cholesky-like factor G of the
-    # block-diagonal two-photon form and taking rho = G+ G / Tr(G+ G)
+    # positivity is enforced by fitting a lower-triangular factor G of the
+    # block-diagonal two-photon form and taking rho = G G+ / Tr(G G+)
 
 
 @dataclass(frozen=True)
@@ -656,21 +654,25 @@ class MLEResult:
 _BLOCK_OCCS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
 _BLOCK_IDX = [_REGISTER2.index(occ) for occ in _BLOCK_OCCS]
 _BLOCK_NL = np.array([n_l for n_l, _ in _BLOCK_OCCS])
+# the 14 free parameters of the factor G: (row, column, imaginary part?) each;
+# the diagonal is real, and the lower triangle couples only states of equal
+# total photon number
+_FACTOR_ENTRIES = (
+    (0, 0, False), (1, 1, False), (2, 2, False), (2, 1, False), (2, 1, True), (3, 3, False), (4, 4, False),
+    (5, 5, False), (4, 3, False), (4, 3, True), (5, 3, False), (5, 3, True), (5, 4, False), (5, 4, True),
+)
+_FACTOR_ROWS, _FACTOR_COLS, _FACTOR_IMAG = (np.array(column) for column in zip(*_FACTOR_ENTRIES))
 
 
 def _params_to_factor(x: np.ndarray) -> np.ndarray:
     g = np.zeros((6, 6), dtype=complex)
-    g[0, 0] = x[0]
-    g[1, 1] = x[1]
-    g[2, 2] = x[2]
-    g[2, 1] = x[3] + 1j * x[4]
-    g[3, 3] = x[5]
-    g[4, 4] = x[6]
-    g[5, 5] = x[7]
-    g[4, 3] = x[8] + 1j * x[9]
-    g[5, 3] = x[10] + 1j * x[11]
-    g[5, 4] = x[12] + 1j * x[13]
+    np.add.at(g, (_FACTOR_ROWS, _FACTOR_COLS), np.where(_FACTOR_IMAG, 1j * x, x))
     return g
+
+
+def _factor_to_params(g: np.ndarray) -> np.ndarray:
+    entries = g[_FACTOR_ROWS, _FACTOR_COLS]
+    return np.where(_FACTOR_IMAG, entries.imag, entries.real)
 
 
 def _factor_to_rho(x: np.ndarray) -> np.ndarray:
@@ -679,6 +681,22 @@ def _factor_to_rho(x: np.ndarray) -> np.ndarray:
     g = _params_to_factor(x)
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def _negative_ll_and_grad(x: np.ndarray, elements: np.ndarray, counts: np.ndarray) -> tuple[float, np.ndarray]:
+    """-L and its gradient in the factor parameters, for elements E_k
+    flattened to rows of 36 and counts n_k > 0.
+
+    With t = Tr G G+, p_k = Tr(E_k G G+) / t and N = sum n_k, the log
+    likelihood L = sum n_k log p_k has dL/dRe G_ij = 2 Re (M G)_ij and
+    dL/dIm G_ij = 2 Im (M G)_ij, where M = (sum (n_k / p_k) E_k - N I) / t.
+    """
+    g = _params_to_factor(x)
+    gg = g @ g.conj().T
+    t = np.trace(gg).real
+    probs = np.clip((elements @ gg.T.reshape(-1)).real / t, 1e-300, None)
+    m = ((counts / probs) @ elements).reshape(6, 6) - counts.sum() * np.eye(6)
+    return -float(counts @ np.log(probs)), -2.0 / t * _factor_to_params(m @ g)
 
 
 def _block_to_full(rho_block: np.ndarray) -> DensityOperator:
@@ -747,22 +765,17 @@ def mle_fit(
     """Joint maximum-likelihood fit of the two-photon block form.
 
     Positivity and unit trace are enforced through the factorization
-    rho = G+ G / Tr(G+ G); the optimizer's accepted iterates are recorded and
-    the log likelihood is non-decreasing along them.
+    rho = G G+ / Tr(G G+); L-BFGS-B takes the likelihood's exact gradient in
+    the entries of G.  The optimizer's accepted iterates are recorded and the
+    log likelihood is non-decreasing along them.
     """
     from scipy.optimize import minimize  # here, so that importing dlczsim loads no scipy
 
     elements, counts = _collect_mle_data(diag_records, fringe_records, eff)
-    total_counts = counts.sum()
-    if total_counts <= 0:
+    mask = counts > 0
+    if not mask.any():
         raise ValueError("records contain no events")
-
-    def negative_ll(x: np.ndarray) -> float:
-        rho = _factor_to_rho(x)
-        probs = np.real(np.einsum("kij,ji->k", elements, rho))
-        probs = np.clip(probs, 1e-300, None)
-        mask = counts > 0
-        return -float(np.sum(counts[mask] * np.log(probs[mask])))
+    args = (elements[mask].reshape(-1, 36), counts[mask].astype(float))
 
     if initial is not None:
         seed_block = two_stage_block(initial)
@@ -771,34 +784,18 @@ def mle_fit(
     # Cholesky of a strictly positive seed gives a well-conditioned start
     seed_block = seed_block + 1e-6 * np.eye(6)
     seed_block /= np.trace(seed_block).real
-    g0 = np.linalg.cholesky(seed_block)
-    x0 = np.array(
-        [
-            g0[0, 0].real,
-            g0[1, 1].real,
-            g0[2, 2].real,
-            g0[2, 1].real,
-            g0[2, 1].imag,
-            g0[3, 3].real,
-            g0[4, 4].real,
-            g0[5, 5].real,
-            g0[4, 3].real,
-            g0[4, 3].imag,
-            g0[5, 3].real,
-            g0[5, 3].imag,
-            g0[5, 4].real,
-            g0[5, 4].imag,
-        ]
-    )
+    x0 = _factor_to_params(np.linalg.cholesky(seed_block))
 
-    history = [-negative_ll(x0)]
+    history = [-_negative_ll_and_grad(x0, *args)[0]]
 
-    def callback(xk):
-        history.append(-negative_ll(xk))
+    def callback(intermediate_result):
+        history.append(-intermediate_result.fun)
 
     result = minimize(
-        negative_ll,
+        _negative_ll_and_grad,
         x0,
+        args=args,
+        jac=True,
         method="L-BFGS-B",
         callback=callback,
         options={"maxiter": options.max_iterations, "ftol": options.tol, "gtol": 1e-12},

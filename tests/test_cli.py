@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -185,11 +186,27 @@ def test_analyze_ideal_preset_without_vacuum_events(runner, tmp_path):
     assert payload["populations"]["p00"] == 0.0 < payload["sigmas"]["p00"]
 
 
+def test_analyze_concurrence_planes_csv_holds_numbers(runner, tmp_path):
+    sim_out, ana_out = tmp_path / "sim", tmp_path / "ana"
+    assert _run(runner, ["simulate", "--preset", "paper", "--layout", "both", "--trials", "400000", "--out", str(sim_out)]).exit_code == 0
+    result = _run(runner, ["analyze", "--preset", "paper", "--records", str(sim_out), "--plane", "z2", "--out", str(ana_out)])
+    assert result.exit_code == 0, result.output
+    with (ana_out / "concurrence_planes.csv").open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 2
+    for row in rows:
+        for column, cell in zip(header, row, strict=True):
+            if column not in ("plane", "herald"):
+                float(cell)  # raises on anything but a number
+
+
 _MALFORMED_RECORDS = {  # case -> (record, expected message)
     "negative_count": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": {"000": 15, "100": -5}}, "negative count"),
     "zero_trials": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 0, "tally": {"000": 0}}, "trials must be >= 1"),
     "non_binary_bits": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": {"020": 10}}, "bits other than 0/1"),
     "missing_tally": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10}, "has no field 'tally'"),
+    "string_trials": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": "10", "tally": {"000": 10}}, "wrong type"),
+    "tally_list": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": [["000", 10]]}, "wrong type"),
 }
 
 

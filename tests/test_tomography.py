@@ -6,7 +6,7 @@ import pytest
 from scipy.stats import binomtest
 
 import dlczsim.tomography as tom
-from dlczsim.detection import CountRecord, sample_counts
+from dlczsim.detection import CountRecord, sample_counts, substream_rng
 from dlczsim.fock import DensityOperator, ModeRegister, fidelity
 from dlczsim.layouts import PATTERNS, bench_povm, diagonal_layout_probabilities, fringe_layout_probabilities
 from dlczsim.tomography import (
@@ -211,6 +211,40 @@ def test_inversion_without_vacuum_events(counts):
     assert abs(est["p10"] - counts[(1, 0)] / n) < 3.0 * est.sigmas["p10"]
 
 
+def _bootstrap_sigmas_one_at_a_time(agg, eff, bootstrap, seed):
+    """The diagonal bootstrap as a loop: one draw and one GLS solve per replicate."""
+    q, n, m = agg.frequencies(), agg.trials, forward_class_matrix(eff)
+    kept = np.arange(len(Q_CLASSES)) != np.argmax(q)
+    a = (m[:, 1:] - m[:, [0]])[kept]
+    q_floor = np.clip(q[kept], 0.5 / n, None)
+    w = np.linalg.inv((np.diag(q_floor) - np.outer(q_floor, q_floor)) / n)
+    cov_x = np.linalg.inv(a.T @ w @ a)
+    rng = substream_rng(seed, stream=0x626F6F74)
+    pvals = np.clip(q, 0.0, None)
+    pvals = pvals / pvals.sum()
+    rows = []
+    for _ in range(bootstrap):
+        x = cov_x @ (a.T @ w @ (rng.multinomial(n, pvals) / n - m[:, 0])[kept])
+        rows.append([1.0 - x.sum(), *x])
+    return dict(zip(DIAG_KEYS, np.std(rows, axis=0, ddof=1)))
+
+
+@pytest.mark.parametrize(
+    "counts, eff",
+    [
+        ({(0, 0): 9851815, (0, 1): 74610, (0, 2): 100, (1, 0): 73300, (1, 1): 175, (1, 2): 0}, EFF_BENCH),
+        ({(0, 0): 0, (0, 1): 49724, (0, 2): 15, (1, 0): 50210, (1, 1): 51, (1, 2): 0}, EfficiencyModel.unit()),
+    ],
+    ids=["paper_like", "no_vacuum"],
+)
+def test_bootstrap_matches_one_replicate_at_a_time(counts, eff):
+    agg = AggregatedCounts(counts=counts, trials=sum(counts.values()))
+    boot = invert_diagonal(agg, eff, bootstrap=200, seed=5).bootstrap_sigmas
+    oracle = _bootstrap_sigmas_one_at_a_time(agg, eff, 200, 5)
+    for key in DIAG_KEYS:
+        assert boot[key] == pytest.approx(oracle[key], rel=1e-12, abs=0.0), key
+
+
 def test_uncertainty_calibration_68_percent():
     # over repeated synthetic experiments the 1-sigma interval for p01 covers
     # the truth at the nominal rate
@@ -413,6 +447,59 @@ def test_mle_round_trip_and_likelihood_dominance():
     assert np.all(np.diff(history) >= -1e-6)
     ll_two_stage = log_likelihood(two_stage_block(two_stage), [diag_rec], fringe_recs, eff)
     assert result.log_likelihood >= ll_two_stage - 1e-9
+
+
+@pytest.mark.parametrize("eff", [EFF_BENCH, EFF_UNBALANCED], ids=["balanced", "unbalanced"])
+def test_mle_gradient_matches_central_differences(eff):
+    rng = np.random.default_rng(31)
+    diag_rec, fringe_recs = _records_from_restricted(random_restricted(rng), eff, 10**5, 10**4, seed=23)
+    elements, counts = tom._collect_mle_data([diag_rec], fringe_recs, eff)
+    mask = counts > 0
+    args = (elements[mask].reshape(-1, 36), counts[mask].astype(float))
+    centre = tom._factor_to_params(np.linalg.cholesky(np.diag([0.9, 0.04, 0.04, 0.01, 0.005, 0.005])))
+    step = 1e-6
+    for _ in range(3):
+        x = centre + 0.1 * rng.normal(size=centre.size)
+        _, grad = tom._negative_ll_and_grad(x, *args)
+        central = np.array(
+            [
+                tom._negative_ll_and_grad(x + step * e, *args)[0] - tom._negative_ll_and_grad(x - step * e, *args)[0]
+                for e in np.eye(x.size)
+            ]
+        ) / (2.0 * step)
+        np.testing.assert_allclose(grad, central, rtol=1e-5, atol=1e-5 * np.max(np.abs(central)))
+
+
+@pytest.mark.parametrize("seed", [77, 78])
+def test_mle_endpoint_stable_under_tiny_start_shift(seed):
+    # moving the two-stage start by 1e-12 relative in d must leave the
+    # maximum where it is, far inside the two-stage uncertainty
+    from dlczsim.entanglement import concurrence_restricted
+
+    eff = EFF_BENCH
+    rd = RestrictedDensity(
+        p00=PUBLISHED_D1A["p00"] / 1.000007,
+        p01=PUBLISHED_D1A["p01"],
+        p10=PUBLISHED_D1A["p10"],
+        p11=PUBLISHED_D1A["p11"],
+        d=0.70 * (PUBLISHED_D1A["p10"] + PUBLISHED_D1A["p01"]) / 2.0,
+        p02=PUBLISHED_D1A["p02"],
+    )
+    diag_rec, fringe_recs = _records_from_restricted(rd, eff, 10**7, 10**6, seed=seed)
+    est = invert_diagonal(AggregatedCounts.from_record(diag_rec), eff)
+    fit = fit_fringe(FringeScan(fringe_recs))
+    coh = estimate_coherence(fit.visibility, est, eff, "full", fit.sigma_visibility)
+    two_stage = assemble_restricted(est, coh, fit.phase0)
+    sigma_c = concurrence_restricted(two_stage).sigma_concurrence
+    assert sigma_c > 0.0
+
+    mles = [
+        mle_fit([diag_rec], fringe_recs, eff, initial=start)
+        for start in (two_stage, dataclasses.replace(two_stage, d=two_stage.d * (1.0 + 1e-12)))
+    ]
+    assert all(mle.converged for mle in mles)
+    c_a, c_b = (concurrence_restricted(mle.restricted).concurrence for mle in mles)
+    assert abs(c_a - c_b) < 1e-3 * sigma_c
 
 
 def test_mle_nonconvergence_carries_best_iterate():
