@@ -2,10 +2,12 @@
 
 A configuration fully determines a simulation run together with one seed;
 unknown keys are rejected so that a config file can be trusted to reproduce
-byte-identical outputs.  The bundled ``paper`` preset carries the measured
-channel efficiencies and splitter asymmetry of the modeled experiment;
-entries whose values were calibrated against its published count statistics
-(rather than measured directly) are marked in the preset's provenance map.
+byte-identical outputs.  A direct validator of the JSON Schema keywords that
+``CONFIG_SCHEMA`` uses checks it, and also rejects NaN and Infinity, which
+Python's ``json`` accepts.  The bundled ``paper`` preset carries the measured
+channel efficiencies and splitter asymmetry of the modeled experiment; values
+calibrated against its published count statistics (not measured directly)
+are marked in the preset's provenance map.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
-
-import jsonschema
 
 from .entanglement import ChannelBudget
 from .protocol import EnsembleParams, HeraldChoice, InterferometerParams
@@ -33,6 +33,16 @@ _COMPONENT_SCHEMA = {
     ],
     "minItems": 2,
     "maxItems": 2,
+}
+
+_ENSEMBLE_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "chi": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+        "xi": {"type": "number", "minimum": 0, "maximum": 1},
+    },
+    "required": ["chi", "xi"],
+    "additionalProperties": False,
 }
 
 _SIDE_SCHEMA = {
@@ -70,8 +80,8 @@ CONFIG_SCHEMA: dict[str, Any] = {
         "ensembles": {
             "type": "object",
             "properties": {
-                "L": {"$ref": "#/definitions/ensemble"},
-                "R": {"$ref": "#/definitions/ensemble"},
+                "L": _ENSEMBLE_SCHEMA,
+                "R": _ENSEMBLE_SCHEMA,
             },
             "required": ["L", "R"],
             "additionalProperties": False,
@@ -120,22 +130,78 @@ CONFIG_SCHEMA: dict[str, Any] = {
     },
     "required": ["schema_version", "ensembles", "channel"],
     "additionalProperties": False,
-    "definitions": {
-        "ensemble": {
-            "type": "object",
-            "properties": {
-                "chi": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "xi": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-            "required": ["chi", "xi"],
-            "additionalProperties": False,
-        }
-    },
 }
 
 
 class ConfigError(ValueError):
     """Configuration failed schema validation."""
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer()),
+}
+_BOUNDS = (  # keyword, violated by, message
+    ("minimum", lambda v, b: v < b, "less than the minimum of"),
+    ("maximum", lambda v, b: v > b, "greater than the maximum of"),
+    ("exclusiveMinimum", lambda v, b: v <= b, "less than or equal to the minimum of"),
+    ("exclusiveMaximum", lambda v, b: v >= b, "greater than or equal to the maximum of"),
+)
+
+
+def _equal(a: Any, b: Any) -> bool:
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _validate(value: Any, schema: Mapping[str, Any], path: tuple = ()) -> None:
+    """Check ``value`` against ``schema`` with the JSON Schema (draft 7)
+    keywords that ``CONFIG_SCHEMA`` uses; raise ``ConfigError`` naming the
+    JSON path of the first violation.  Numbers must also be finite."""
+
+    def fail(message: str):
+        raise ConfigError(f"config field {'/'.join(map(str, path)) or '<root>'}: {message}")
+
+    if "oneOf" in schema:  # its options differ in type, so the value's type picks the one that can hold
+        options = [option for option in schema["oneOf"] if _TYPES[option["type"]](value)]
+        if len(options) != 1:
+            fail(f"{value!r} is not valid under any of the given schemas")
+        schema = options[0]
+    if "const" in schema and not _equal(value, schema["const"]):
+        fail(f"{schema['const']!r} was expected")
+    if "enum" in schema and not any(_equal(value, option) for option in schema["enum"]):
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        fail(f"{value!r} is not of type {kind!r}")
+    if kind in ("number", "integer"):
+        if not math.isfinite(value):
+            fail(f"{value!r} is not a finite number")
+        for keyword, violated, message in _BOUNDS:
+            if keyword in schema and violated(value, schema[keyword]):
+                fail(f"{value!r} is {message} {schema[keyword]!r}")
+    elif kind == "array":
+        low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if not low <= len(value) <= high:
+            fail(f"{value!r} has {len(value)} items, not {low} to {high}")
+        items = schema.get("items", {})  # one schema for all items, or one per position
+        for index, (item, sub) in enumerate(zip(value, items if isinstance(items, list) else [items] * len(value))):
+            _validate(item, sub, (*path, index))
+    elif kind == "object":
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+        if schema.get("additionalProperties", True) is False:
+            extra = [key for key in value if key not in properties]
+            if extra:
+                fail(f"Additional properties are not allowed ({', '.join(map(repr, extra))} unexpected)")
+        for key, sub in properties.items():
+            if key in value:
+                _validate(value[key], sub, (*path, key))
 
 
 @dataclass(frozen=True)
@@ -188,11 +254,7 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
 
     Schema violations are reported with their JSON path.
     """
-    try:
-        jsonschema.validate(instance=data, schema=CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config field {path}: {exc.message}") from exc
+    _validate(data, CONFIG_SCHEMA)
 
     ens = data["ensembles"]
     interf = data.get("interferometer", {})

@@ -86,7 +86,7 @@ class JointProbabilities:
         for pattern, p in self.probabilities.items():
             if len(pattern) != len(self.detector_ids):
                 raise ValueError("pattern length must match detector count")
-            if p < -PROBABILITY_SUM_TOL or p > 1.0 + PROBABILITY_SUM_TOL:
+            if not -PROBABILITY_SUM_TOL <= p <= 1.0 + PROBABILITY_SUM_TOL:  # NaN fails this too
                 raise ValueError(f"probability {p} outside [0, 1]")
             total += p
         if abs(total - 1.0) > PROBABILITY_SUM_TOL:

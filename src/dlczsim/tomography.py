@@ -5,7 +5,7 @@ the photon-number diagonals; stage two fits the interference fringes for a
 visibility and converts it into the single-excitation coherence, either with
 the textbook relation |d| = V (p10 + p01) / 2 or by inverting the exact
 fringe-layout forward model.  A joint maximum-likelihood fit over both
-measurement configurations provides an independent cross-check.
+measurement configurations (Newton's method, numpy only) cross-checks it.
 
 Every bench quantity here (class matrix, coherence slope, MLE elements) is
 read off the simulator's own cached POVM, ``layouts.bench_povm``, at the
@@ -636,6 +636,8 @@ def assemble_restricted(
 @dataclass(frozen=True)
 class MLEOptions:
     max_iterations: int = 500
+    # stop once the Newton step's predicted gain in log L (half the squared
+    # Newton decrement) is at most tol * max(|log L|, 1)
     tol: float = 1e-10
     # positivity is enforced by fitting a lower-triangular factor G of the
     # block-diagonal two-photon form and taking rho = G G+ / Tr(G G+)
@@ -662,6 +664,11 @@ _FACTOR_ENTRIES = (
     (5, 5, False), (4, 3, False), (4, 3, True), (5, 3, False), (5, 3, True), (5, 4, False), (5, 4, True),
 )
 _FACTOR_ROWS, _FACTOR_COLS, _FACTOR_IMAG = (np.array(column) for column in zip(*_FACTOR_ENTRIES))
+# G = sum_i x_i phase_i |row_i><col_i|, so Tr(E G G+) = x^T A x with
+# A_ij = Re(phase_i conj(phase_j) E[row_j, row_i]) for col_i == col_j, else 0
+_FACTOR_PHASE = np.where(_FACTOR_IMAG, 1j, 1.0)
+_FORM_KERNEL = np.outer(_FACTOR_PHASE, _FACTOR_PHASE.conj()) * (_FACTOR_COLS[:, None] == _FACTOR_COLS[None, :])
+_STEP_SCALES = [0.5**k for k in range(40)]  # backtracking line search
 
 
 def _params_to_factor(x: np.ndarray) -> np.ndarray:
@@ -683,20 +690,40 @@ def _factor_to_rho(x: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _negative_ll_and_grad(x: np.ndarray, elements: np.ndarray, counts: np.ndarray) -> tuple[float, np.ndarray]:
-    """-L and its gradient in the factor parameters, for elements E_k
-    flattened to rows of 36 and counts n_k > 0.
+def _quadratic_forms(elements: np.ndarray) -> np.ndarray:
+    """The real symmetric A_k with Tr(E_k G G+) = x^T A_k x, for elements
+    E_k (Hermitian, on the block basis) and factor parameters x."""
+    return (elements[:, _FACTOR_ROWS[None, :], _FACTOR_ROWS[:, None]] * _FORM_KERNEL).real
 
-    With t = Tr G G+, p_k = Tr(E_k G G+) / t and N = sum n_k, the log
-    likelihood L = sum n_k log p_k has dL/dRe G_ij = 2 Re (M G)_ij and
-    dL/dIm G_ij = 2 Im (M G)_ij, where M = (sum (n_k / p_k) E_k - N I) / t.
+
+def _ll_derivatives(x: np.ndarray, forms: np.ndarray, counts: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """L, its gradient and its Hessian in the factor parameters.
+
+    With q_k = x^T A_k x, t = x^T x and N = sum n_k, L = sum n_k log(q_k / t)
+    has gradient 2 sum n_k u_k - 2 N x / t, where u_k = A_k x / q_k, and
+    Hessian 2 sum n_k (A_k / q_k - 2 u_k u_k^T) - 2 N (I / t - 2 x x^T / t^2).
+    An element with q_k = 0 is identically zero on the block and adds only
+    the constant n_k log(1e-300) to L, as in ``log_likelihood``.
     """
-    g = _params_to_factor(x)
-    gg = g @ g.conj().T
-    t = np.trace(gg).real
-    probs = np.clip((elements @ gg.T.reshape(-1)).real / t, 1e-300, None)
-    m = ((counts / probs) @ elements).reshape(6, 6) - counts.sum() * np.eye(6)
-    return -float(counts @ np.log(probs)), -2.0 / t * _factor_to_params(m @ g)
+    ax, t, n_total = forms @ x, x @ x, counts.sum()
+    q = ax @ x
+    inv_q = np.divide(1.0, q, out=np.zeros_like(q), where=q > 0)
+    u = ax * inv_q[:, None]
+    ll = float(counts @ np.log(np.clip(q / t, 1e-300, None)))
+    grad = 2.0 * (counts @ u) - 2.0 * n_total / t * x
+    hess = (
+        2.0 * np.einsum("k,kij->ij", counts * inv_q, forms)
+        - 4.0 * (u.T * counts) @ u
+        - 2.0 * n_total / t * (np.eye(x.size) - 2.0 * np.outer(x, x) / t)
+    )
+    return ll, grad, hess
+
+
+def _tangent_basis(x: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the plane normal to the unit vector x (a Householder reflection)."""
+    v = x.copy()
+    v[0] += math.copysign(1.0, x[0])
+    return (np.eye(x.size) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
 
 
 def _block_to_full(rho_block: np.ndarray) -> DensityOperator:
@@ -765,17 +792,17 @@ def mle_fit(
     """Joint maximum-likelihood fit of the two-photon block form.
 
     Positivity and unit trace are enforced through the factorization
-    rho = G G+ / Tr(G G+); L-BFGS-B takes the likelihood's exact gradient in
-    the entries of G.  The optimizer's accepted iterates are recorded and the
-    log likelihood is non-decreasing along them.
+    rho = G G+ / Tr(G G+).  Log L, a ratio of quadratic forms in the entries
+    x of G, is maximised by Newton ascent on the sphere |x| = 1 with its
+    closed-form gradient and Hessian; a tangent Hessian that is not negative
+    definite is shifted until it is, and each step is halved until log L does
+    not fall.  ``history`` holds log L at the start and at each accepted iterate.
     """
-    from scipy.optimize import minimize  # here, so that importing dlczsim loads no scipy
-
     elements, counts = _collect_mle_data(diag_records, fringe_records, eff)
     mask = counts > 0
     if not mask.any():
         raise ValueError("records contain no events")
-    args = (elements[mask].reshape(-1, 36), counts[mask].astype(float))
+    forms, counts = _quadratic_forms(elements[mask]), counts[mask].astype(float)
 
     if initial is not None:
         seed_block = two_stage_block(initial)
@@ -784,32 +811,43 @@ def mle_fit(
     # Cholesky of a strictly positive seed gives a well-conditioned start
     seed_block = seed_block + 1e-6 * np.eye(6)
     seed_block /= np.trace(seed_block).real
-    x0 = _factor_to_params(np.linalg.cholesky(seed_block))
+    x = _factor_to_params(np.linalg.cholesky(seed_block))
+    x /= np.linalg.norm(x)
 
-    history = [-_negative_ll_and_grad(x0, *args)[0]]
+    ll, grad, hess = _ll_derivatives(x, forms, counts)
+    history = [ll]
+    converged = False
+    for _ in range(options.max_iterations):
+        basis = _tangent_basis(x)
+        curvature, axes = np.linalg.eigh(-basis.T @ hess @ basis)
+        if curvature[0] <= 0.0:
+            curvature = curvature - 2.0 * curvature[0] + 1e-12 * abs(curvature[-1])
+        along = (axes.T @ (basis.T @ grad)) / curvature
+        step = basis @ (axes @ along)
+        converged = 0.5 * float(along @ (curvature * along)) <= options.tol * max(abs(ll), 1.0)
+        # once converged, the full step is still taken unless it lowers L
+        for scale in _STEP_SCALES[:1] if converged else _STEP_SCALES:
+            trial = x + scale * step
+            trial /= np.linalg.norm(trial)
+            derivatives = _ll_derivatives(trial, forms, counts)
+            if derivatives[0] >= ll:
+                x, (ll, grad, hess) = trial, derivatives
+                history.append(ll)
+                break
+        else:
+            break  # converged, or no ascent left at the precision of L
+        if converged:
+            break
 
-    def callback(intermediate_result):
-        history.append(-intermediate_result.fun)
-
-    result = minimize(
-        _negative_ll_and_grad,
-        x0,
-        args=args,
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        options={"maxiter": options.max_iterations, "ftol": options.tol, "gtol": 1e-12},
-    )
-    rho_block = _factor_to_rho(result.x)
-    rho = _block_to_full(rho_block)
+    rho = _block_to_full(_factor_to_rho(x))
     mle = MLEResult(
         rho=rho,
         restricted=restrict(rho),
-        log_likelihood=float(-result.fun),
-        n_iterations=int(result.nit),
-        converged=bool(result.success),
+        log_likelihood=ll,
+        n_iterations=len(history) - 1,
+        converged=converged,
         history=tuple(history),
     )
-    if result.nit >= options.max_iterations and not result.success:
-        raise MLEConvergenceError(f"no convergence after {result.nit} iterations", mle)
+    if not converged and mle.n_iterations >= options.max_iterations:
+        raise MLEConvergenceError(f"no convergence after {mle.n_iterations} iterations", mle)
     return mle

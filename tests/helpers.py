@@ -22,6 +22,7 @@ from dlczsim.fock import (
     apply_phase,
     beamsplitter_unitary,
 )
+import dlczsim.tomography as tom
 from dlczsim.tomography import _BLOCK_IDX, EfficiencyModel, RestrictedDensity
 
 
@@ -260,6 +261,32 @@ def random_restricted(rng: np.random.Generator, d_fraction: float | None = None)
     frac = rng.uniform(0.2, 0.95) if d_fraction is None else d_fraction
     d = frac * math.sqrt(p01 * p10) * np.exp(1j * rng.uniform(0, 2 * math.pi))
     return RestrictedDensity(p00=p00, p01=p01, p10=p10, p11=p11, d=d)
+
+
+def lbfgs_mle_log_likelihood(diag_records, fringe_records, eff: EfficiencyModel, initial: RestrictedDensity) -> float:
+    """Maximum log likelihood found by scipy's L-BFGS-B from the two-stage
+    start, with the gradient 2 (M G) of -L in the factor entries, where
+    M = (sum (n_k / p_k) E_k - N I) / Tr(G G+) (the fit before Newton's method)."""
+    from scipy.optimize import minimize
+
+    elements, counts = tom._collect_mle_data(diag_records, fringe_records, eff)
+    mask = counts > 0
+    flat, n = elements[mask].reshape(-1, 36), counts[mask].astype(float)
+
+    def negative_ll_and_grad(x):
+        g = tom._params_to_factor(x)
+        gg = g @ g.conj().T
+        t = np.trace(gg).real
+        probs = np.clip((flat @ gg.T.reshape(-1)).real / t, 1e-300, None)
+        m = ((n / probs) @ flat).reshape(6, 6) - n.sum() * np.eye(6)
+        return -float(n @ np.log(probs)), -2.0 / t * tom._factor_to_params(m @ g)
+
+    seed_block = tom.two_stage_block(initial) + 1e-6 * np.eye(6)
+    x0 = tom._factor_to_params(np.linalg.cholesky(seed_block / np.trace(seed_block).real))
+    result = minimize(
+        negative_ll_and_grad, x0, jac=True, method="L-BFGS-B", options={"maxiter": 500, "ftol": 1e-10, "gtol": 1e-12}
+    )
+    return -float(result.fun)
 
 
 def ideal_config_dict(**overrides) -> dict:

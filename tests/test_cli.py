@@ -229,12 +229,30 @@ def _fresh_interpreter_env() -> dict:
     return env
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, dlczsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=_fresh_interpreter_env(), check=True, capture_output=True, text=True
+def test_cli_commands_load_no_scipy_or_jsonschema(tmp_path):
+    # one fresh interpreter runs the three commands, then lists what they imported
+    sim, ana, scan = (str(tmp_path / name) for name in ("sim", "ana", "scan"))
+    commands = [
+        ["simulate", "--preset", "paper", "--layout", "both", "--trials", "400000", "--seed", "3", "--out", sim],
+        ["analyze", "--preset", "paper", "--records", sim, "--mle", "--plane", "z2", "--seed", "3", "--out", ana],
+        ["fringe-scan", "--preset", "paper", "--trials", "100000", "--seed", "3", "--out", scan],
+    ]
+    code = (
+        "import json, sys\n"
+        "from dlczsim.cli import main\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    main(args=args, standalone_mode=False)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))\n"
     )
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)],
+        env=_fresh_interpreter_env(),
+        check=True,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "ana" / "tomography_result.json").exists()
 
 
 def test_analyze_bytes_independent_of_hash_seed(tmp_path):
@@ -295,6 +313,32 @@ def test_removed_storage_delay_key_exits_config_code(runner, tmp_path):
     result = runner.invoke(main, ["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
     assert result.exit_code == EXIT_CONFIG
     assert "storage_delay_us" in result.output
+
+
+_NON_FINITE_CASES = {  # case -> (path into the preset, value, reported field)
+    "chi_nan": (("ensembles", "L", "chi"), float("nan"), "ensembles/L/chi"),
+    "overlap_nan": (("interferometer", "overlap"), float("nan"), "interferometer/overlap"),
+    "fc_nan": (("channel", "L", "fc", 0), float("nan"), "channel/L/fc/0"),
+    "eta1_infinity": (("interferometer", "eta1"), float("inf"), "interferometer/eta1"),
+    "fringe_phase_nan": (("fringe_phases", 2), float("nan"), "fringe_phases/2"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE_CASES))
+def test_non_finite_config_number_exits_config_code(runner, tmp_path, case):
+    path, value, field = _NON_FINITE_CASES[case]
+    data = {**preset_dict("paper"), "fringe_phases": [0.0, 1.0, 2.0, 3.0, 4.0]}
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))  # writes NaN / Infinity, which json reads back
+    result = runner.invoke(main, ["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert f"config field {field}: " in result.output
+    assert "not a finite number" in result.output
+    assert not (tmp_path / "o" / "probs_fringe.csv").exists()
 
 
 def test_backprop_direct_values_reproduces_published(runner, tmp_path):

@@ -1,8 +1,12 @@
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2 as chi2_dist
 
 from dlczsim.detection import (
@@ -121,6 +125,9 @@ def test_joint_probabilities_validation():
         JointProbabilities(("A",), {(0,): 1.2, (1,): -0.2})
     with pytest.raises(ValueError, match="length"):
         JointProbabilities(("A", "B"), {(0,): 1.0})
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="outside"):
+            JointProbabilities(("A",), {(0,): bad, (1,): 0.0})
 
 
 def test_dark_counts_still_complete():
@@ -330,3 +337,66 @@ def test_csv_parse_errors(tmp_path):
     header_only.write_text("phase_phi_radians,pattern_bits,count,trials,seed\n")
     with pytest.raises(RecordIntegrityError, match="no data"):
         read_count_records_csv(header_only)
+
+
+# ---------------------------------------------------------------------------
+# properties of count records
+
+
+_PHASES = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
+_SEEDS = st.one_of(st.none(), st.integers(0, 2**63))
+
+
+@st.composite
+def _records(draw, n_detectors, phase=_PHASES, seed=_SEEDS):
+    """A valid count record on detectors D0..D(n-1); zero counts included."""
+    patterns = st.tuples(*[st.integers(0, 1)] * n_detectors)
+    tally = draw(st.dictionaries(patterns, st.integers(0, 10**12), min_size=1).filter(lambda t: sum(t.values()) >= 1))
+    ids = tuple(f"D{k}" for k in range(n_detectors))
+    return CountRecord(ids, sum(tally.values()), tally, phase=draw(phase), seed=draw(seed))
+
+
+@st.composite
+def _record_files(draw):
+    """Records of one detector count whose (phase, trials, seed) keys differ:
+    a CSV file groups its rows by that key."""
+    n_detectors = draw(st.integers(1, 3))
+    return draw(
+        st.lists(_records(n_detectors), min_size=1, max_size=4, unique_by=lambda r: (r.phase, r.trials, r.seed))
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(_record_files())
+def test_csv_round_trip_gives_back_the_records(records):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "counts.csv"
+        write_count_records_csv(records, path)
+        assert read_count_records_csv(path, records[0].detector_ids) == records
+
+
+@settings(max_examples=25, deadline=None)
+@given(_record_files())
+def test_json_round_trip_gives_back_the_records(records):
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "counts.json"
+        write_count_records_json(records, path)
+        assert read_count_records_json(path) == records
+
+
+@st.composite
+def _same_setting(draw, size):
+    n_detectors, phase = draw(st.integers(1, 3)), draw(_PHASES)
+    return [draw(_records(n_detectors, phase=st.just(phase))) for _ in range(size)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_same_setting(3))
+def test_merge_counts_is_associative_and_commutative(records):
+    a, b, c = records
+    assert merge_counts(a, merge_counts(b, c)) == merge_counts(merge_counts(a, b), c)
+    assert merge_counts(a, b) == merge_counts(b, a)
+    merged = merge_counts(a, b)
+    assert merged.trials == a.trials + b.trials
+    assert all(merged.tally[k] == a.tally.get(k, 0) + b.tally.get(k, 0) for k in {*a.tally, *b.tally})
+

@@ -33,6 +33,7 @@ from dlczsim.tomography import (
 )
 
 from helpers import (
+    lbfgs_mle_log_likelihood,
     random_density_operator,
     random_restricted,
     restricted_matrix_for_model,
@@ -449,25 +450,57 @@ def test_mle_round_trip_and_likelihood_dominance():
     assert result.log_likelihood >= ll_two_stage - 1e-9
 
 
-@pytest.mark.parametrize("eff", [EFF_BENCH, EFF_UNBALANCED], ids=["balanced", "unbalanced"])
-def test_mle_gradient_matches_central_differences(eff):
+def _mle_forms_and_points(eff):
     rng = np.random.default_rng(31)
     diag_rec, fringe_recs = _records_from_restricted(random_restricted(rng), eff, 10**5, 10**4, seed=23)
     elements, counts = tom._collect_mle_data([diag_rec], fringe_recs, eff)
     mask = counts > 0
-    args = (elements[mask].reshape(-1, 36), counts[mask].astype(float))
+    args = (tom._quadratic_forms(elements[mask]), counts[mask].astype(float))
     centre = tom._factor_to_params(np.linalg.cholesky(np.diag([0.9, 0.04, 0.04, 0.01, 0.005, 0.005])))
+    return args, [centre + 0.1 * rng.normal(size=centre.size) for _ in range(3)]
+
+
+@pytest.mark.parametrize("eff", [EFF_BENCH, EFF_UNBALANCED], ids=["balanced", "unbalanced"])
+def test_mle_gradient_matches_central_differences(eff):
+    args, points = _mle_forms_and_points(eff)
     step = 1e-6
-    for _ in range(3):
-        x = centre + 0.1 * rng.normal(size=centre.size)
-        _, grad = tom._negative_ll_and_grad(x, *args)
+    for x in points:
+        _, grad, _ = tom._ll_derivatives(x, *args)
         central = np.array(
             [
-                tom._negative_ll_and_grad(x + step * e, *args)[0] - tom._negative_ll_and_grad(x - step * e, *args)[0]
+                tom._ll_derivatives(x + step * e, *args)[0] - tom._ll_derivatives(x - step * e, *args)[0]
                 for e in np.eye(x.size)
             ]
         ) / (2.0 * step)
         np.testing.assert_allclose(grad, central, rtol=1e-5, atol=1e-5 * np.max(np.abs(central)))
+
+
+@pytest.mark.parametrize("eff", [EFF_BENCH, EFF_UNBALANCED], ids=["balanced", "unbalanced"])
+def test_mle_hessian_matches_central_differences(eff):
+    args, points = _mle_forms_and_points(eff)
+    step = 1e-6
+    for x in points:
+        _, _, hess = tom._ll_derivatives(x, *args)
+        central = np.array(
+            [
+                tom._ll_derivatives(x + step * e, *args)[1] - tom._ll_derivatives(x - step * e, *args)[1]
+                for e in np.eye(x.size)
+            ]
+        ) / (2.0 * step)
+        np.testing.assert_allclose(hess, central, rtol=1e-5, atol=1e-5 * np.max(np.abs(central)))
+
+
+def test_mle_quadratic_forms_reproduce_the_factor_probabilities():
+    # Tr(E_k G G+) = x^T A_k x for every bench element, both layouts
+    diag_rec = CountRecord(("D2a", "D2b", "D2c"), 1, {(0, 0, 0): 1})
+    fringe_recs = [dataclasses.replace(diag_rec, phase=float(phi)) for phi in np.linspace(0.0, 2.0 * math.pi, 13)]
+    elements, _ = tom._collect_mle_data([diag_rec], fringe_recs, EFF_UNBALANCED)
+    forms = tom._quadratic_forms(elements)
+    _, points = _mle_forms_and_points(EFF_UNBALANCED)
+    for x in points:
+        g = tom._params_to_factor(x)
+        direct = np.einsum("kij,ji->k", elements, g @ g.conj().T).real
+        np.testing.assert_allclose(np.einsum("i,kij,j->k", x, forms, x), direct, rtol=1e-12, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", [77, 78])
@@ -500,6 +533,68 @@ def test_mle_endpoint_stable_under_tiny_start_shift(seed):
     assert all(mle.converged for mle in mles)
     c_a, c_b = (concurrence_restricted(mle.restricted).concurrence for mle in mles)
     assert abs(c_a - c_b) < 1e-3 * sigma_c
+
+
+def _two_stage(diag_rec, fringe_recs, eff):
+    est = invert_diagonal(AggregatedCounts.from_record(diag_rec), eff)
+    fit = fit_fringe(FringeScan(fringe_recs))
+    coh = estimate_coherence(fit.visibility, est, eff, "full", fit.sigma_visibility)
+    return assemble_restricted(est, coh, fit.phase0)
+
+
+def _published_regime_records(seed):
+    rd = RestrictedDensity(
+        p00=PUBLISHED_D1A["p00"] / 1.000007,
+        p01=PUBLISHED_D1A["p01"],
+        p10=PUBLISHED_D1A["p10"],
+        p11=PUBLISHED_D1A["p11"],
+        d=0.70 * (PUBLISHED_D1A["p10"] + PUBLISHED_D1A["p01"]) / 2.0,
+        p02=PUBLISHED_D1A["p02"],
+    )
+    eff = EfficiencyModel.unit()
+    return (*_records_from_restricted(rd, eff, 4 * 10**6, 3 * 10**5, seed=seed), eff)
+
+
+def _chain_like_records(seed):
+    # a random restricted state behind the criterion-6 bench, 1e7 trials per layout
+    rd = random_restricted(np.random.default_rng(seed))
+    return (*_records_from_restricted(rd, EFF_BENCH, 10**7, 10**7 // 13, seed=seed), EFF_BENCH)
+
+
+@pytest.mark.parametrize(
+    "records", [(_published_regime_records, 77), (_chain_like_records, 41), (_chain_like_records, 42), (_chain_like_records, 43)],
+    ids=["published", "chain41", "chain42", "chain43"],
+)
+def test_mle_reaches_lbfgs_oracle(records):
+    make, seed = records
+    diag_rec, fringe_recs, eff = make(seed)
+    two_stage = _two_stage(diag_rec, fringe_recs, eff)
+    mle = mle_fit([diag_rec], fringe_recs, eff, initial=two_stage)
+    assert mle.converged
+    assert mle.log_likelihood >= lbfgs_mle_log_likelihood([diag_rec], fringe_recs, eff, two_stage) - 1e-9
+    # the default stop leaves only the rounding of log L to gain (1e-14 relative is ~50 ulp)
+    tight = mle_fit([diag_rec], fringe_recs, eff, MLEOptions(tol=1e-15), initial=two_stage)
+    assert mle.log_likelihood >= tight.log_likelihood - 1e-14 * abs(tight.log_likelihood)
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        RestrictedDensity(p00=0.5, p01=0.2, p10=0.2, p11=0.1, d=0.15),
+        RestrictedDensity(p00=0.97, p01=0.01, p10=0.01, p11=0.01, d=-0.01j),
+        RestrictedDensity(p00=0.25, p01=0.25, p10=0.25, p11=0.25, d=0.0),
+        RestrictedDensity(p00=0.9, p01=0.0, p10=0.1, p11=0.0, d=0.0),
+    ],
+    ids=["strong", "wrong_phase", "uniform", "one_sided"],
+)
+def test_mle_reaches_the_maximum_from_distant_starts(start):
+    # far from the maximum the tangent Hessian is indefinite; the damped
+    # step must still climb to the maximum the two-stage start finds
+    diag_rec, fringe_recs, eff = _chain_like_records(41)
+    best = mle_fit([diag_rec], fringe_recs, eff, initial=_two_stage(diag_rec, fringe_recs, eff))
+    mle = mle_fit([diag_rec], fringe_recs, eff, initial=start)
+    assert mle.converged
+    assert mle.log_likelihood >= best.log_likelihood - 1e-14 * abs(best.log_likelihood)
 
 
 def test_mle_nonconvergence_carries_best_iterate():

@@ -9,7 +9,9 @@ fits them so that the forward model, analyzed at unit detection efficiency
 exactly like the experiment's records, reproduces the published conditional
 populations (p10, p01, p11 for the D1a herald) and fringe visibility.
 
-Writes src/dlczsim/presets/paper.json.  Run from the repository root:
+Writes src/dlczsim/presets/paper.json.  Needs scipy (``least_squares``),
+which the package itself does not; install the ``test`` extra or scipy
+alone.  Run from the repository root:
 
     python3 tools/calibrate_preset.py
 """

@@ -3,7 +3,9 @@
 
 Runs `simulate --layout both`, `fringe-scan` and `analyze --mle --plane z2`
 with each tree on PYTHONPATH per preset and seed; prints per data file
-"identical" or its largest relative difference (`mle` block apart):
+"identical" or its largest relative difference (`mle` block apart), and one
+`mle` line: the MLE concurrence old -> new, |dC| in units of the two-stage
+sigma_C, the change in log L, the iterations old -> new and convergence:
 
     python3 tools/compare_outputs.py OLD/src src --presets paper,ideal --seeds 3,11
 """
@@ -54,6 +56,19 @@ def compare(old, new):
     return ", ".join(f"{block} max rel diff {d:.2e}" for block, d in sorted(worst.items()))
 
 
+def mle_line(old, new):
+    a, b = (json.loads((side / "ana" / "tomography_result.json").read_text()) for side in (old, new))
+    c_old, c_new = a["mle"]["concurrence"]["concurrence"], b["mle"]["concurrence"]["concurrence"]
+    sigma = a["concurrence"]["sigma_concurrence"]
+    shift = abs(c_new - c_old) / sigma if sigma > 0 else float("inf") if c_new != c_old else 0.0
+    return (
+        f"C {c_old:.6e} -> {c_new:.6e}, |dC| = {shift:.2e} sigma_C, "
+        f"dlogL = {b['mle']['log_likelihood'] - a['mle']['log_likelihood']:+.2e}, "
+        f"iterations {a['mle']['iterations']} -> {b['mle']['iterations']}, "
+        f"converged {a['mle']['converged']} -> {b['mle']['converged']}"
+    )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", help="the src directory of the reference tree")
@@ -73,6 +88,8 @@ def main():
                     else:
                         for path in sorted(p for p in (old / name).iterdir() if p.name != "manifest.json"):
                             print(f"{tag} {name}/{path.name}: {compare(path, new / name / path.name)}")
+                if not (codes[0]["ana"] or codes[1]["ana"]):
+                    print(f"{tag} mle: {mle_line(old, new)}")
 
 
 if __name__ == "__main__":
