@@ -102,18 +102,14 @@ def _fail(exc: Exception) -> "SystemExit":
     raise exc
 
 
-def _load_config(config_path: str | None, preset: str, window: str) -> tuple[ExperimentConfig, dict]:
-    if config_path is not None:
-        data = load_config_dict(config_path)
-    else:
-        name = preset
-        if preset == "paper" and window == "w120":
-            name = "paper_w120"
-        data = preset_dict(name)
+def _load_config(config_path: str | None, preset: str) -> tuple[ExperimentConfig, dict]:
+    data = load_config_dict(config_path) if config_path is not None else preset_dict(preset)
     return config_from_dict(data), data
 
 
-def _apply_overrides(config: ExperimentConfig, seed: int | None, trials: int | None, herald: str | None) -> ExperimentConfig:
+def _apply_overrides(
+    config: ExperimentConfig, seed: int | None = None, trials: int | None = None, herald: str | None = None
+) -> ExperimentConfig:
     if seed is not None:
         config = replace(config, seed=seed)
     if trials is not None:
@@ -121,12 +117,6 @@ def _apply_overrides(config: ExperimentConfig, seed: int | None, trials: int | N
     if herald is not None:
         config = replace(config, herald=replace(config.herald, which=herald))
     return config
-
-
-def _herald_flag_to_name(value: str | None) -> str | None:
-    if value is None:
-        return None
-    return {"d1a": "D1a", "d1b": "D1b"}[value]
 
 
 class _Outputs:
@@ -213,37 +203,40 @@ def main() -> None:
     remote atomic ensembles."""
 
 
-_common = [
-    click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Experiment config JSON (overrides --preset/--window)."),
-    click.option("--preset", type=click.Choice(["paper", "paper_w120", "ideal"]), default="paper", show_default=True, help="Bundled configuration preset."),
-    click.option("--window", type=click.Choice(["w190", "w120"]), default="w190", show_default=True, help="Detection-window preset variant (with --preset paper)."),
-    click.option("--out", "out_dir", type=click.Path(file_okay=False), default="out", show_default=True, help="Output directory."),
-    click.option("--seed", type=int, default=None, help="Override config seed."),
-    click.option("--trials", type=int, default=None, help="Override config trials."),
-    click.option("--herald", type=click.Choice(["d1a", "d1b"]), default=None, help="Override heralding detector."),
-]
+_CONFIG = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Experiment config JSON (overrides --preset).")
+_PRESET = click.option("--preset", type=click.Choice(["paper", "paper_w120", "ideal"]), default="paper", show_default=True, help="Bundled configuration preset (paper_w120: the 120 ns detection window).")
+_OUT = click.option("--out", "out_dir", type=click.Path(file_okay=False), default="out", show_default=True, help="Output directory.")
+_SEED = click.option("--seed", type=int, default=None, help="Override config seed.")
+_TRIALS = click.option("--trials", type=int, default=None, help="Override config trials.")
+# case-insensitive, and click hands over the canonical spelling
+_HERALD = click.option("--herald", type=click.Choice(["D1a", "D1b"], case_sensitive=False), default=None, help="Override heralding detector.")
 
 
-def _with_common(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+def _with_options(*options):
+    """Apply --config, --preset and --out, then ``options``, in help order."""
+
+    def decorate(fn):
+        for opt in reversed((_CONFIG, _PRESET, _OUT, *options)):
+            fn = opt(fn)
+        return fn
+
+    return decorate
 
 
 @main.command()
-@_with_common
+@_with_options(_SEED, _TRIALS, _HERALD)
 @click.option("--layout", type=click.Choice(["diagonal", "fringe", "both"]), default=None, help="Override configured detector layout (or emit both).")
-def simulate(config_path, preset, window, out_dir, seed, trials, herald, layout):
+def simulate(config_path, preset, out_dir, seed, trials, herald, layout):
     """Forward simulation: states, probabilities, optional synthetic counts."""
     try:
-        config, data = _load_config(config_path, preset, window)
-        config = _apply_overrides(config, seed, trials, _herald_flag_to_name(herald))
+        config, data = _load_config(config_path, preset)
+        config = _apply_overrides(config, seed, trials, herald)
         layouts = {layout} if layout not in (None, "both") else ({"diagonal", "fringe"} if layout == "both" else {config.layout})
         out = _Outputs(Path(out_dir))
         result = full_experiment(config)
 
         out.write_json("state_atomic.json", _density_payload(result.atomic))
-        out.write_json("state_z2.json", _density_payload(result.z2.rho))
+        out.write_json("state_z2.json", _density_payload(result.z2))
         out.write_json("state_z1.json", _density_payload(result.z1))
         out.write_json("state_z0.json", _density_payload(result.z0))
         out.write_json(
@@ -287,12 +280,12 @@ def simulate(config_path, preset, window, out_dir, seed, trials, herald, layout)
 
 
 @main.command("fringe-scan")
-@_with_common
-def fringe_scan(config_path, preset, window, out_dir, seed, trials, herald, **_):
+@_with_options(_SEED, _TRIALS)
+def fringe_scan(config_path, preset, out_dir, seed, trials):
     """Two-herald phase scan of the interference layout."""
     try:
-        config, data = _load_config(config_path, preset, window)
-        config = _apply_overrides(config, seed, trials, _herald_flag_to_name(herald))
+        config, data = _load_config(config_path, preset)
+        config = _apply_overrides(config, seed, trials)
         out = _Outputs(Path(out_dir))
         rows = []
         fits = {}
@@ -346,14 +339,14 @@ def _analysis_payload(rd: RestrictedDensity, herald_label: str) -> dict:
 
 
 @main.command()
-@_with_common
+@_with_options(_SEED, _HERALD)
 @click.option("--records", "records_dir", type=click.Path(file_okay=False, exists=True), default=None, help="Directory with counts_diagonal.json and counts_fringe.json (as written by simulate).")
 @click.option("--diag", "diag_path", type=click.Path(dir_okay=False, exists=True), default=None, help="Diagonal-layout count records (CSV or JSON).")
 @click.option("--fringe", "fringe_path", type=click.Path(dir_okay=False, exists=True), default=None, help="Fringe-layout count records (CSV or JSON).")
 @click.option("--plane", type=click.Choice(list(PLANES)), default="detectors", show_default=True, help="Reference plane for the reported state (losses inverted through the budget).")
 @click.option("--mle", is_flag=True, help="Run the joint maximum-likelihood cross-check.")
 @click.option("--coherence-mode", type=click.Choice(["simplified", "full"]), default="full", show_default=True)
-def analyze(config_path, preset, window, out_dir, seed, trials, herald, records_dir, diag_path, fringe_path, plane, mle, coherence_mode):
+def analyze(config_path, preset, out_dir, seed, herald, records_dir, diag_path, fringe_path, plane, mle, coherence_mode):
     """Two-stage tomography and concurrence from count records.
 
     Populations are quoted in the unit-detection-efficiency convention of the
@@ -361,8 +354,8 @@ def analyze(config_path, preset, window, out_dir, seed, trials, herald, records_
     the channel budget.
     """
     try:
-        config, data = _load_config(config_path, preset, window)
-        config = _apply_overrides(config, seed, trials, _herald_flag_to_name(herald))
+        config, data = _load_config(config_path, preset)
+        config = _apply_overrides(config, seed=seed, herald=herald)
         if records_dir is None and (diag_path is None or fringe_path is None):
             raise ConfigError("analyze needs --records DIR or both --diag and --fringe")
         if records_dir is not None:
@@ -413,10 +406,9 @@ def analyze(config_path, preset, window, out_dir, seed, trials, herald, records_
 
         fig_rows = []
         plane_payload = {}
-        budget = config.budget
         planes = ["detectors"] if plane == "detectors" else ["detectors", plane]
         for target in planes:
-            rd_t = rd if target == "detectors" else backpropagate(rd, budget, target)
+            rd_t = rd if target == "detectors" else backpropagate(rd, config.budget, target)
             conc_t = concurrence_restricted(rd_t, herald=herald_label)
             plane_payload[target] = {
                 "state": _analysis_payload(rd_t, herald_label),
@@ -468,7 +460,7 @@ def analyze(config_path, preset, window, out_dir, seed, trials, herald, records_
 
 
 @main.command()
-@_with_common
+@_with_options(_HERALD)
 @click.option("--result", "result_path", type=click.Path(dir_okay=False, exists=True), default=None, help="tomography_result.json from analyze.")
 @click.option("--plane", type=click.Choice(["z0", "z1", "z2"]), default="z2", show_default=True)
 @click.option("--p00", type=float, default=None)
@@ -476,13 +468,11 @@ def analyze(config_path, preset, window, out_dir, seed, trials, herald, records_
 @click.option("--p10", type=float, default=None)
 @click.option("--p11", type=float, default=None)
 @click.option("--visibility", "-v", "vis", type=float, default=None, help="Fringe visibility fixing the coherence via |d| = V (p10+p01)/2.")
-def backprop(config_path, preset, window, out_dir, seed, trials, herald, result_path, plane, p00, p01, p10, p11, vis, **_):
+def backprop(config_path, preset, out_dir, herald, result_path, plane, p00, p01, p10, p11, vis):
     """Back-propagate a restricted state through the channel budget."""
     try:
-        config, data = _load_config(config_path, preset, window)
-        config = _apply_overrides(config, seed, trials, _herald_flag_to_name(herald))
-        if config.budget is None:
-            raise ConfigError("backprop needs a channel budget in the config")
+        config, data = _load_config(config_path, preset)
+        config = _apply_overrides(config, herald=herald)
         direct = [p00, p01, p10, p11, vis]
         if result_path is not None:
             payload = json.loads(Path(result_path).read_text())

@@ -68,7 +68,8 @@ CONFIG_SCHEMA: dict[str, Any] = {
                 {
                     "type": "object",
                     "properties": {
-                        "num": {"type": "integer", "minimum": 5},
+                        # the published scans have about a dozen phases
+                        "num": {"type": "integer", "minimum": 5, "maximum": 1000},
                         "start": {"type": "number"},
                         "stop": {"type": "number"},
                     },
@@ -218,12 +219,12 @@ class DetectorBench:
 class ExperimentConfig:
     left: EnsembleParams
     right: EnsembleParams
+    budget: ChannelBudget
     interferometer: InterferometerParams = InterferometerParams()
     herald: HeraldChoice = HeraldChoice()
     d1a_efficiency: float = 1.0
     d1b_efficiency: float = 1.0
     detectors: DetectorBench = DetectorBench()
-    budget: ChannelBudget | None = None
     layout: str = "diagonal"
     fringe_phases: tuple[float, ...] = ()
     cutoff: int = 3
@@ -252,7 +253,8 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
     """Validate against the schema and build the typed configuration.
 
-    Schema violations are reported with their JSON path.
+    Schema violations are reported with their JSON path.  The schema admits
+    integer-valued floats such as ``3.0`` as integers; they are converted.
     """
     _validate(data, CONFIG_SCHEMA)
 
@@ -288,58 +290,12 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
         budget=ChannelBudget.from_dict(data["channel"]),
         layout=data.get("layout", "diagonal"),
         fringe_phases=_phases_from_entry(data.get("fringe_phases")),
-        cutoff=data.get("cutoff", 3),
-        trials=data.get("trials", 0),
-        seed=data.get("seed", 0),
+        cutoff=int(data.get("cutoff", 3)),
+        trials=int(data.get("trials", 0)),
+        seed=int(data.get("seed", 0)),
         description=data.get("description", ""),
         provenance=dict(data.get("provenance", {})),
     )
-
-
-def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "cutoff": config.cutoff,
-        "trials": config.trials,
-        "seed": config.seed,
-        "layout": config.layout,
-        "fringe_phases": list(config.fringe_phases),
-        "ensembles": {
-            "L": {"chi": config.left.chi, "xi": config.left.xi},
-            "R": {"chi": config.right.chi, "xi": config.right.xi},
-        },
-        "interferometer": {
-            "bs1_T": config.interferometer.bs1_T,
-            "eta1": config.interferometer.eta1,
-            "eta2": config.interferometer.eta2,
-            "phi": config.interferometer.phi,
-            "overlap": config.interferometer.overlap,
-            "phase_jitter_sigma": config.interferometer.phase_jitter_sigma,
-        },
-        "herald": {
-            "which": config.herald.which,
-            "exclusive": config.herald.exclusive,
-            "d1a_efficiency": config.d1a_efficiency,
-            "d1b_efficiency": config.d1b_efficiency,
-        },
-        "detectors": {
-            "eta_d2a": config.detectors.eta_d2a,
-            "eta_d2b": config.detectors.eta_d2b,
-            "eta_d2c": config.detectors.eta_d2c,
-            "split": config.detectors.split,
-            "bs2_T": config.detectors.bs2_T,
-            "dark_prob": config.detectors.dark_prob,
-        },
-        "channel": config.budget.as_dict() if config.budget else None,
-    }
-    if config.budget is None:
-        del out["channel"]
-        raise ConfigError("config without a channel budget cannot be serialized")
-    if config.description:
-        out["description"] = config.description
-    if config.provenance:
-        out["provenance"] = dict(config.provenance)
-    return out
 
 
 def canonical_json(data: Mapping[str, Any]) -> str:
@@ -348,14 +304,6 @@ def canonical_json(data: Mapping[str, Any]) -> str:
 
 def config_hash(data: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical_json(data).encode()).hexdigest()
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(data)
 
 
 def load_config_dict(path: str | Path) -> dict[str, Any]:

@@ -289,8 +289,11 @@ def write_count_records_csv(records: Iterable[CountRecord], path: str | Path) ->
                 writer.writerow([phase, bits, record.tally[pattern], record.trials, seed])
 
 
-def read_count_records_csv(path: str | Path, detector_ids: Sequence[str] | None = None) -> list[CountRecord]:
-    """Parse a count CSV; rows sharing (phase, trials, seed) form one record."""
+def read_count_records_csv(path: str | Path, detector_ids: Sequence[str]) -> list[CountRecord]:
+    """Parse a count CSV; rows sharing (phase, trials, seed) form one record.
+
+    The CSV carries no detector ids, so the caller names them in pattern-bit
+    order."""
     path = Path(path)
     groups: dict[tuple, dict[ClickPattern, int]] = {}
     order: list[tuple] = []
@@ -319,13 +322,8 @@ def read_count_records_csv(path: str | Path, detector_ids: Sequence[str] | None 
             groups[key][pattern] = groups[key].get(pattern, 0) + count
     if not groups:
         raise RecordIntegrityError(f"{path}: no data rows")
-    records = []
-    for key in order:
-        phase, trials, seed = key
-        tally = groups[key]
-        ids = tuple(detector_ids) if detector_ids else tuple(f"D{k}" for k in range(len(next(iter(tally)))))
-        records.append(CountRecord(ids, trials, tally, phase=phase, seed=seed))
-    return records
+    ids = tuple(detector_ids)
+    return [CountRecord(ids, trials, groups[(phase, trials, seed)], phase=phase, seed=seed) for phase, trials, seed in order]
 
 
 def write_count_records_json(records: Iterable[CountRecord], path: str | Path) -> None:

@@ -318,24 +318,12 @@ def invert_attenuation(
     )
 
 
-def backpropagate(
-    rd: RestrictedDensity,
-    budget: ChannelBudget,
-    to_plane: str,
-    from_plane: str = "detectors",
-    constant_visibility: bool = True,
-) -> RestrictedDensity:
-    """Quote the restricted state at an upstream plane of the channel."""
-    alpha_l, sigma_l = budget.segment("L", from_plane, to_plane)
-    alpha_r, sigma_r = budget.segment("R", from_plane, to_plane)
-    return invert_attenuation(
-        rd,
-        alpha_l,
-        alpha_r,
-        constant_visibility=constant_visibility,
-        sigma_alpha_l=sigma_l,
-        sigma_alpha_r=sigma_r,
-    )
+def backpropagate(rd: RestrictedDensity, budget: ChannelBudget, to_plane: str) -> RestrictedDensity:
+    """Quote the restricted state measured at the detectors at an upstream
+    plane of the channel, at constant visibility."""
+    alpha_l, sigma_l = budget.segment("L", "detectors", to_plane)
+    alpha_r, sigma_r = budget.segment("R", "detectors", to_plane)
+    return invert_attenuation(rd, alpha_l, alpha_r, sigma_alpha_l=sigma_l, sigma_alpha_r=sigma_r)
 
 
 # ---------------------------------------------------------------------------
@@ -347,23 +335,9 @@ class WitnessReport:
     h_c2: float
     sigma_h_c2: float
     h_below_one: bool
-    h_nc2: float | None = None
-    g12_left: float | None = None
-    g12_right: float | None = None
 
     def as_dict(self) -> dict[str, object]:
-        out: dict[str, object] = {
-            "h_c2": self.h_c2,
-            "sigma_h_c2": self.sigma_h_c2,
-            "h_below_one": self.h_below_one,
-        }
-        if self.h_nc2 is not None:
-            out["h_nc2"] = self.h_nc2
-        if self.g12_left is not None:
-            out["g12_left"] = self.g12_left
-        if self.g12_right is not None:
-            out["g12_right"] = self.g12_right
-        return out
+        return {"h_c2": self.h_c2, "sigma_h_c2": self.sigma_h_c2, "h_below_one": self.h_below_one}
 
 
 def _h_ratio(p11: float, p10: float, p01: float, sigmas: Mapping[str, float]) -> tuple[float, float]:
@@ -378,30 +352,14 @@ def _h_ratio(p11: float, p10: float, p01: float, sigmas: Mapping[str, float]) ->
     return h, h * math.sqrt(rel)
 
 
-def witnesses(
-    rd: RestrictedDensity,
-    unconditioned: RestrictedDensity | None = None,
-    g12_left: float | None = None,
-    g12_right: float | None = None,
-) -> WitnessReport:
-    """Two-photon suppression ratio h = p11 / (p10 p01) and companions.
+def witnesses(rd: RestrictedDensity) -> WitnessReport:
+    """Two-photon suppression ratio h = p11 / (p10 p01).
 
     h < 1 is the necessary precondition for a strictly positive concurrence
-    bound (factorizable statistics give exactly 1).  The unconditioned analog
-    and the per-ensemble field-pair ratios are included when supplied.
+    bound (factorizable statistics give exactly 1).
     """
     h, sigma = _h_ratio(rd.p11, rd.p10, rd.p01, dict(rd.sigmas))
-    h_nc = None
-    if unconditioned is not None:
-        h_nc, _ = _h_ratio(unconditioned.p11, unconditioned.p10, unconditioned.p01, dict(unconditioned.sigmas))
-    return WitnessReport(
-        h_c2=float(h),
-        sigma_h_c2=float(sigma),
-        h_below_one=bool(h < 1.0),
-        h_nc2=h_nc,
-        g12_left=g12_left,
-        g12_right=g12_right,
-    )
+    return WitnessReport(h_c2=float(h), sigma_h_c2=float(sigma), h_below_one=bool(h < 1.0))
 
 
 # ---------------------------------------------------------------------------

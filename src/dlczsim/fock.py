@@ -41,17 +41,14 @@ class ModeRegister:
 
     n_modes: int
     cutoff: int
-    max_dim: int = DEFAULT_MAX_DIM
 
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError("n_modes must be >= 1")
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        if self.dim > self.max_dim:
-            raise MemoryError(
-                f"register dimension {self.dim} exceeds configured bound {self.max_dim}"
-            )
+        if self.dim > DEFAULT_MAX_DIM:
+            raise MemoryError(f"register dimension {self.dim} exceeds the bound {DEFAULT_MAX_DIM}")
 
     @property
     def levels(self) -> int:

@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 from .config import ExperimentConfig
 from .detection import CountRecord, JointProbabilities, sample_counts
+from .entanglement import ChannelBudget
 from .fock import DensityOperator, apply_loss
 from .layouts import diagonal_layout_probabilities, fringe_layout_probabilities
 from .protocol import (
-    ConditionalFieldState,
     FieldPairStats,
     field_pair_statistics,
     herald,
@@ -40,7 +40,7 @@ class ExperimentResult:
     herald_probability: float
     herald_patterns: JointProbabilities
     atomic: DensityOperator
-    z2: ConditionalFieldState
+    z2: DensityOperator
     z1: DensityOperator
     z0: DensityOperator
     diagonal_probs: JointProbabilities
@@ -68,19 +68,9 @@ def full_experiment(config: ExperimentConfig, which: str | None = None) -> Exper
         config.right.xi,
         eta2=config.interferometer.eta2,
         phase_jitter_sigma=config.interferometer.phase_jitter_sigma,
-        herald_probability=p_herald,
-        params={"herald": choice.which, "exclusive": choice.exclusive},
     )
-
-    rho_z1 = z2.rho
-    rho_z0 = z2.rho
-    if config.budget is not None:
-        fc_l = config.budget.left["fc"][0]
-        fc_r = config.budget.right["fc"][0]
-        rho_z1 = apply_loss(apply_loss(z2.rho, fc_l, 0), fc_r, 1)
-        seg_l = config.budget.left["c"][0] * config.budget.left["f"][0]
-        seg_r = config.budget.right["c"][0] * config.budget.right["f"][0]
-        rho_z0 = apply_loss(apply_loss(rho_z1, seg_l, 0), seg_r, 1)
+    rho_z1 = _propagate(z2, config.budget, "z2", "z1")
+    rho_z0 = _propagate(rho_z1, config.budget, "z1", "z0")
 
     bench = config.detectors
     diag = diagonal_layout_probabilities(
@@ -116,6 +106,14 @@ def full_experiment(config: ExperimentConfig, which: str | None = None) -> Exper
         diagonal_probs=diag,
         fringe_probs=fringe,
     )
+
+
+def _propagate(rho: DensityOperator, budget: ChannelBudget, source: str, target: str) -> DensityOperator:
+    """Attenuate both modes by the budget's transmission from plane ``source``
+    down to plane ``target``."""
+    for mode, side in enumerate("LR"):
+        rho = apply_loss(rho, budget.segment(side, target, source)[0], mode)
+    return rho
 
 
 def sample_diagonal_records(result: ExperimentResult, trials: int, seed: int) -> CountRecord:
@@ -157,25 +155,17 @@ def unconditioned_field_state(config: ExperimentConfig) -> DensityOperator:
     state = write_stage(config.left, config.right, config.cutoff, config.interferometer.overlap)
     spins = partial_trace(state, [MODE_AL, MODE_AR])
     fields = read_stage(spins, config.left.xi, config.right.xi, eta2=config.interferometer.eta2)
-    rho = fields.rho
-    if config.budget is not None:
-        alpha_l = config.budget.segment("L", "z0", "z2")[0]
-        alpha_r = config.budget.segment("R", "z0", "z2")[0]
-        rho = apply_loss(apply_loss(rho, alpha_l, 0), alpha_r, 1)
-    return rho
+    return _propagate(fields, config.budget, "z2", "z0")
 
 
 def g12_report(config: ExperimentConfig) -> dict[str, FieldPairStats]:
     """Per-ensemble write/read field pair statistics at the detectors."""
     out = {}
     for label, ens in (("L", config.left), ("R", config.right)):
-        field2_eff = 1.0
-        if config.budget is not None:
-            field2_eff = config.budget.total(label)
         out[label] = field_pair_statistics(
             ens,
             field1_efficiency=config.d1a_efficiency,
-            field2_efficiency=field2_eff,
+            field2_efficiency=config.budget.total(label),
             cutoff=config.cutoff,
         )
     return out

@@ -17,8 +17,7 @@ without creating coherence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from .detection import DetectorSpec, JointProbabilities, click_probabilities, condition_on_pattern
 from .fock import (
@@ -87,19 +86,6 @@ class HeraldChoice:
     def __post_init__(self):
         if self.which not in ("D1a", "D1b"):
             raise ValueError(f"herald detector must be D1a or D1b, got {self.which}")
-
-
-@dataclass(frozen=True)
-class ConditionalFieldState:
-    """Two-mode field state (2_L, 2_R) at the ensemble output plane."""
-
-    rho: DensityOperator
-    herald_probability: float
-    params: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0.0 < self.herald_probability <= 1.0:
-            raise ValueError("herald_probability must lie in (0, 1]")
 
 
 def overlap_from_extinction_db(extinction_db: float) -> float:
@@ -214,10 +200,9 @@ def read_stage(
     xi_right: float,
     eta2: float = 0.0,
     phase_jitter_sigma: float = 0.0,
-    herald_probability: float = 1.0,
-    params: Mapping[str, object] | None = None,
-) -> ConditionalFieldState:
-    """Map the spin modes to field-2 modes through the retrieval channel.
+) -> DensityOperator:
+    """Map the spin modes to field-2 modes (2_L, 2_R) at the ensemble output
+    plane through the retrieval channel.
 
     Retrieval with efficiency xi is an attenuation channel into the field
     mode; eta2 enters as a deterministic phase on mode 2_L and the combined
@@ -229,7 +214,7 @@ def read_stage(
     rho = apply_phase(rho, eta2, 0)
     if phase_jitter_sigma > 0.0:
         rho = apply_phase_jitter(rho, phase_jitter_sigma, 0)
-    return ConditionalFieldState(rho, herald_probability, dict(params or {}))
+    return rho
 
 
 # ---------------------------------------------------------------------------

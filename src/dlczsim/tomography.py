@@ -28,6 +28,7 @@ from .layouts import diagonal_layout_probabilities, fringe_layout_probabilities 
 TWO_PI = 2.0 * math.pi
 P_TILDE_TOL = 1e-3
 PSD_REL_TOL = 1e-9
+CLAMP_SIGMA = 3.0  # negative diagonal estimates within this many sigma are clamped to zero
 
 Q_CLASSES: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
 DIAG_KEYS = ("p00", "p01", "p10", "p11", "p02")
@@ -225,8 +226,8 @@ class AggregatedCounts:
     trials: int
 
     @classmethod
-    def from_record(cls, record: CountRecord, pair: tuple[str, str] = SPLIT_PAIR) -> "AggregatedCounts":
-        agg = aggregate_split_detector(record, pair)
+    def from_record(cls, record: CountRecord) -> "AggregatedCounts":
+        agg = aggregate_split_detector(record, SPLIT_PAIR)
         return cls(counts={k: int(v) for k, v in agg.items()}, trials=record.trials)
 
     def frequencies(self) -> np.ndarray:
@@ -270,7 +271,6 @@ def forward_class_matrix(eff: EfficiencyModel) -> np.ndarray:
 def invert_diagonal(
     aggregated: AggregatedCounts,
     eff: EfficiencyModel,
-    clamp_sigma: float = 3.0,
     bootstrap: int = 0,
     seed: int = 0,
 ) -> DiagonalEstimate:
@@ -280,7 +280,7 @@ def invert_diagonal(
     covariance (one redundant class dropped), with the normalization
     constraint enforced through p00 = 1 - (p01 + p10 + p11 + p02).
     Uncertainties come from the GLS covariance; ``bootstrap`` > 0 adds a
-    resampling cross-check.  Estimates below -``clamp_sigma`` standard
+    resampling cross-check.  Estimates below -``CLAMP_SIGMA`` standard
     deviations raise; small negatives within noise are clamped to zero and
     flagged.
     """
@@ -321,9 +321,9 @@ def invert_diagonal(
     flags: list[str] = []
     for key in DIAG_KEYS:
         if values[key] < 0.0:
-            if values[key] < -clamp_sigma * max(sigmas[key], 1e-300):
+            if values[key] < -CLAMP_SIGMA * max(sigmas[key], 1e-300):
                 raise InconsistentCountsError(
-                    f"{key} = {values[key]:.3e} below -{clamp_sigma} sigma ({sigmas[key]:.3e})"
+                    f"{key} = {values[key]:.3e} below -{CLAMP_SIGMA} sigma ({sigmas[key]:.3e})"
                 )
             values[key] = 0.0
             flags.append(f"clamped_{key}")

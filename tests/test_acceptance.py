@@ -134,8 +134,8 @@ def test_criterion_4_splitter_asymmetry():
     interf = InterferometerParams(bs1_T=bs1_T)
     rho_a, _ = herald(state, interf, HeraldChoice("D1a"))
     rho_b, _ = herald(state, interf, HeraldChoice("D1b"))
-    fields_a = restrict(read_stage(rho_a, 1.0, 1.0).rho)
-    fields_b = restrict(read_stage(rho_b, 1.0, 1.0).rho)
+    fields_a = restrict(read_stage(rho_a, 1.0, 1.0))
+    fields_b = restrict(read_stage(rho_b, 1.0, 1.0))
     simulated = (fields_a.p01 / fields_a.p10) / (fields_b.p01 / fields_b.p10)
     assert abs(simulated / 0.7225 - 1.0) < 0.01
 

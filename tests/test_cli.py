@@ -15,7 +15,6 @@ from dlczsim.config import (
     ConfigError,
     config_from_dict,
     config_hash,
-    config_to_dict,
     load_preset,
     preset_dict,
 )
@@ -52,14 +51,6 @@ def test_schema_reports_field_path():
     data["ensembles"]["L"]["chi"] = 1.5
     with pytest.raises(ConfigError, match="ensembles/L/chi"):
         config_from_dict(data)
-
-
-def test_config_round_trip_idempotent():
-    config = config_from_dict(ideal_config_dict())
-    once = config_to_dict(config)
-    twice = config_to_dict(config_from_dict(once))
-    assert once == twice
-    assert config_hash(once) == config_hash(twice)
 
 
 def test_presets_load_and_differ():
@@ -315,6 +306,31 @@ def test_removed_storage_delay_key_exits_config_code(runner, tmp_path):
     assert "storage_delay_us" in result.output
 
 
+@pytest.mark.parametrize("field", ["cutoff", "trials", "seed"])
+def test_integer_valued_float_matches_integer(runner, tmp_path, field):
+    outputs = {}
+    for form in (int, float):
+        data = ideal_config_dict(trials=20000, layout="fringe")
+        data[field] = form(data[field])
+        config = tmp_path / f"{form.__name__}.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / form.__name__
+        result = runner.invoke(main, ["simulate", "--config", str(config), "--layout", "both", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs[form] = {p.name: p.read_bytes() for p in out.iterdir() if p.match("probs_*.csv") or p.match("counts_*.json")}
+    assert len(outputs[int]) == 4
+    assert outputs[float] == outputs[int]
+
+
+@pytest.mark.parametrize("num", [1001, 1e300])
+def test_fringe_phase_count_is_bounded(runner, tmp_path, num):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**preset_dict("ideal"), "fringe_phases": {"num": num}}))
+    result = runner.invoke(main, ["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "config field fringe_phases/num: " in result.output
+
+
 _NON_FINITE_CASES = {  # case -> (path into the preset, value, reported field)
     "chi_nan": (("ensembles", "L", "chi"), float("nan"), "ensembles/L/chi"),
     "overlap_nan": (("interferometer", "overlap"), float("nan"), "interferometer/overlap"),
@@ -371,9 +387,33 @@ def test_backprop_unphysical_budget_exit(runner, tmp_path):
     assert result.exit_code == EXIT_PHYSICS
 
 
-def test_window_flag_selects_variant(runner, tmp_path):
+def test_preset_w120_manifest_hash(runner, tmp_path):
     out = tmp_path / "w120"
-    result = _run(runner, ["simulate", "--window", "w120", "--out", str(out), "--trials", "0"])
+    result = _run(runner, ["simulate", "--preset", "paper_w120", "--out", str(out), "--trials", "0"])
     assert result.exit_code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config_sha256"] == config_hash(preset_dict("paper_w120"))
+
+
+_REMOVED_OPTIONS = [  # options that changed no output, now unknown to the command
+    ["fringe-scan", "--herald", "d1a"],
+    ["analyze", "--trials", "10"],
+    ["backprop", "--seed", "1"],
+    ["backprop", "--trials", "10"],
+    *([command, "--window", "w120"] for command in ("simulate", "fringe-scan", "analyze", "backprop")),
+]
+
+
+@pytest.mark.parametrize("args", _REMOVED_OPTIONS, ids=" ".join)
+def test_removed_option_is_a_usage_error(runner, tmp_path, args):
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "o")])
+    assert result.exit_code == EXIT_CONFIG
+    assert "No such option" in result.output and args[1] in result.output
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["d1b", "D1B"])
+def test_herald_flag_is_case_insensitive(runner, tmp_path, flag):
+    out = tmp_path / "sim"
+    assert _run(runner, ["simulate", "--preset", "ideal", "--trials", "0", "--herald", flag, "--out", str(out)]).exit_code == 0
+    assert json.loads((out / "herald.json").read_text())["which"] == "D1b"

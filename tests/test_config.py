@@ -5,7 +5,7 @@ import math
 import jsonschema
 import pytest
 
-from dlczsim.config import CONFIG_SCHEMA, ConfigError, _validate, config_from_dict, config_to_dict, load_preset
+from dlczsim.config import CONFIG_SCHEMA, ConfigError, _validate, config_from_dict, preset_dict
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]
 _SCALARS = [None, "x", True, False, [], {}, 0, 1, -1, 0.5, 2.5, 5, 1e300, *_NON_FINITE]
@@ -70,7 +70,7 @@ def _has_non_finite(value):
 
 def _base_config():
     return {
-        **config_to_dict(load_preset("paper")),
+        **preset_dict("paper"),
         "fringe_phases": [0.0, 1.0, 2.0, 3.0, 4.0],
         "description": "d",
         "provenance": {"chi": "calibrated"},

@@ -326,17 +326,17 @@ def test_csv_parse_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(RecordIntegrityError, match="empty"):
-        read_count_records_csv(empty)
+        read_count_records_csv(empty, ("D0", "D1"))
 
     bad = tmp_path / "bad.csv"
     bad.write_text("phase_phi_radians,pattern_bits,count,trials,seed\n0.0,01,xx,10,1\n")
     with pytest.raises(RecordIntegrityError, match="bad.csv:2"):
-        read_count_records_csv(bad)
+        read_count_records_csv(bad, ("D0", "D1"))
 
     header_only = tmp_path / "header.csv"
     header_only.write_text("phase_phi_radians,pattern_bits,count,trials,seed\n")
     with pytest.raises(RecordIntegrityError, match="no data"):
-        read_count_records_csv(header_only)
+        read_count_records_csv(header_only, ("D0", "D1"))
 
 
 # ---------------------------------------------------------------------------

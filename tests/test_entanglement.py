@@ -281,10 +281,8 @@ def test_witness_factorizable_statistics():
     rd = RestrictedDensity(
         p00=1.0 - p10 - p01 - p10 * p01, p01=p01, p10=p10, p11=p10 * p01, d=0.0
     )
-    w = witnesses(rd, unconditioned=rd, g12_left=9.0, g12_right=11.0)
+    w = witnesses(rd)
     assert abs(w.h_c2 - 1.0) < 1e-12
-    assert abs(w.h_nc2 - 1.0) < 1e-12
-    assert w.g12_left == 9.0
 
 
 def test_witness_zero_denominator():
@@ -348,7 +346,7 @@ def test_forward_pipeline_is_entanglement_monotone():
     )
     result = full_experiment(cfg)
     lb_atomic = concurrence_restricted(restrict(result.atomic)).lower_bound
-    lb_z2 = concurrence_restricted(restrict(result.z2.rho)).lower_bound
+    lb_z2 = concurrence_restricted(restrict(result.z2)).lower_bound
     lb_z0 = concurrence_restricted(restrict(result.z0)).lower_bound
     assert lb_z2 <= lb_atomic + 1e-9
     assert lb_z0 <= lb_z2 + 1e-9

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dlczsim.fock import (
+    DEFAULT_MAX_DIM,
     DensityOperator,
     ModeRegister,
     PureState,
@@ -52,8 +53,10 @@ def test_register_bounds():
         ModeRegister(0, 2)
     with pytest.raises(ValueError):
         ModeRegister(2, 0)
+    largest = DEFAULT_MAX_DIM.bit_length() - 1  # 2**largest == DEFAULT_MAX_DIM
+    assert ModeRegister(largest, 1).dim == DEFAULT_MAX_DIM
     with pytest.raises(MemoryError):
-        ModeRegister(10, 4, max_dim=1000)
+        ModeRegister(largest + 1, 1)
 
 
 # ---------------------------------------------------------------------------

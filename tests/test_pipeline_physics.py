@@ -50,7 +50,7 @@ def test_full_transmission_splitter_gives_separable_herald():
     rho, prob = herald(state, InterferometerParams(bs1_T=1.0), HeraldChoice("D1a"))
     from dlczsim.protocol import read_stage
 
-    rd = restrict(read_stage(rho, 1.0, 1.0).rho)
+    rd = restrict(read_stage(rho, 1.0, 1.0))
     assert rd.d_abs < 1e-12
     assert rd.p01 > 0.99  # excitation certainly in the right ensemble
     assert concurrence_restricted(rd).concurrence == 0.0

@@ -123,8 +123,8 @@ def test_splitter_asymmetry_population_ratio():
     interf = InterferometerParams(bs1_T=BS1_ASYM)
     rho_a, _ = herald(st, interf, HeraldChoice("D1a"))
     rho_b, _ = herald(st, interf, HeraldChoice("D1b"))
-    fa = restrict(read_stage(rho_a, 1.0, 1.0).rho)
-    fb = restrict(read_stage(rho_b, 1.0, 1.0).rho)
+    fa = restrict(read_stage(rho_a, 1.0, 1.0))
+    fb = restrict(read_stage(rho_b, 1.0, 1.0))
     ratio = (fa.p01 / fa.p10) / (fb.p01 / fb.p10)
     assert abs(ratio / 0.85**2 - 1.0) < 0.01
 
@@ -161,10 +161,9 @@ def test_herald_pattern_probabilities_sum_to_one():
 def test_read_stage_unit_efficiency_copies_matrix():
     chi = 1e-3
     st = write_stage(EnsembleParams(chi), EnsembleParams(chi), cutoff=3)
-    rho, p = herald(st, InterferometerParams(bs1_T=0.5), HeraldChoice("D1a"))
-    out = read_stage(rho, 1.0, 1.0, herald_probability=p)
-    assert np.max(np.abs(out.rho.matrix - rho.matrix)) < 1e-12
-    assert out.herald_probability == p
+    rho, _ = herald(st, InterferometerParams(bs1_T=0.5), HeraldChoice("D1a"))
+    out = read_stage(rho, 1.0, 1.0)
+    assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-12
 
 
 def test_read_stage_tenth_efficiency_arithmetic():
@@ -175,7 +174,7 @@ def test_read_stage_tenth_efficiency_arithmetic():
     from dlczsim.fock import PureState
 
     atomic = PureState(reg, amp).to_density()
-    out = restrict(read_stage(atomic, 0.1, 0.1).rho)
+    out = restrict(read_stage(atomic, 0.1, 0.1))
     assert abs(out.p00 - 0.9) < 1e-12
     assert abs(out.p10 + out.p01 - 0.1) < 1e-12
 
@@ -196,7 +195,7 @@ def test_read_stage_retrieval_arithmetic_recovers_source_coherence():
     from dlczsim.fock import DensityOperator
 
     atomic = DensityOperator(reg, mat)
-    fields = restrict(read_stage(atomic, xi, xi).rho)
+    fields = restrict(read_stage(atomic, xi, xi))
     assert abs(fields.p10 + fields.p01 - 0.110) < 1e-9
     recovered = invert_attenuation(fields, xi, xi)
     assert recovered.p00 < 1e-9
@@ -208,11 +207,11 @@ def test_read_stage_retrieval_arithmetic_recovers_source_coherence():
 def test_read_then_loss_equals_single_attenuation():
     chi = 0.02
     st = write_stage(EnsembleParams(chi), EnsembleParams(chi), cutoff=3)
-    rho, p = herald(st, InterferometerParams(bs1_T=0.5), HeraldChoice("D1a"))
+    rho, _ = herald(st, InterferometerParams(bs1_T=0.5), HeraldChoice("D1a"))
     xi, alpha = 0.4, 0.3
-    seq = read_stage(rho, xi, xi, herald_probability=p).rho
+    seq = read_stage(rho, xi, xi)
     seq = apply_loss(apply_loss(seq, alpha, 0), alpha, 1)
-    combined = read_stage(rho, xi * alpha, xi * alpha, herald_probability=p).rho
+    combined = read_stage(rho, xi * alpha, xi * alpha)
     assert np.max(np.abs(seq.matrix - combined.matrix)) < 1e-12
 
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Compare the CLI data files that two dlczsim source trees write.
 
-Runs `simulate --layout both`, `fringe-scan` and `analyze --mle --plane z2`
-with each tree on PYTHONPATH per preset and seed; prints per data file
+Runs `simulate --layout both`, `fringe-scan`, `analyze --mle --plane z2` on
+the simulated records and `backprop --plane z2` on the analysis result with
+each tree on PYTHONPATH per preset and seed; prints per data file
 "identical" or its largest relative difference (`mle` block apart), and one
 `mle` line: the MLE concurrence old -> new, |dC| in units of the two-stage
 sigma_C, the change in log L, the iterations old -> new and convergence:
@@ -19,15 +20,25 @@ import sys
 import tempfile
 from pathlib import Path
 
-COMMANDS = {"sim": ["simulate", "--layout", "both"], "scan": ["fringe-scan"], "ana": ["analyze", "--mle", "--plane", "z2"]}
+COMMANDS = {
+    "sim": ["simulate", "--layout", "both"],
+    "scan": ["fringe-scan"],
+    "ana": ["analyze", "--mle", "--plane", "z2"],
+    "bp": ["backprop", "--plane", "z2"],  # samples nothing, so it takes no --seed
+}
 
 
 def run(src, preset, seed, out):
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    inputs = {
+        "sim": ["--seed", str(seed)],
+        "scan": ["--seed", str(seed)],
+        "ana": ["--seed", str(seed), "--records", str(out / "sim")],
+        "bp": ["--result", str(out / "ana" / "tomography_result.json")],
+    }
     codes = {}
     for name, args in COMMANDS.items():
-        cmd = [sys.executable, "-m", "dlczsim.cli", *args, "--preset", preset, "--seed", str(seed), "--out", str(out / name)]
-        cmd += ["--records", str(out / "sim")] if name == "ana" else []
+        cmd = [sys.executable, "-m", "dlczsim.cli", *args, *inputs[name], "--preset", preset, "--out", str(out / name)]
         codes[name] = subprocess.run(cmd, env=env, capture_output=True).returncode
     return codes
 
