@@ -32,6 +32,7 @@ from . import __version__
 from .config import (
     ConfigError,
     ExperimentConfig,
+    MAX_TRIALS,
     config_from_dict,
     config_hash,
     load_config_dict,
@@ -206,8 +207,8 @@ def main() -> None:
 _CONFIG = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Experiment config JSON (overrides --preset).")
 _PRESET = click.option("--preset", type=click.Choice(["paper", "paper_w120", "ideal"]), default="paper", show_default=True, help="Bundled configuration preset (paper_w120: the 120 ns detection window).")
 _OUT = click.option("--out", "out_dir", type=click.Path(file_okay=False), default="out", show_default=True, help="Output directory.")
-_SEED = click.option("--seed", type=int, default=None, help="Override config seed.")
-_TRIALS = click.option("--trials", type=int, default=None, help="Override config trials.")
+_SEED = click.option("--seed", type=click.IntRange(min=0), default=None, help="Override config seed.")
+_TRIALS = click.option("--trials", type=click.IntRange(0, MAX_TRIALS), default=None, help="Override config trials.")
 # case-insensitive, and click hands over the canonical spelling
 _HERALD = click.option("--herald", type=click.Choice(["D1a", "D1b"], case_sensitive=False), default=None, help="Override heralding detector.")
 

@@ -24,6 +24,7 @@ from .entanglement import ChannelBudget
 from .protocol import EnsembleParams, HeraldChoice, InterferometerParams
 
 SCHEMA_VERSION = 1
+MAX_TRIALS = 2**63 - 1  # numpy samples counts as int64
 
 _COMPONENT_SCHEMA = {
     "type": "array",
@@ -59,7 +60,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
         "schema_version": {"const": SCHEMA_VERSION},
         "description": {"type": "string"},
         "cutoff": {"type": "integer", "minimum": 2, "maximum": 5},
-        "trials": {"type": "integer", "minimum": 0},
+        "trials": {"type": "integer", "minimum": 0, "maximum": MAX_TRIALS},
         "seed": {"type": "integer", "minimum": 0},
         "layout": {"enum": ["diagonal", "fringe"]},
         "fringe_phases": {

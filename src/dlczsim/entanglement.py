@@ -118,7 +118,7 @@ def concurrence_restricted(
         if mc_samples > 0:
             # element-wise mirror of value() on every row, same operation
             # order; in place, so the draw block is the only full-size array
-            x = substream_rng(seed, stream=0xC0).normal(size=(mc_samples, len(base)))
+            x = substream_rng(seed, stream=0xC0).standard_normal((mc_samples, len(base)))
             x *= [sig.get(key, 0.0) for key in base]
             x += list(base.values())
             p00, p01, p10, p11, d = np.maximum(x, 0.0, out=x).T

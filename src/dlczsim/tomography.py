@@ -9,13 +9,16 @@ measurement configurations (Newton's method, numpy only) cross-checks it.
 
 Every bench quantity here (class matrix, coherence slope, MLE elements) is
 read off the simulator's own cached POVM, ``layouts.bench_povm``, at the
-two-photon cutoff; the analysis phase enters analytically.
+two-photon cutoff; the analysis phase enters analytically.  Each is built once
+per bench (and, for the MLE, per record count and phase grid) and kept in a
+bounded cache of read-only arrays keyed on the bench values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -37,6 +40,7 @@ _REGISTER2 = ModeRegister(2, 2)  # the inversion works at the two-photon cutoff
 _DIAG_IDX = [_REGISTER2.index(occ) for occ in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2))]  # DIAG_KEYS order
 _I01, _I10 = _REGISTER2.index((0, 1)), _REGISTER2.index((1, 0))
 _PATTERN_CLASS = [Q_CLASSES.index((a, b + c)) for a, b, c in PATTERNS]
+_WITH_P00 = np.vstack([-np.ones(4), np.eye(4)])  # (p01, p10, p11, p02) -> all five, p00 = 1 - the others
 # fringe arms per pattern: clicks at D2a, and clicks summed over the split pair
 _ARM_WEIGHTS = np.array([[a for a, _, _ in PATTERNS], [b + c for _, b, c in PATTERNS]], dtype=float)
 
@@ -248,24 +252,20 @@ class DiagonalEstimate:
         return self.values[key]
 
 
-def _population_povm(eff: EfficiencyModel) -> np.ndarray:
-    return bench_povm(2, eff.d2a, eff.d2b, eff.d2c, eff.split, None, 0.0)
-
-
-def _fringe_povm(eff: EfficiencyModel) -> np.ndarray:
-    """Fringe-layout elements at phase 0; phase phi multiplies entry (i, j)
-    by exp(-i phi (n_L[i] - n_L[j]))."""
-    return bench_povm(2, eff.d2a, eff.d2b, eff.d2c, eff.split, eff.bs2_T, 0.0)
+@lru_cache(maxsize=64)
+def _class_matrix(eta_d2a: float, eta_d2b: float, eta_d2c: float, split: float) -> np.ndarray:
+    diag = np.diagonal(bench_povm(2, eta_d2a, eta_d2b, eta_d2c, split, None, 0.0), axis1=1, axis2=2).real[:, _DIAG_IDX]
+    out = np.zeros((len(Q_CLASSES), len(DIAG_KEYS)))  # shape (6 classes, 5 populations)
+    np.add.at(out, _PATTERN_CLASS, diag)
+    out.setflags(write=False)
+    return out
 
 
 def forward_class_matrix(eff: EfficiencyModel) -> np.ndarray:
-    """Map from the diagonal populations (p00, p01, p10, p11, p02) to the
-    aggregated class probabilities: the population POVM's diagonal on those
-    basis states, summed over the patterns of each class."""
-    diag = np.diagonal(_population_povm(eff), axis1=1, axis2=2).real[:, _DIAG_IDX]
-    out = np.zeros((len(Q_CLASSES), len(DIAG_KEYS)))  # shape (6 classes, 5 populations)
-    np.add.at(out, _PATTERN_CLASS, diag)
-    return out
+    """Read-only map from the diagonal populations (p00, p01, p10, p11, p02)
+    to the aggregated class probabilities: the population POVM's diagonal on
+    those basis states, summed over the patterns of each class."""
+    return _class_matrix(eff.d2a, eff.d2b, eff.d2c, eff.split)
 
 
 def invert_diagonal(
@@ -307,11 +307,7 @@ def invert_diagonal(
     resid = b - a @ x
     chi2 = float(resid @ w @ resid)
 
-    # covariance including the dependent p00 row
-    t = np.zeros((5, 4))
-    t[0, :] = -1.0
-    t[1:, :] = np.eye(4)
-    cov_full = t @ cov_x @ t.T
+    cov_full = _WITH_P00 @ cov_x @ _WITH_P00.T
 
     values = {"p00": float(1.0 - x.sum())}
     for key, v in zip(DIAG_KEYS[1:], x):
@@ -333,8 +329,8 @@ def invert_diagonal(
         rng = substream_rng(seed, stream=0x626F6F74)
         pvals = np.clip(q, 0.0, None)
         pvals = pvals / pvals.sum()
-        # one draw per replicate, as a size= draw gives another stream when a class is empty
-        qb = np.array([rng.multinomial(n, pvals) for _ in range(bootstrap)]) / n
+        # one size= draw is the stream of one draw per replicate, empty classes included
+        qb = rng.multinomial(n, pvals, size=bootstrap) / n
         # each replicate is its own matrix-vector product, as in a one-at-a-time
         # solve: with an empty class the GLS weights reach 1e10, and a
         # reassociated product moves the sigmas by 1e-10 relative
@@ -516,6 +512,16 @@ class CoherenceEstimate:
     flags: tuple[str, ...] = ()
 
 
+@lru_cache(maxsize=64)
+def _fringe_arms(eta_d2a: float, eta_d2b: float, eta_d2c: float, split: float, bs2_T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per fringe arm at phase 0: the POVM diagonal on the DIAG_KEYS states and |<0,1|E|1,0>|."""
+    arms = np.einsum("ap,pij->aij", _ARM_WEIGHTS, bench_povm(2, eta_d2a, eta_d2b, eta_d2c, split, bs2_T, 0.0))
+    populations, coupling = np.diagonal(arms, axis1=1, axis2=2).real[:, _DIAG_IDX], np.abs(arms[:, _I01, _I10])
+    populations.setflags(write=False)
+    coupling.setflags(write=False)
+    return populations, coupling
+
+
 def _model_visibility_slope(diagonals: Mapping[str, float], eff: EfficiencyModel) -> float:
     """d(V_avg)/d(|d|) of the exact fringe forward model at fixed diagonals.
 
@@ -529,9 +535,8 @@ def _model_visibility_slope(diagonals: Mapping[str, float], eff: EfficiencyModel
         raise DataQualityError("model slope undefined: p01 p10 = 0")
     pops = [max(float(diagonals.get(key, 0.0)), 0.0) for key in DIAG_KEYS[1:]]
     pops = np.array([1.0 - sum(pops), *pops])
-    arms = np.einsum("ap,pij->aij", _ARM_WEIGHTS, _fringe_povm(eff))
-    base = np.diagonal(arms, axis1=1, axis2=2).real[:, _DIAG_IDX] @ pops
-    return float(np.sum(np.abs(arms[:, _I01, _I10]) / base))
+    populations, coupling = _fringe_arms(eff.d2a, eff.d2b, eff.d2c, eff.split, eff.bs2_T)
+    return float(np.sum(coupling / (populations @ pops)))
 
 
 def estimate_coherence(
@@ -669,6 +674,7 @@ _FACTOR_ROWS, _FACTOR_COLS, _FACTOR_IMAG = (np.array(column) for column in zip(*
 _FACTOR_PHASE = np.where(_FACTOR_IMAG, 1j, 1.0)
 _FORM_KERNEL = np.outer(_FACTOR_PHASE, _FACTOR_PHASE.conj()) * (_FACTOR_COLS[:, None] == _FACTOR_COLS[None, :])
 _STEP_SCALES = [0.5**k for k in range(40)]  # backtracking line search
+_EYE = np.eye(len(_FACTOR_ENTRIES))
 
 
 def _params_to_factor(x: np.ndarray) -> np.ndarray:
@@ -690,12 +696,6 @@ def _factor_to_rho(x: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def _quadratic_forms(elements: np.ndarray) -> np.ndarray:
-    """The real symmetric A_k with Tr(E_k G G+) = x^T A_k x, for elements
-    E_k (Hermitian, on the block basis) and factor parameters x."""
-    return (elements[:, _FACTOR_ROWS[None, :], _FACTOR_ROWS[:, None]] * _FORM_KERNEL).real
-
-
 def _ll_derivatives(x: np.ndarray, forms: np.ndarray, counts: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """L, its gradient and its Hessian in the factor parameters.
 
@@ -714,7 +714,7 @@ def _ll_derivatives(x: np.ndarray, forms: np.ndarray, counts: np.ndarray) -> tup
     hess = (
         2.0 * np.einsum("k,kij->ij", counts * inv_q, forms)
         - 4.0 * (u.T * counts) @ u
-        - 2.0 * n_total / t * (np.eye(x.size) - 2.0 * np.outer(x, x) / t)
+        - 2.0 * n_total / t * (_EYE - 2.0 * np.outer(x, x) / t)
     )
     return ll, grad, hess
 
@@ -723,7 +723,7 @@ def _tangent_basis(x: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the plane normal to the unit vector x (a Householder reflection)."""
     v = x.copy()
     v[0] += math.copysign(1.0, x[0])
-    return (np.eye(x.size) - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
+    return (_EYE - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
 
 
 def _block_to_full(rho_block: np.ndarray) -> DensityOperator:
@@ -732,24 +732,39 @@ def _block_to_full(rho_block: np.ndarray) -> DensityOperator:
     return DensityOperator(_REGISTER2, mat, _skip_positivity=True)
 
 
+@lru_cache(maxsize=4)  # about 0.25 MB an entry at 1 + 13 records
+def _mle_elements(
+    eta_d2a: float, eta_d2b: float, eta_d2c: float, split: float, bs2_T: float, n_diag: int, phis: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """POVM elements E_k on the block basis, one per record and pattern in
+    ``PATTERNS`` order (``n_diag`` population records, then one fringe record
+    per phase), and the real symmetric A_k with Tr(E_k G G+) = x^T A_k x in
+    the factor parameters x."""
+    block = np.ix_(range(len(PATTERNS)), _BLOCK_IDX, _BLOCK_IDX)
+    diag = np.broadcast_to(bench_povm(2, eta_d2a, eta_d2b, eta_d2c, split, None, 0.0)[block], (n_diag, len(PATTERNS), 6, 6))
+    rotation = np.exp(-1j * np.array(phis)[:, None, None] * (_BLOCK_NL[:, None] - _BLOCK_NL[None, :]))
+    fringe = bench_povm(2, eta_d2a, eta_d2b, eta_d2c, split, bs2_T, 0.0)[block][None, :, :, :] * rotation[:, None, :, :]
+    elements = np.concatenate([diag, fringe]).reshape(-1, 6, 6)
+    forms = np.ascontiguousarray((elements[:, _FACTOR_ROWS[None, :], _FACTOR_ROWS[:, None]] * _FORM_KERNEL).real)
+    elements.setflags(write=False)
+    forms.setflags(write=False)
+    return elements, forms
+
+
 def _collect_mle_data(
     diag_records: Sequence[CountRecord],
     fringe_records: Sequence[CountRecord],
     eff: EfficiencyModel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack POVM elements on the block basis and counts across both
-    configurations: one element per record and pattern, in ``PATTERNS`` order."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_mle_elements`` of the records' bench and phases, and the counts
+    stacked in the same order across both configurations."""
     if not diag_records and not fringe_records:
         raise ValueError("maximum-likelihood fit needs at least one record")
-    block = np.ix_(range(len(PATTERNS)), _BLOCK_IDX, _BLOCK_IDX)
-    diag = np.broadcast_to(_population_povm(eff)[block], (len(diag_records), len(PATTERNS), 6, 6))
-    phis = np.array([float(record.phase) for record in fringe_records])
-    rotation = np.exp(-1j * phis[:, None, None] * (_BLOCK_NL[:, None] - _BLOCK_NL[None, :]))
-    fringe = _fringe_povm(eff)[block][None, :, :, :] * rotation[:, None, :, :]
-    elements = np.concatenate([diag, fringe]).reshape(-1, 6, 6)
+    phis = tuple(float(record.phase) for record in fringe_records)
+    elements, forms = _mle_elements(eff.d2a, eff.d2b, eff.d2c, eff.split, eff.bs2_T, len(diag_records), phis)
     records = [*diag_records, *fringe_records]
     counts = np.array([[record.tally.get(pattern, 0) for pattern in PATTERNS] for record in records])
-    return elements, counts.reshape(-1)
+    return elements, forms, counts.reshape(-1)
 
 
 def log_likelihood(
@@ -759,7 +774,7 @@ def log_likelihood(
     eff: EfficiencyModel,
 ) -> float:
     """Multinomial log likelihood of a block-form state given the records."""
-    elements, counts = _collect_mle_data(diag_records, fringe_records, eff)
+    elements, _, counts = _collect_mle_data(diag_records, fringe_records, eff)
     probs = np.real(np.einsum("kij,ji->k", elements, rho_block))
     mask = counts > 0
     return float(np.sum(counts[mask] * np.log(np.clip(probs[mask], 1e-300, None))))
@@ -798,11 +813,13 @@ def mle_fit(
     definite is shifted until it is, and each step is halved until log L does
     not fall.  ``history`` holds log L at the start and at each accepted iterate.
     """
-    elements, counts = _collect_mle_data(diag_records, fringe_records, eff)
+    _, forms, counts = _collect_mle_data(diag_records, fringe_records, eff)
     mask = counts > 0
     if not mask.any():
         raise ValueError("records contain no events")
-    forms, counts = _quadratic_forms(elements[mask]), counts[mask].astype(float)
+    # the forms at a complex stride: numpy's matmul runs its own loop on them, while on
+    # contiguous forms BLAS sums forms @ x in another order and moves the endpoint's last bits
+    forms, counts = forms[mask].astype(complex).real, counts[mask].astype(float)
 
     if initial is not None:
         seed_block = two_stage_block(initial)

@@ -269,7 +269,7 @@ def lbfgs_mle_log_likelihood(diag_records, fringe_records, eff: EfficiencyModel,
     M = (sum (n_k / p_k) E_k - N I) / Tr(G G+) (the fit before Newton's method)."""
     from scipy.optimize import minimize
 
-    elements, counts = tom._collect_mle_data(diag_records, fringe_records, eff)
+    elements, _, counts = tom._collect_mle_data(diag_records, fringe_records, eff)
     mask = counts > 0
     flat, n = elements[mask].reshape(-1, 36), counts[mask].astype(float)
 

@@ -306,6 +306,33 @@ def test_removed_storage_delay_key_exits_config_code(runner, tmp_path):
     assert "storage_delay_us" in result.output
 
 
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["simulate", "--seed", "-1"], "--seed"),
+        (["simulate", "--trials", str(10**30)], "--trials"),
+        (["fringe-scan", "--trials", "-5"], "--trials"),
+        (["analyze", "--seed", "-1"], "--seed"),
+    ],
+    ids=["simulate_seed", "simulate_trials", "fringe_scan_trials", "analyze_seed"],
+)
+def test_out_of_range_seed_or_trials_exits_config_code(runner, tmp_path, args, option):
+    result = runner.invoke(main, [*args, "--preset", "ideal", "--out", str(tmp_path / "o")])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert f"Invalid value for '{option}'" in result.output
+    assert isinstance(result.exception, SystemExit)  # a usage error, not a traceback
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_trials_beyond_int64_exits_config_code(runner, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**preset_dict("ideal"), "trials": 1e30}))
+    result = runner.invoke(main, ["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert "config field trials: " in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 @pytest.mark.parametrize("field", ["cutoff", "trials", "seed"])
 def test_integer_valued_float_matches_integer(runner, tmp_path, field):
     outputs = {}

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 import dlczsim.tomography as tom
@@ -86,7 +88,7 @@ def test_mle_elements_match_setting_povm_oracle(eff):
     phases = [float(p) for p in np.linspace(0.0, 2.0 * math.pi, 13)]
     diag_rec = CountRecord(("D2a", "D2b", "D2c"), 1, {(0, 0, 0): 1})
     fringe_recs = [dataclasses.replace(diag_rec, phase=phi) for phi in phases]
-    elements, counts = tom._collect_mle_data([diag_rec], fringe_recs, eff)
+    elements, _, counts = tom._collect_mle_data([diag_rec], fringe_recs, eff)
     oracle = [setting_povm_oracle(eff, phi)[pattern] for phi in [None, *phases] for pattern in PATTERNS]
     assert elements.shape == (14 * len(PATTERNS), 6, 6)
     assert np.max(np.abs(elements - np.array(oracle))) < 1e-14
@@ -126,6 +128,39 @@ def test_bench_quantities_share_the_bench_povm_cache():
         read()
         assert bench_povm.cache_info().hits > hits
     assert bench_povm.cache_info().misses == simulated.misses
+
+
+BENCH_CACHES = (bench_povm, tom._class_matrix, tom._fringe_arms, tom._mle_elements)
+
+
+def test_cached_bench_quantities_are_read_only_and_bounded():
+    diag_rec, fringe_recs = _records_from_restricted(random_restricted(np.random.default_rng(5)), EFF_BENCH, 10**5, 10**4, seed=6)
+    elements, forms, _ = tom._collect_mle_data([diag_rec], fringe_recs, EFF_BENCH)
+    bench = (EFF_BENCH.d2a, EFF_BENCH.d2b, EFF_BENCH.d2c, EFF_BENCH.split)
+    for cached in (forward_class_matrix(EFF_BENCH), *tom._fringe_arms(*bench, EFF_BENCH.bs2_T), elements, forms):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[(0,) * cached.ndim] = 1.0
+    for cache in BENCH_CACHES:
+        assert 0 < cache.cache_info().maxsize <= 64, cache
+
+
+def test_cold_bench_caches_give_the_warm_bits():
+    diag_rec, fringe_recs = _records_from_restricted(random_restricted(np.random.default_rng(8)), EFF_UNBALANCED, 10**6, 10**5, seed=9)
+
+    def chain():
+        est = invert_diagonal(AggregatedCounts.from_record(diag_rec), EFF_UNBALANCED, bootstrap=20, seed=1)
+        fit = fit_fringe(FringeScan(fringe_recs))
+        coherence = estimate_coherence(fit.visibility, est, EFF_UNBALANCED, "full", fit.sigma_visibility)
+        rd = assemble_restricted(est, coherence, fit.phase0)
+        mle = mle_fit([diag_rec], fringe_recs, EFF_UNBALANCED, initial=rd)
+        ll = log_likelihood(two_stage_block(rd), [diag_rec], fringe_recs, EFF_UNBALANCED)
+        return [est.values, est.sigmas, est.bootstrap_sigmas, coherence, mle.history, mle.rho.matrix.tobytes(), ll]
+
+    chain()  # fills the caches
+    warm = chain()
+    for cache in BENCH_CACHES:
+        cache.cache_clear()
+    assert chain() == warm
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +278,23 @@ def test_bootstrap_matches_one_replicate_at_a_time(counts, eff):
     boot = invert_diagonal(agg, eff, bootstrap=200, seed=5).bootstrap_sigmas
     oracle = _bootstrap_sigmas_one_at_a_time(agg, eff, 200, 5)
     for key in DIAG_KEYS:
-        assert boot[key] == pytest.approx(oracle[key], rel=1e-12, abs=0.0), key
+        assert boot[key] == oracle[key], key
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-9, 1.0)), min_size=2, max_size=8).filter(any),
+    n=st.integers(1, 10**7),
+    k=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bootstrap_size_draw_is_the_stream_of_single_draws(weights, n, k, seed):
+    # invert_diagonal draws its replicates as one size= multinomial draw;
+    # it must equal one draw per replicate, also where classes are empty
+    pvals = np.array(weights) / sum(weights)
+    rng = substream_rng(seed, stream=0x626F6F74)
+    singles = [rng.multinomial(n, pvals) for _ in range(k)]
+    assert np.array_equal(substream_rng(seed, stream=0x626F6F74).multinomial(n, pvals, size=k), singles)
 
 
 def test_uncertainty_calibration_68_percent():
@@ -453,9 +504,9 @@ def test_mle_round_trip_and_likelihood_dominance():
 def _mle_forms_and_points(eff):
     rng = np.random.default_rng(31)
     diag_rec, fringe_recs = _records_from_restricted(random_restricted(rng), eff, 10**5, 10**4, seed=23)
-    elements, counts = tom._collect_mle_data([diag_rec], fringe_recs, eff)
+    _, forms, counts = tom._collect_mle_data([diag_rec], fringe_recs, eff)
     mask = counts > 0
-    args = (tom._quadratic_forms(elements[mask]), counts[mask].astype(float))
+    args = (forms[mask], counts[mask].astype(float))
     centre = tom._factor_to_params(np.linalg.cholesky(np.diag([0.9, 0.04, 0.04, 0.01, 0.005, 0.005])))
     return args, [centre + 0.1 * rng.normal(size=centre.size) for _ in range(3)]
 
@@ -494,8 +545,7 @@ def test_mle_quadratic_forms_reproduce_the_factor_probabilities():
     # Tr(E_k G G+) = x^T A_k x for every bench element, both layouts
     diag_rec = CountRecord(("D2a", "D2b", "D2c"), 1, {(0, 0, 0): 1})
     fringe_recs = [dataclasses.replace(diag_rec, phase=float(phi)) for phi in np.linspace(0.0, 2.0 * math.pi, 13)]
-    elements, _ = tom._collect_mle_data([diag_rec], fringe_recs, EFF_UNBALANCED)
-    forms = tom._quadratic_forms(elements)
+    elements, forms, _ = tom._collect_mle_data([diag_rec], fringe_recs, EFF_UNBALANCED)
     _, points = _mle_forms_and_points(EFF_UNBALANCED)
     for x in points:
         g = tom._params_to_factor(x)

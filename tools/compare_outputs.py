@@ -9,6 +9,9 @@ each tree on PYTHONPATH per preset and seed; prints per data file
 sigma_C, the change in log L, the iterations old -> new and convergence:
 
     python3 tools/compare_outputs.py OLD/src src --presets paper,ideal --seeds 3,11
+
+Exits 1 when a data file differs, an exit code changes, or an `mle` line
+shows a nonzero |dC| or change in log L; 0 when every output is the same.
 """
 
 import argparse
@@ -55,6 +58,8 @@ def values(obj, key=""):
 
 
 def compare(old, new):
+    if not new.exists():
+        return "missing in the new tree"
     if old.read_bytes() == new.read_bytes():
         return "identical"
     with old.open(newline="") as fo, new.open(newline="") as fn:
@@ -72,12 +77,13 @@ def mle_line(old, new):
     c_old, c_new = a["mle"]["concurrence"]["concurrence"], b["mle"]["concurrence"]["concurrence"]
     sigma = a["concurrence"]["sigma_concurrence"]
     shift = abs(c_new - c_old) / sigma if sigma > 0 else float("inf") if c_new != c_old else 0.0
-    return (
-        f"C {c_old:.6e} -> {c_new:.6e}, |dC| = {shift:.2e} sigma_C, "
-        f"dlogL = {b['mle']['log_likelihood'] - a['mle']['log_likelihood']:+.2e}, "
+    dlogl = b["mle"]["log_likelihood"] - a["mle"]["log_likelihood"]
+    text = (
+        f"C {c_old:.6e} -> {c_new:.6e}, |dC| = {shift:.2e} sigma_C, dlogL = {dlogl:+.2e}, "
         f"iterations {a['mle']['iterations']} -> {b['mle']['iterations']}, "
         f"converged {a['mle']['converged']} -> {b['mle']['converged']}"
     )
+    return text, shift != 0.0 or dlogl != 0.0
 
 
 def main():
@@ -87,6 +93,7 @@ def main():
     parser.add_argument("--presets", default="paper,paper_w120,ideal")
     parser.add_argument("--seeds", default="3,11,29")
     args = parser.parse_args()
+    differs = False
     with tempfile.TemporaryDirectory() as work:
         for preset in args.presets.split(","):
             for seed in args.seeds.split(","):
@@ -96,12 +103,18 @@ def main():
                 for name in COMMANDS:
                     if codes[0][name] or codes[1][name]:
                         print(f"{tag} {name}: exit {codes[0][name]} -> {codes[1][name]}")
+                        differs |= codes[0][name] != codes[1][name]
                     else:
                         for path in sorted(p for p in (old / name).iterdir() if p.name != "manifest.json"):
-                            print(f"{tag} {name}/{path.name}: {compare(path, new / name / path.name)}")
+                            verdict = compare(path, new / name / path.name)
+                            print(f"{tag} {name}/{path.name}: {verdict}")
+                            differs |= verdict != "identical"
                 if not (codes[0]["ana"] or codes[1]["ana"]):
-                    print(f"{tag} mle: {mle_line(old, new)}")
+                    text, moved = mle_line(old, new)
+                    print(f"{tag} mle: {text}")
+                    differs |= moved
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
