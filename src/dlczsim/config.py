@@ -259,43 +259,21 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
     """
     _validate(data, CONFIG_SCHEMA)
 
-    ens = data["ensembles"]
-    interf = data.get("interferometer", {})
-    herald = data.get("herald", {})
-    bench = data.get("detectors", {})
+    # only the keys present are passed on, so the dataclass defaults are the only ones
+    herald = dict(data.get("herald", {}))
+    top = {key: herald.pop(key) for key in ("d1a_efficiency", "d1b_efficiency") if key in herald}
+    top |= {key: data[key] for key in ("layout", "description") if key in data}
+    top |= {key: int(data[key]) for key in ("cutoff", "trials", "seed") if key in data}
     return ExperimentConfig(
-        left=EnsembleParams(chi=ens["L"]["chi"], xi=ens["L"]["xi"]),
-        right=EnsembleParams(chi=ens["R"]["chi"], xi=ens["R"]["xi"]),
-        interferometer=InterferometerParams(
-            bs1_T=interf.get("bs1_T", 0.5),
-            eta1=interf.get("eta1", 0.0),
-            eta2=interf.get("eta2", 0.0),
-            phi=interf.get("phi", 0.0),
-            overlap=interf.get("overlap", 1.0),
-            phase_jitter_sigma=interf.get("phase_jitter_sigma", 0.0),
-        ),
-        herald=HeraldChoice(
-            which=herald.get("which", "D1a"),
-            exclusive=herald.get("exclusive", True),
-        ),
-        d1a_efficiency=herald.get("d1a_efficiency", 1.0),
-        d1b_efficiency=herald.get("d1b_efficiency", 1.0),
-        detectors=DetectorBench(
-            eta_d2a=bench.get("eta_d2a", 1.0),
-            eta_d2b=bench.get("eta_d2b", 1.0),
-            eta_d2c=bench.get("eta_d2c", 1.0),
-            split=bench.get("split", 0.5),
-            bs2_T=bench.get("bs2_T", 0.5),
-            dark_prob=bench.get("dark_prob", 0.0),
-        ),
+        left=EnsembleParams(**data["ensembles"]["L"]),
+        right=EnsembleParams(**data["ensembles"]["R"]),
+        interferometer=InterferometerParams(**data.get("interferometer", {})),
+        herald=HeraldChoice(**herald),
+        detectors=DetectorBench(**data.get("detectors", {})),
         budget=ChannelBudget.from_dict(data["channel"]),
-        layout=data.get("layout", "diagonal"),
         fringe_phases=_phases_from_entry(data.get("fringe_phases")),
-        cutoff=int(data.get("cutoff", 3)),
-        trials=int(data.get("trials", 0)),
-        seed=int(data.get("seed", 0)),
-        description=data.get("description", ""),
         provenance=dict(data.get("provenance", {})),
+        **top,
     )
 
 

@@ -1,11 +1,6 @@
-"""Click/no-click detector models and count-record handling.
-
-Non-photon-number-resolving detectors with efficiency eta are modeled by the
-two-outcome POVM whose no-click element is the normally ordered :exp(-eta n):,
-i.e. Fock diagonal (1-eta)^n.  Because every element is Fock diagonal, joint
-click-pattern probabilities and post-measurement conditioning reduce to
-weighted sums over the photon-number basis, which this module evaluates
-exactly at the configured cutoff.
+"""Click-pattern probabilities and count records: their sampling, merging,
+aggregation and serialization.  The detector model itself, the click weights
+of threshold detectors, is ``fock.click_weights``.
 
 Count records are serialized as CSV with columns
 (phase_phi_radians, pattern_bits, count, trials, seed) plus a JSON mirror
@@ -16,7 +11,6 @@ order.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,54 +18,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .fock import (
-    DensityOperator,
-    ModeRegister,
-    State,
-    no_click_weights,
-    weighted_partial_trace,
-)
-
 PROBABILITY_SUM_TOL = 1e-10
 
 ClickPattern = tuple[int, ...]
 
 
-class ZeroProbabilityError(ValueError):
-    """Conditioning was requested on a pattern of vanishing probability."""
-
-
 class RecordIntegrityError(ValueError):
     """A count record failed an internal consistency check."""
-
-
-@dataclass(frozen=True)
-class DetectorSpec:
-    """A click/no-click detector attached to one mode (or a mode group).
-
-    A detector that collects several orthogonal modes (e.g. both polarization
-    components arriving at one physical output port) lists them all; its
-    no-click element is the product of the per-mode elements.
-    """
-
-    id: str
-    efficiency: float
-    mode: int | tuple[int, ...]
-    dark_prob: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
-        if not 0.0 <= self.dark_prob < 1.0:
-            raise ValueError(f"dark_prob must lie in [0, 1), got {self.dark_prob}")
-        if isinstance(self.mode, int):
-            object.__setattr__(self, "mode", (self.mode,))
-        else:
-            object.__setattr__(self, "mode", tuple(self.mode))
-
-    @property
-    def modes(self) -> tuple[int, ...]:
-        return self.mode  # normalized to a tuple in __post_init__
 
 
 @dataclass(frozen=True)
@@ -123,9 +76,6 @@ class CountRecord:
             if n < 0:
                 raise RecordIntegrityError(f"pattern {pattern} has negative count {n}")
 
-    def frequency(self, pattern: ClickPattern) -> float:
-        return self.tally.get(tuple(pattern), 0) / self.trials
-
     def clicked_count(self, detector_id: str) -> int:
         pos = self.detector_ids.index(detector_id)
         return sum(n for pattern, n in self.tally.items() if pattern[pos] == 1)
@@ -142,78 +92,6 @@ def merge_counts(a: CountRecord, b: CountRecord) -> CountRecord:
     for pattern, n in b.tally.items():
         tally[pattern] = tally.get(pattern, 0) + n
     return CountRecord(a.detector_ids, a.trials + b.trials, tally, phase=a.phase, seed=None)
-
-
-# ---------------------------------------------------------------------------
-# probabilities and conditioning
-
-
-def _detector_weights(register: ModeRegister, detectors: Sequence[DetectorSpec]) -> list[np.ndarray]:
-    seen: set[int] = set()
-    for det in detectors:
-        overlap = seen.intersection(det.modes)
-        if overlap:
-            raise ValueError(f"modes {sorted(overlap)} assigned to more than one detector")
-        seen.update(det.modes)
-    return [no_click_weights(register, det.modes, det.efficiency, det.dark_prob) for det in detectors]
-
-
-def click_probabilities(state: State, detectors: Sequence[DetectorSpec]) -> JointProbabilities:
-    """Exact joint click-pattern probabilities for ``detectors`` on ``state``.
-
-    Every POVM element is Fock diagonal, so P(pattern) is a weighted sum of
-    the state's photon-number populations; completeness (sum over patterns
-    equals 1) holds by construction.
-    """
-    register = state.register
-    no_click = _detector_weights(register, detectors)
-    diag = state.probabilities()
-    probs: dict[ClickPattern, float] = {}
-    for pattern in itertools.product((0, 1), repeat=len(detectors)):
-        weight = np.ones(register.dim)
-        for bit, w in zip(pattern, no_click):
-            weight = weight * (w if bit == 0 else (1.0 - w))
-        probs[pattern] = float(weight @ diag)
-    return JointProbabilities(tuple(d.id for d in detectors), probs)
-
-
-def condition_on_pattern(
-    state: State, detectors: Sequence[DetectorSpec], pattern: ClickPattern
-) -> tuple[DensityOperator, float]:
-    """Post-measurement state on the undetected modes, plus the pattern probability.
-
-    Detector inefficiency is realized as loss in front of an ideal detector;
-    since the measured modes are traced out afterwards, that is exactly the
-    weighted partial trace with the pattern's diagonal POVM element.
-    """
-    register = state.register
-    pattern = tuple(pattern)
-    if len(pattern) != len(detectors):
-        raise ValueError("pattern length must match detector count")
-    _detector_weights(register, detectors)  # duplicate-mode check
-    detected: set[int] = set()
-    for det in detectors:
-        detected.update(det.modes)
-    keep = [m for m in range(register.n_modes) if m not in detected]
-    if not keep:
-        raise ValueError("conditioning would trace out every mode")
-
-    # weighted_partial_trace orders the traced sub-basis by ascending mode
-    traced = sorted(detected)
-    traced_register = ModeRegister(len(traced), register.cutoff)
-    position = {mode: pos for pos, mode in enumerate(traced)}
-    weights = np.ones(traced_register.dim)
-    for det, bit in zip(detectors, pattern):
-        local = no_click_weights(
-            traced_register, [position[m] for m in det.modes], det.efficiency, det.dark_prob
-        )
-        weights = weights * (local if bit == 0 else (1.0 - local))
-
-    out_register, reduced = weighted_partial_trace(state, keep, weights)
-    probability = float(np.trace(reduced).real)
-    if probability <= 0.0:
-        raise ZeroProbabilityError(f"pattern {pattern} has zero probability")
-    return DensityOperator(out_register, reduced / probability, _skip_positivity=True), probability
 
 
 # ---------------------------------------------------------------------------

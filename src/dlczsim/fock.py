@@ -4,8 +4,8 @@ States live on a tensor product of bosonic modes, each truncated at a
 configurable photon-number cutoff.  The module provides the state carriers
 (:class:`PureState`, :class:`DensityOperator`), the linear-optics primitives
 (beam splitter, phase shifter, attenuation channel, phase-jitter dephasing),
-partial traces, and the Fock diagonal of the no-click detector element, the
-normally ordered :exp(-eta n):.
+and the threshold-detector model: the Fock diagonal of the no-click element,
+the normally ordered :exp(-eta n):, and of every joint click-pattern element.
 
 All values are immutable after construction and every operation is a pure
 function, so the API is safe to use from concurrent callers.
@@ -162,18 +162,11 @@ class DensityOperator:
     def probabilities(self) -> np.ndarray:
         return np.real(np.diagonal(self.matrix))
 
-    def purity(self) -> float:
-        return float(np.real(np.vdot(self.matrix, self.matrix)))
-
     def __repr__(self):
         return f"DensityOperator(n_modes={self.register.n_modes}, cutoff={self.register.cutoff})"
 
 
 State = PureState | DensityOperator
-
-
-def as_density(state: State) -> DensityOperator:
-    return state.to_density() if isinstance(state, PureState) else state
 
 
 # ---------------------------------------------------------------------------
@@ -381,76 +374,13 @@ def apply_phase_jitter(state: State, sigma: float, mode: int) -> DensityOperator
         raise ValueError("sigma must be nonnegative")
     register = state.register
     _check_mode(register, mode)
-    rho = as_density(state)
+    rho = state.to_density() if isinstance(state, PureState) else state
     if sigma == 0.0:
         return rho
     n = register.mode_numbers(mode)
     delta = (n[:, None] - n[None, :]).astype(float)
     factors = np.exp(-0.5 * sigma**2 * delta**2)
     return DensityOperator(register, rho.matrix * factors, _skip_positivity=True)
-
-
-# ---------------------------------------------------------------------------
-# partial traces
-
-
-def weighted_partial_trace(state: State, keep: Sequence[int], weights: np.ndarray | None = None) -> tuple[ModeRegister, np.ndarray]:
-    """Trace out the complement of ``keep``, optionally weighting the traced diagonal.
-
-    With a weight vector w over the traced sub-basis this computes
-    Tr_t[(diag(w) x I) rho], the post-measurement map of any Fock-diagonal
-    POVM element once the measured modes are discarded.  Returns the
-    (generally unnormalized) reduced matrix; output mode k is input mode
-    keep[k].
-    """
-    register = state.register
-    keep = list(keep)
-    if not keep:
-        raise ValueError("keep must be a nonempty mode subset")
-    if len(set(keep)) != len(keep):
-        raise ValueError("keep contains duplicate modes")
-    for m in keep:
-        _check_mode(register, m)
-    traced = [m for m in range(register.n_modes) if m not in keep]
-    levels = register.levels
-    n = register.n_modes
-    out_register = ModeRegister(len(keep), register.cutoff)
-
-    if not traced:
-        if weights is not None:
-            raise ValueError("weights given but no modes are traced out")
-        rho = as_density(state).matrix
-        if keep == list(range(n)):
-            return out_register, rho
-        t = rho.reshape((levels,) * (2 * n))
-        order = keep + [n + m for m in keep]
-        return out_register, np.transpose(t, order).reshape(register.dim, register.dim)
-
-    d_keep = levels ** len(keep)
-    d_traced = levels ** len(traced)
-    if weights is None:
-        weights = np.ones(d_traced)
-    else:
-        weights = np.asarray(weights)
-        if weights.shape != (d_traced,):
-            raise ValueError("weights must cover the traced sub-basis")
-
-    if isinstance(state, PureState):
-        t = state.amplitudes.reshape((levels,) * n)
-        t = np.transpose(t, keep + traced).reshape(d_keep, d_traced)
-        rho = np.einsum("bt,t,ct->bc", t, weights, t.conj())
-    else:
-        t = state.matrix.reshape((levels,) * (2 * n))
-        order = keep + traced + [n + m for m in keep] + [n + m for m in traced]
-        t = np.transpose(t, order).reshape(d_keep, d_traced, d_keep, d_traced)
-        rho = np.einsum("atbt,t->ab", t, weights)
-    return out_register, rho
-
-
-def partial_trace(state: State, keep: Sequence[int]) -> DensityOperator:
-    """Reduced state on ``keep`` (output mode k is input mode keep[k])."""
-    register, rho = weighted_partial_trace(state, keep, None)
-    return DensityOperator(register, rho, _skip_positivity=True)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +405,22 @@ def no_click_weights(register: ModeRegister, modes: Iterable[int], efficiency: f
     return w * (1.0 - dark_prob)
 
 
+def click_weights(
+    register: ModeRegister, groups: Sequence[Sequence[int]], efficiencies: Sequence[float], dark_prob: float = 0.0
+) -> np.ndarray:
+    """Fock diagonals of the joint click-pattern elements of threshold
+    detectors, one detector per mode group: a ``(2**k, dim)`` array whose rows
+    follow ``np.ndindex((2,) * k)`` (bit 1 = click).  Every element is Fock
+    diagonal, so a pattern's probability is its row dotted with the state's
+    populations, and conditioning on it is a trace weighted by that row."""
+    modes = [mode for group in groups for mode in group]
+    if len(set(modes)) != len(modes):
+        raise ValueError("a mode is assigned to more than one detector")
+    no_click = np.array([no_click_weights(register, group, eta, dark_prob) for group, eta in zip(groups, efficiencies, strict=True)])
+    patterns = np.array(list(np.ndindex((2,) * len(groups))))
+    return np.where(patterns[:, :, None] == 0, no_click, 1.0 - no_click).prod(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 
@@ -484,7 +430,7 @@ def fidelity(a: State, b: State) -> float:
     if isinstance(a, PureState) and isinstance(b, PureState):
         return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
     if isinstance(a, PureState):
-        return float(np.real(a.amplitudes.conj() @ as_density(b).matrix @ a.amplitudes))
+        return float(np.real(a.amplitudes.conj() @ b.matrix @ a.amplitudes))
     if isinstance(b, PureState):
         return fidelity(b, a)
     evals, evecs = np.linalg.eigh(a.matrix)

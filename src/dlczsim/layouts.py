@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .detection import JointProbabilities
-from .fock import DensityOperator, ModeRegister, apply_phase, beamsplitter_unitary, no_click_weights
+from .fock import DensityOperator, ModeRegister, apply_phase, beamsplitter_unitary, click_weights
 
 D2_IDS = ("D2a", "D2b", "D2c")
 SPLIT_PAIR = ("D2b", "D2c")
@@ -32,10 +32,7 @@ def bench_povm(
     if bs2_T is not None:
         u = u @ np.kron(beamsplitter_unitary(cutoff, bs2_T), np.eye(levels))
     u = u[:, ::levels]  # input columns |n_L, n_R, 0>
-    register = ModeRegister(3, cutoff)
-    etas = (eta_d2a, eta_d2b, eta_d2c)
-    no_click = np.array([no_click_weights(register, [mode], eta, dark_prob) for mode, eta in enumerate(etas)])
-    weights = np.where(np.array(PATTERNS)[:, :, None] == 0, no_click, 1.0 - no_click).prod(axis=1)
+    weights = click_weights(ModeRegister(3, cutoff), ((0,), (1,), (2,)), (eta_d2a, eta_d2b, eta_d2c), dark_prob)
     povm = np.einsum("pk,ki,kj->pij", weights, u.conj(), u)
     povm.setflags(write=False)
     return povm

@@ -141,23 +141,6 @@ def sample_fringe_records(result: ExperimentResult, trials: int, seed: int) -> l
     return records
 
 
-def unconditioned_field_state(config: ExperimentConfig) -> DensityOperator:
-    """Field state at the measurement bench without any heralding.
-
-    The write-stage field-1 modes are simply discarded; the two spin modes
-    then read out and attenuate exactly as in the heralded run.  Useful for
-    the unconditioned two-photon suppression ratio, which for this
-    uncorrelated state sits at h ~ 1 / (p00) ~ 1.
-    """
-    from .fock import partial_trace
-    from .protocol import MODE_AL, MODE_AR
-
-    state = write_stage(config.left, config.right, config.cutoff, config.interferometer.overlap)
-    spins = partial_trace(state, [MODE_AL, MODE_AR])
-    fields = read_stage(spins, config.left.xi, config.right.xi, eta2=config.interferometer.eta2)
-    return _propagate(fields, config.budget, "z2", "z0")
-
-
 def g12_report(config: ExperimentConfig) -> dict[str, FieldPairStats]:
     """Per-ensemble write/read field pair statistics at the detectors."""
     out = {}

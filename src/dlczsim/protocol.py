@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .detection import DetectorSpec, JointProbabilities, click_probabilities, condition_on_pattern
+import numpy as np
+
+from .detection import JointProbabilities
 from .fock import (
     DensityOperator,
     ModeRegister,
@@ -28,7 +30,7 @@ from .fock import (
     apply_loss,
     apply_phase,
     apply_phase_jitter,
-    partial_trace,
+    click_weights,
     two_mode_squeezed,
     vacuum,
 )
@@ -152,11 +154,9 @@ def herald_probabilities(
 ) -> JointProbabilities:
     """Joint (D1a, D1b) click probabilities for the write-stage state."""
     mixed, d1a_modes, d1b_modes = _interfere_field1(state, interferometer)
-    detectors = [
-        DetectorSpec("D1a", d1a_efficiency, d1a_modes),
-        DetectorSpec("D1b", d1b_efficiency, d1b_modes),
-    ]
-    return click_probabilities(mixed, detectors)
+    weights = click_weights(mixed.register, (d1a_modes, d1b_modes), (d1a_efficiency, d1b_efficiency))
+    diag = mixed.probabilities()
+    return JointProbabilities(("D1a", "D1b"), {pattern: float(w @ diag) for pattern, w in zip(np.ndindex(2, 2), weights)})
 
 
 def herald(
@@ -167,31 +167,25 @@ def herald(
     d1b_efficiency: float = 1.0,
 ) -> tuple[DensityOperator, float]:
     """Condition on the chosen heralding event and return the joint spin state
-    on (a_L, a_R) together with the herald probability per trial."""
+    on (a_L, a_R) together with the herald probability per trial.
+
+    The two heralding detectors cover every field-1 mode, so the spin state is
+    the trace over those modes weighted by the event's click weights."""
     mixed, d1a_modes, d1b_modes = _interfere_field1(state, interferometer)
-    d1a = DetectorSpec("D1a", d1a_efficiency, d1a_modes)
-    d1b = DetectorSpec("D1b", d1b_efficiency, d1b_modes)
-    if choice.exclusive:
-        detectors = [d1a, d1b]
-        pattern = (1, 0) if choice.which == "D1a" else (0, 1)
-    else:
-        detectors = [d1a] if choice.which == "D1a" else [d1b]
-        pattern = (1,)
-    try:
-        conditioned, probability = condition_on_pattern(mixed, detectors, pattern)
-    except ValueError as exc:
-        raise HeraldError(str(exc)) from exc
+    register = mixed.register
+    fields = sorted(d1a_modes + d1b_modes)
+    groups = [[fields.index(mode) for mode in modes] for modes in (d1a_modes, d1b_modes)]
+    weights = click_weights(ModeRegister(len(fields), register.cutoff), groups, (d1a_efficiency, d1b_efficiency))
+    # rows where the chosen detector clicks, indexed by the other detector's bit
+    clicked = np.moveaxis(weights.reshape(2, 2, -1), 0 if choice.which == "D1a" else 1, 0)[1]
+    w = clicked[0] if choice.exclusive else clicked[0] + clicked[1]
+    amplitudes = mixed.amplitudes.reshape((register.levels,) * register.n_modes)
+    t = np.transpose(amplitudes, [MODE_AL, MODE_AR, *fields]).reshape(register.levels**2, -1)
+    reduced = np.einsum("bt,t,ct->bc", t, w, t.conj())
+    probability = float(np.trace(reduced).real)
     if probability < 1e-15:
         raise HeraldError(f"herald probability {probability:.3e} below 1e-15")
-
-    detected: set[int] = set()
-    for det in detectors:
-        detected.update(det.modes)
-    kept = [m for m in range(state.register.n_modes) if m not in detected]
-    atoms = [kept.index(MODE_AL), kept.index(MODE_AR)]
-    if atoms != list(range(len(kept))):
-        conditioned = partial_trace(conditioned, atoms)
-    return conditioned, probability
+    return DensityOperator(ModeRegister(2, register.cutoff), reduced / probability, _skip_positivity=True), probability
 
 
 def read_stage(
@@ -245,12 +239,7 @@ def field_pair_statistics(
     1/chi, the standard signature of the pair-correlated source."""
     state = two_mode_squeezed(ensemble.chi, cutoff)
     rho = apply_loss(state, ensemble.xi, 1)
-    detectors = [
-        DetectorSpec("F1", field1_efficiency, 0),
-        DetectorSpec("F2", field2_efficiency, 1),
-    ]
-    probs = click_probabilities(rho, detectors)
-    p12 = probs[(1, 1)]
-    p1 = p12 + probs[(1, 0)]
-    p2 = p12 + probs[(0, 1)]
-    return FieldPairStats(p1=p1, p2=p2, p12=p12)
+    weights = click_weights(rho.register, ((0,), (1,)), (field1_efficiency, field2_efficiency))
+    diag = rho.probabilities()
+    _, p01, p10, p11 = (float(w @ diag) for w in weights)  # np.ndindex order of (F1, F2) bits
+    return FieldPairStats(p1=p11 + p10, p2=p11 + p01, p12=p11)

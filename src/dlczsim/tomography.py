@@ -23,9 +23,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .detection import CountRecord, aggregate_split_detector, substream_rng
+from .detection import CountRecord, RecordIntegrityError, aggregate_split_detector, substream_rng
 from .fock import DensityOperator, ModeRegister
-from .layouts import PATTERNS, SPLIT_PAIR, bench_povm
+from .layouts import D2_IDS, PATTERNS, SPLIT_PAIR, bench_povm
 from .layouts import diagonal_layout_probabilities, fringe_layout_probabilities  # noqa: F401 - bound here for the benchmark's layer tracer
 
 TWO_PI = 2.0 * math.pi
@@ -59,6 +59,19 @@ class MLEConvergenceError(RuntimeError):
     def __init__(self, message: str, best: "MLEResult"):
         super().__init__(message)
         self.best = best
+
+
+def _in_bench_order(record: CountRecord) -> CountRecord:
+    """``record`` with its pattern bits in ``D2_IDS`` order, the order every
+    reader below takes them in by position."""
+    ids = tuple(record.detector_ids)
+    if ids == D2_IDS:
+        return record
+    if sorted(ids) != sorted(D2_IDS):
+        raise RecordIntegrityError(f"record detectors {ids} are not {', '.join(D2_IDS)} in some order")
+    order = [ids.index(detector) for detector in D2_IDS]
+    tally = {tuple(pattern[k] for k in order): n for pattern, n in record.tally.items()}
+    return CountRecord(D2_IDS, record.trials, tally, phase=record.phase, seed=record.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +244,7 @@ class AggregatedCounts:
 
     @classmethod
     def from_record(cls, record: CountRecord) -> "AggregatedCounts":
-        agg = aggregate_split_detector(record, SPLIT_PAIR)
+        agg = aggregate_split_detector(_in_bench_order(record), SPLIT_PAIR)
         return cls(counts={k: int(v) for k, v in agg.items()}, trials=record.trials)
 
     def frequencies(self) -> np.ndarray:
@@ -372,6 +385,7 @@ class FringeScan:
     records: Sequence[CountRecord]
 
     def __post_init__(self):
+        object.__setattr__(self, "records", tuple(map(_in_bench_order, self.records)))
         phases = [r.phase for r in self.records]
         if any(p is None for p in phases):
             raise DataQualityError("every fringe record needs a phase")
@@ -388,13 +402,11 @@ class FringeScan:
         for rec in self.records:
             n = rec.trials
             if arm == "2a":
-                y = rec.clicked_count("D2a") / n
+                y = sum(cnt for pat, cnt in rec.tally.items() if pat[0] == 1) / n
                 var = max(y * (1.0 - y), 1.0 / n) / n
             elif arm == "2bc":
-                pos_b = rec.detector_ids.index("D2b")
-                pos_c = rec.detector_ids.index("D2c")
-                total = sum(cnt * (pat[pos_b] + pat[pos_c]) for pat, cnt in rec.tally.items())
-                sq = sum(cnt * (pat[pos_b] + pat[pos_c]) ** 2 for pat, cnt in rec.tally.items())
+                total = sum(cnt * (pat[1] + pat[2]) for pat, cnt in rec.tally.items())
+                sq = sum(cnt * (pat[1] + pat[2]) ** 2 for pat, cnt in rec.tally.items())
                 y = total / n
                 var = max(sq / n - y * y, 1.0 / n) / n
             else:
@@ -762,7 +774,7 @@ def _collect_mle_data(
         raise ValueError("maximum-likelihood fit needs at least one record")
     phis = tuple(float(record.phase) for record in fringe_records)
     elements, forms = _mle_elements(eff.d2a, eff.d2b, eff.d2c, eff.split, eff.bs2_T, len(diag_records), phis)
-    records = [*diag_records, *fringe_records]
+    records = map(_in_bench_order, [*diag_records, *fringe_records])
     counts = np.array([[record.tally.get(pattern, 0) for pattern in PATTERNS] for record in records])
     return elements, forms, counts.reshape(-1)
 

@@ -9,19 +9,25 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
 
-from dlczsim.detection import DetectorSpec, JointProbabilities, click_probabilities, substream_rng
+from dlczsim.detection import JointProbabilities, substream_rng
 from dlczsim.fock import (
     DensityOperator,
     ModeRegister,
     PureState,
     apply_beamsplitter,
+    apply_loss,
     apply_phase,
     beamsplitter_unitary,
+    no_click_weights,
+    two_mode_squeezed,
 )
+from dlczsim.pipeline import _propagate
+from dlczsim.protocol import MODE_AL, MODE_AR, FieldPairStats, _interfere_field1, read_stage, write_stage
 import dlczsim.tomography as tom
 from dlczsim.tomography import _BLOCK_IDX, EfficiencyModel, RestrictedDensity
 
@@ -72,11 +78,119 @@ def random_density_operator(register: ModeRegister, rng: np.random.Generator, ra
     return DensityOperator(register, rho)
 
 
-def _bench_detectors(eta_d2a: float, eta_d2b: float, eta_d2c: float, dark_prob: float) -> list[DetectorSpec]:
+# ---------------------------------------------------------------------------
+# the generic detector model: detectors on arbitrary mode groups, pattern
+# probabilities one pattern at a time, and conditioning by a weighted partial
+# trace of the state (the library's construction before ``fock.click_weights``)
+
+
+class Detector(NamedTuple):
+    id: str
+    efficiency: float
+    modes: tuple[int, ...]
+    dark_prob: float = 0.0
+
+
+def _pattern_weights(register: ModeRegister, detectors, pattern) -> np.ndarray:
+    weights = np.ones(register.dim)
+    for det, bit in zip(detectors, pattern):
+        w = no_click_weights(register, det.modes, det.efficiency, det.dark_prob)
+        weights = weights * (w if bit == 0 else 1.0 - w)
+    return weights
+
+
+def click_probabilities(state, detectors) -> JointProbabilities:
+    diag = state.probabilities()
+    patterns = itertools.product((0, 1), repeat=len(detectors))
+    probs = {pattern: float(_pattern_weights(state.register, detectors, pattern) @ diag) for pattern in patterns}
+    return JointProbabilities(tuple(det.id for det in detectors), probs)
+
+
+def weighted_partial_trace(state, keep: list[int], weights: np.ndarray | None = None) -> np.ndarray:
+    """Tr_t[(diag(w) x I) rho] over the modes not in ``keep`` (ascending)."""
+    register = state.register
+    n, levels = register.n_modes, register.levels
+    traced = [m for m in range(n) if m not in keep]
+    d_keep, d_traced = levels ** len(keep), levels ** len(traced)
+    weights = np.ones(d_traced) if weights is None else weights
+    if isinstance(state, PureState):
+        t = np.transpose(state.amplitudes.reshape((levels,) * n), keep + traced).reshape(d_keep, d_traced)
+        return np.einsum("bt,t,ct->bc", t, weights, t.conj())
+    order = keep + traced + [n + m for m in keep] + [n + m for m in traced]
+    t = np.transpose(state.matrix.reshape((levels,) * (2 * n)), order).reshape(d_keep, d_traced, d_keep, d_traced)
+    return np.einsum("atbt,t->ab", t, weights)
+
+
+def partial_trace(state, keep: list[int]) -> DensityOperator:
+    """Reduced state on ``keep`` (output mode k is input mode keep[k])."""
+    return DensityOperator(ModeRegister(len(keep), state.register.cutoff), weighted_partial_trace(state, keep), _skip_positivity=True)
+
+
+def condition_on_pattern(state, detectors, pattern) -> tuple[DensityOperator, float]:
+    """Normalized state on the undetected modes after ``pattern``, and its probability."""
+    register = state.register
+    traced = sorted(m for det in detectors for m in det.modes)
+    keep = [m for m in range(register.n_modes) if m not in traced]
+    local = [det._replace(modes=[traced.index(m) for m in det.modes]) for det in detectors]
+    weights = _pattern_weights(ModeRegister(len(traced), register.cutoff), local, pattern)
+    reduced = weighted_partial_trace(state, keep, weights)
+    probability = float(np.trace(reduced).real)
+    return DensityOperator(ModeRegister(len(keep), register.cutoff), reduced / probability, _skip_positivity=True), probability
+
+
+def herald_oracle(state: PureState, interferometer, choice, d1a_efficiency: float = 1.0, d1b_efficiency: float = 1.0):
+    """``protocol.herald`` by conditioning on the chosen detectors' pattern and
+    tracing out whatever field modes are left."""
+    mixed, d1a_modes, d1b_modes = _interfere_field1(state, interferometer)
+    d1a, d1b = Detector("D1a", d1a_efficiency, d1a_modes), Detector("D1b", d1b_efficiency, d1b_modes)
+    if choice.exclusive:
+        detectors, pattern = [d1a, d1b], ((1, 0) if choice.which == "D1a" else (0, 1))
+    else:
+        detectors, pattern = [d1a if choice.which == "D1a" else d1b], (1,)
+    conditioned, probability = condition_on_pattern(mixed, detectors, pattern)
+    kept = [m for m in range(state.register.n_modes) if all(m not in det.modes for det in detectors)]
+    atoms = [kept.index(MODE_AL), kept.index(MODE_AR)]
+    if atoms != list(range(len(kept))):
+        conditioned = partial_trace(conditioned, atoms)
+    return conditioned, probability
+
+
+def field_pair_statistics_oracle(ensemble, field1_efficiency: float, field2_efficiency: float, cutoff: int) -> FieldPairStats:
+    rho = apply_loss(two_mode_squeezed(ensemble.chi, cutoff), ensemble.xi, 1)
+    probs = click_probabilities(rho, [Detector("F1", field1_efficiency, (0,)), Detector("F2", field2_efficiency, (1,))])
+    p12 = probs[(1, 1)]
+    return FieldPairStats(p1=p12 + probs[(1, 0)], p2=p12 + probs[(0, 1)], p12=p12)
+
+
+def heralded_fields_oracle(config):
+    """Herald patterns, herald probability, spin state and bench-plane state
+    of ``full_experiment`` through the generic detector model."""
+    interf = config.interferometer
+    state = write_stage(config.left, config.right, config.cutoff, interf.overlap)
+    mixed, d1a_modes, d1b_modes = _interfere_field1(state, interf)
+    detectors = [Detector("D1a", config.d1a_efficiency, d1a_modes), Detector("D1b", config.d1b_efficiency, d1b_modes)]
+    patterns = click_probabilities(mixed, detectors)
+    atomic, probability = herald_oracle(state, interf, config.herald, config.d1a_efficiency, config.d1b_efficiency)
+    z2 = read_stage(atomic, config.left.xi, config.right.xi, interf.eta2, interf.phase_jitter_sigma)
+    z0 = _propagate(_propagate(z2, config.budget, "z2", "z1"), config.budget, "z1", "z0")
+    return patterns, probability, atomic, z0
+
+
+def unconditioned_field_state(config) -> DensityOperator:
+    """Field state at the measurement bench without heralding: the write-stage
+    field-1 modes are discarded, the spins read out and attenuate as in the
+    heralded run."""
+    state = write_stage(config.left, config.right, config.cutoff, config.interferometer.overlap)
+    spins = partial_trace(state, [MODE_AL, MODE_AR])
+    fields = read_stage(spins, config.left.xi, config.right.xi, eta2=config.interferometer.eta2)
+    return _propagate(fields, config.budget, "z2", "z0")
+
+
+def _bench_detectors(eta_d2a: float, eta_d2b: float, eta_d2c: float, dark_prob: float) -> list[Detector]:
     return [
-        DetectorSpec("D2a", eta_d2a, 0, dark_prob),
-        DetectorSpec("D2b", eta_d2b, 1, dark_prob),
-        DetectorSpec("D2c", eta_d2c, 2, dark_prob),
+        Detector("D2a", eta_d2a, (0,), dark_prob),
+        Detector("D2b", eta_d2b, (1,), dark_prob),
+        Detector("D2c", eta_d2c, (2,), dark_prob),
     ]
 
 

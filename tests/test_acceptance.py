@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from dlczsim.config import config_from_dict
-from dlczsim.detection import DetectorSpec, click_probabilities, sample_counts
+from dlczsim.detection import sample_counts
 from dlczsim.entanglement import (
     ChannelBudget,
     backpropagate,
@@ -23,7 +23,7 @@ from dlczsim.entanglement import (
     witnesses,
     wootters_concurrence,
 )
-from dlczsim.fock import ModeRegister
+from dlczsim.fock import ModeRegister, click_weights
 from dlczsim.layouts import diagonal_layout_probabilities, fringe_layout_probabilities
 from dlczsim.pipeline import full_experiment, sample_fringe_records
 from dlczsim.protocol import EnsembleParams, HeraldChoice, InterferometerParams, herald, overlap_from_extinction_db, read_stage, write_stage
@@ -43,6 +43,7 @@ from dlczsim.tomography import (
 )
 
 from helpers import (
+    Detector,
     brute_force_pattern_probs,
     ideal_config_dict,
     random_density_operator,
@@ -248,14 +249,11 @@ def test_criterion_7_oracle_equivalence():
     reg = ModeRegister(2, 3)
     for _ in range(10):
         rho = random_density_operator(reg, rng)
-        detectors = [
-            DetectorSpec("A", float(rng.uniform(0.2, 1.0)), 0),
-            DetectorSpec("B", float(rng.uniform(0.2, 1.0)), 1),
-        ]
-        probs = click_probabilities(rho, detectors)
-        oracle = brute_force_pattern_probs(rho.matrix, reg, detectors)
-        for pattern, value in oracle.items():
-            worst_p = max(worst_p, abs(probs[pattern] - value))
+        etas = [float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.2, 1.0))]
+        probs = click_weights(reg, [[0], [1]], etas) @ rho.probabilities()
+        oracle = brute_force_pattern_probs(rho.matrix, reg, [Detector("A", etas[0], (0,)), Detector("B", etas[1], (1,))])
+        for p, value in zip(probs, oracle.values()):  # both in click-bit order
+            worst_p = max(worst_p, abs(p - value))
     assert worst_p < 1e-8
     _passline(
         7,

@@ -198,6 +198,7 @@ _MALFORMED_RECORDS = {  # case -> (record, expected message)
     "missing_tally": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10}, "has no field 'tally'"),
     "string_trials": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": "10", "tally": {"000": 10}}, "wrong type"),
     "tally_list": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": [["000", 10]]}, "wrong type"),
+    "unknown_detector": ({"detector_ids": ["D2a", "D2b", "D3"], "trials": 10, "tally": {"000": 10}}, "are not D2a, D2b, D2c"),
 }
 
 
@@ -212,6 +213,28 @@ def test_analyze_malformed_record_exits_integrity_code(runner, tmp_path, case):
     )
     assert result.exit_code == EXIT_INTEGRITY, result.output
     assert message in result.output
+
+
+def test_analyze_records_in_another_detector_order(runner, tmp_path):
+    # the JSON records declare their detector order; (D2c, D2a, D2b) must
+    # analyze to the same bytes as the simulator's (D2a, D2b, D2c)
+    sim_out, permuted = tmp_path / "sim", tmp_path / "permuted"
+    assert _run(runner, ["simulate", "--preset", "paper", "--layout", "both", "--trials", "400000", "--out", str(sim_out)]).exit_code == 0
+    permuted.mkdir()
+    order = (2, 0, 1)
+    for name in ("counts_diagonal.json", "counts_fringe.json"):
+        records = json.loads((sim_out / name).read_text())
+        for record in records:
+            record["detector_ids"] = [record["detector_ids"][k] for k in order]
+            record["tally"] = {"".join(bits[k] for k in order): n for bits, n in record["tally"].items()}
+        (permuted / name).write_text(json.dumps(records))
+    outputs = []
+    for records_dir in (sim_out, permuted):
+        out = tmp_path / f"ana_{records_dir.name}"
+        args = ["analyze", "--preset", "paper", "--records", str(records_dir), "--mle", "--plane", "z2", "--out", str(out)]
+        assert _run(runner, args).exit_code == 0
+        outputs.append({p.name: p.read_bytes() for p in _data_files(out)})
+    assert outputs[0] == outputs[1]
 
 
 def _fresh_interpreter_env() -> dict:

@@ -1,11 +1,13 @@
 """The direct config validator against ``jsonschema`` as the oracle."""
 
 import math
+from dataclasses import fields
 
 import jsonschema
 import pytest
 
-from dlczsim.config import CONFIG_SCHEMA, ConfigError, _validate, config_from_dict, preset_dict
+from dlczsim.config import CONFIG_SCHEMA, ConfigError, DetectorBench, ExperimentConfig, _validate, config_from_dict, preset_dict
+from dlczsim.protocol import EnsembleParams, HeraldChoice, InterferometerParams
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]
 _SCALARS = [None, "x", True, False, [], {}, 0, 1, -1, 0.5, 2.5, 5, 1e300, *_NON_FINITE]
@@ -113,3 +115,23 @@ def test_validator_agrees_with_jsonschema_on_keyword_mutations():
 def test_validator_names_the_fringe_phase_field(phases):
     with pytest.raises(ConfigError, match="config field fringe_phases"):
         config_from_dict({**_base_config(), "fringe_phases": phases})
+
+
+def test_config_blocks_are_the_dataclass_fields():
+    # config_from_dict passes each block's keys on as they are, so the schema
+    # keys of a block are exactly its dataclass fields and the dataclass
+    # defaults are the only defaults
+    def names(cls):
+        return {f.name for f in fields(cls)}
+
+    props = CONFIG_SCHEMA["properties"]
+    assert set(props["ensembles"]["properties"]["L"]["properties"]) == names(EnsembleParams)
+    assert set(props["interferometer"]["properties"]) == names(InterferometerParams)
+    assert set(props["detectors"]["properties"]) == names(DetectorBench)
+    assert set(props["herald"]["properties"]) == names(HeraldChoice) | {"d1a_efficiency", "d1b_efficiency"}
+    minimal = {key: value for key, value in preset_dict("ideal").items() if key in ("schema_version", "ensembles", "channel")}
+    cfg = config_from_dict(minimal)
+    assert (cfg.interferometer, cfg.herald, cfg.detectors) == (InterferometerParams(), HeraldChoice(), DetectorBench())
+    defaults = ExperimentConfig(cfg.left, cfg.right, cfg.budget)
+    for name in ("d1a_efficiency", "d1b_efficiency", "layout", "cutoff", "trials", "seed", "description"):
+        assert getattr(cfg, name) == getattr(defaults, name)

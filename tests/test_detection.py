@@ -11,12 +11,9 @@ from scipy.stats import chi2 as chi2_dist
 
 from dlczsim.detection import (
     CountRecord,
-    DetectorSpec,
+    JointProbabilities,
     RecordIntegrityError,
-    ZeroProbabilityError,
     aggregate_split_detector,
-    click_probabilities,
-    condition_on_pattern,
     merge_counts,
     read_count_records_csv,
     read_count_records_json,
@@ -27,26 +24,51 @@ from dlczsim.detection import (
 from dlczsim.fock import (
     ModeRegister,
     apply_beamsplitter,
+    click_weights,
     fock_state,
-    partial_trace,
     two_mode_squeezed,
     vacuum,
 )
+from dlczsim.protocol import (
+    EnsembleParams,
+    HeraldChoice,
+    HeraldError,
+    InterferometerParams,
+    herald,
+    herald_probabilities,
+    write_stage,
+)
 
-from helpers import brute_force_pattern_probs, random_density_operator
+from helpers import (
+    Detector,
+    brute_force_pattern_probs,
+    click_probabilities,
+    condition_on_pattern,
+    partial_trace,
+    random_density_operator,
+)
+
+
+def _pattern_probs(state, groups, efficiencies, dark_prob=0.0) -> dict:
+    """Click-pattern probabilities of threshold detectors on mode ``groups``."""
+    weights = click_weights(state.register, groups, efficiencies, dark_prob)
+    return {pattern: float(w @ state.probabilities()) for pattern, w in zip(np.ndindex((2,) * len(groups)), weights)}
+
+
+# ---------------------------------------------------------------------------
+# threshold-detector click weights (fock.click_weights)
 
 
 def test_vacuum_never_clicks():
     st = vacuum(ModeRegister(2, 2))
-    dets = [DetectorSpec("A", 0.8, 0), DetectorSpec("B", 0.5, 1)]
-    probs = click_probabilities(st, dets)
+    probs = _pattern_probs(st, [[0], [1]], [0.8, 0.5])
     assert abs(probs[(0, 0)] - 1.0) < 1e-15
 
 
 def test_single_photon_click_probability_is_efficiency():
     st = fock_state(ModeRegister(1, 2), (1,))
     eta = 0.37
-    probs = click_probabilities(st, [DetectorSpec("A", eta, 0)])
+    probs = _pattern_probs(st, [[0]], [eta])
     assert abs(probs[(1,)] - eta) < 1e-12
     assert abs(probs[(0,)] - (1.0 - eta)) < 1e-12
 
@@ -55,9 +77,8 @@ def test_pair_source_joint_click_vs_series_oracle():
     # perfectly correlated photon numbers: both sides click together
     chi = 0.1
     st = two_mode_squeezed(chi, 6)
-    dets = [DetectorSpec("A", 1.0, 0), DetectorSpec("B", 1.0, 1)]
-    probs = click_probabilities(st, dets)
-    oracle = brute_force_pattern_probs(st.to_density().matrix, st.register, dets)
+    probs = _pattern_probs(st, [[0], [1]], [1.0, 1.0])
+    oracle = brute_force_pattern_probs(st.to_density().matrix, st.register, [Detector("A", 1.0, (0,)), Detector("B", 1.0, (1,))])
     for pattern in oracle:
         assert abs(probs[pattern] - oracle[pattern]) < 1e-8
     # the series value itself: renormalized geometric tail
@@ -70,17 +91,15 @@ def test_pair_source_joint_click_vs_series_oracle():
 
 def test_pattern_probabilities_match_operator_oracle_on_random_states():
     rng = np.random.default_rng(17)
-    reg = ModeRegister(2, 3)
-    for _ in range(10):
-        rho = random_density_operator(reg, rng)
-        dets = [
-            DetectorSpec("A", rng.uniform(0.2, 1.0), 0),
-            DetectorSpec("B", rng.uniform(0.2, 1.0), 1),
-        ]
-        probs = click_probabilities(rho, dets)
-        oracle = brute_force_pattern_probs(rho.matrix, reg, dets)
-        for pattern, value in oracle.items():
-            assert abs(probs[pattern] - value) < 1e-8
+    # single-mode detectors, and detectors on mode groups like the heralding pair
+    for reg, groups in ((ModeRegister(2, 3), [(0,), (1,)]), (ModeRegister(3, 2), [(2, 0), (1,)])):
+        for _ in range(10):
+            rho = random_density_operator(reg, rng)
+            etas = rng.uniform(0.2, 1.0, size=len(groups))
+            probs = _pattern_probs(rho, groups, etas)
+            oracle = brute_force_pattern_probs(rho.matrix, reg, [Detector(str(k), eta, g) for k, (g, eta) in enumerate(zip(groups, etas))])
+            for pattern, value in oracle.items():
+                assert abs(probs[pattern] - value) < 1e-8
 
 
 def test_completeness_on_random_states():
@@ -88,13 +107,11 @@ def test_completeness_on_random_states():
     reg = ModeRegister(3, 2)
     for _ in range(10):
         rho = random_density_operator(reg, rng)
-        dets = [
-            DetectorSpec("A", rng.uniform(), 0),
-            DetectorSpec("B", rng.uniform(), 1),
-            DetectorSpec("C", rng.uniform(), 2),
-        ]
-        probs = click_probabilities(rho, dets)
-        assert abs(sum(p for _, p in probs.items()) - 1.0) < 1e-10
+        etas = rng.uniform(size=3)
+        weights = click_weights(reg, [[0], [1], [2]], etas)
+        assert np.max(np.abs(weights.sum(axis=0) - 1.0)) < 1e-12  # the elements resolve the identity
+        probs = _pattern_probs(rho, [[0], [1], [2]], etas)
+        assert abs(sum(probs.values()) - 1.0) < 1e-10
 
 
 def test_click_probability_monotone_in_efficiency():
@@ -104,21 +121,17 @@ def test_click_probability_monotone_in_efficiency():
         rho = random_density_operator(reg, rng)
         last = -1.0
         for eta in np.linspace(0.0, 1.0, 11):
-            p = click_probabilities(rho, [DetectorSpec("A", float(eta), 0)])[(1,)]
+            p = _pattern_probs(rho, [[0]], [float(eta)])[(1,)]
             assert p >= last - 1e-12
             last = p
 
 
 def test_duplicate_mode_rejected():
-    st = vacuum(ModeRegister(2, 2))
-    dets = [DetectorSpec("A", 1.0, 0), DetectorSpec("B", 1.0, (0, 1))]
     with pytest.raises(ValueError, match="more than one detector"):
-        click_probabilities(st, dets)
+        click_weights(ModeRegister(2, 2), [[0], [0, 1]], [1.0, 1.0])
 
 
 def test_joint_probabilities_validation():
-    from dlczsim.detection import JointProbabilities
-
     with pytest.raises(ValueError, match="sum"):
         JointProbabilities(("A",), {(0,): 0.6, (1,): 0.6})
     with pytest.raises(ValueError, match="outside"):
@@ -132,20 +145,21 @@ def test_joint_probabilities_validation():
 
 def test_dark_counts_still_complete():
     st = vacuum(ModeRegister(1, 2))
-    probs = click_probabilities(st, [DetectorSpec("A", 1.0, 0, dark_prob=0.01)])
+    probs = _pattern_probs(st, [[0]], [1.0], dark_prob=0.01)
     assert abs(probs[(1,)] - 0.01) < 1e-12
-    assert abs(sum(p for _, p in probs.items()) - 1.0) < 1e-12
+    assert abs(sum(probs.values()) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# conditioning
+# conditioning on a click pattern: the heralding detectors (protocol.herald),
+# and the generic weighted-partial-trace oracle of tests/helpers.py
 
 
 def test_condition_on_vacuum_pattern_gives_marginal():
     a = two_mode_squeezed(0.2, 3)
     b = vacuum(ModeRegister(1, 3))
     joint = a.tensor(b)  # modes (0,1) correlated; mode 2 vacuum
-    det = DetectorSpec("A", 0.6, 0)
+    det = Detector("A", 0.6, (0,))
     conditioned, prob = condition_on_pattern(joint, [det], (0,))
     expected_prob = click_probabilities(joint, [det])[(0,)]
     assert abs(prob - expected_prob) < 1e-12
@@ -157,31 +171,37 @@ def test_condition_on_vacuum_pattern_gives_marginal():
 
 
 def test_condition_click_after_balanced_splitter():
-    # one photon split 50/50: a click on one output collapses the other to
-    # vacuum, with herald probability 1/2
-    st = fock_state(ModeRegister(2, 2), (1, 0))
-    split = apply_beamsplitter(st, 0.5, 0, 1)
-    conditioned, prob = condition_on_pattern(split, [DetectorSpec("A", 1.0, 0)], (1,))
-    assert abs(prob - 0.5) < 1e-12
-    assert abs(conditioned.matrix[0, 0].real - 1.0) < 1e-12
+    # one field-1 photon paired with a left spin excitation, split 50/50 at the
+    # heralding splitter: either detector clicks with probability 1/2 and the
+    # spin excitation stays where it was
+    st = fock_state(ModeRegister(4, 2), (1, 1, 0, 0))
+    for which in ("D1a", "D1b"):
+        rho, prob = herald(st, InterferometerParams(bs1_T=0.5), HeraldChoice(which))
+        assert abs(prob - 0.5) < 1e-12
+        one_left = rho.register.index((1, 0))
+        assert abs(rho.matrix[one_left, one_left].real - 1.0) < 1e-12
 
 
 def test_condition_probability_consistent_with_click_probabilities():
     rng = np.random.default_rng(20)
-    reg = ModeRegister(3, 2)
     for _ in range(6):
-        rho = random_density_operator(reg, rng)
-        dets = [DetectorSpec("A", rng.uniform(0.3, 1.0), 0), DetectorSpec("B", rng.uniform(0.3, 1.0), 2)]
-        probs = click_probabilities(rho, dets)
-        for pattern in itertools.product((0, 1), repeat=2):
-            _, prob = condition_on_pattern(rho, dets, pattern)
-            assert abs(prob - probs[pattern]) < 1e-12
+        overlap = float(rng.choice([1.0, rng.uniform(0.3, 0.95)]))
+        state = write_stage(EnsembleParams(rng.uniform(0.01, 0.2)), EnsembleParams(rng.uniform(0.01, 0.2)), 2, overlap)
+        interf = InterferometerParams(bs1_T=rng.uniform(0.2, 0.8), eta1=rng.uniform(0.0, 6.0))
+        effs = rng.uniform(0.3, 1.0, size=2)
+        patterns = herald_probabilities(state, interf, *effs)
+        for which, pattern in (("D1a", (1, 0)), ("D1b", (0, 1))):
+            _, prob = herald(state, interf, HeraldChoice(which), *effs)
+            assert abs(prob - patterns[pattern]) < 1e-12
+            _, prob = herald(state, interf, HeraldChoice(which, exclusive=False), *effs)
+            assert abs(prob - patterns[pattern] - patterns[(1, 1)]) < 1e-12
 
 
 def test_condition_zero_probability_raises():
-    st = vacuum(ModeRegister(2, 2))
-    with pytest.raises(ZeroProbabilityError):
-        condition_on_pattern(st, [DetectorSpec("A", 1.0, 0)], (1,))
+    # a blind heralding detector never clicks
+    state = write_stage(EnsembleParams(0.1), EnsembleParams(0.1), cutoff=2)
+    with pytest.raises(HeraldError):
+        herald(state, InterferometerParams(), HeraldChoice("D1a"), d1a_efficiency=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +216,6 @@ def test_aggregate_definition():
         (0, 1, 1): 0.05,
         (1, 0, 0): 0.1,
     }
-    from dlczsim.detection import JointProbabilities
-
     probs = JointProbabilities(("D2a", "D2b", "D2c"), probs_map)
     agg = aggregate_split_detector(probs, ("D2b", "D2c"))
     assert abs(agg[(0, 1)] - 0.25) < 1e-15
@@ -209,17 +227,13 @@ def test_aggregate_definition():
 
 def test_aggregate_vacuum_and_indivisible_photon():
     reg = ModeRegister(2, 2)
-    dets = [DetectorSpec("D2b", 1.0, 0), DetectorSpec("D2c", 1.0, 1)]
-    vac = click_probabilities(vacuum(reg), dets)
-
-    from dlczsim.detection import JointProbabilities
-
-    agg = aggregate_split_detector(JointProbabilities(("D2b", "D2c"), dict(vac.items())), ("D2b", "D2c"))
+    pair = ("D2b", "D2c")
+    vac = JointProbabilities(pair, _pattern_probs(vacuum(reg), [[0], [1]], [1.0, 1.0]))
+    agg = aggregate_split_detector(vac, pair)
     assert abs(agg[(0,)] - 1.0) < 1e-15
 
     split = apply_beamsplitter(fock_state(reg, (1, 0)), 0.5, 0, 1)
-    probs = click_probabilities(split, dets)
-    agg1 = aggregate_split_detector(probs, ("D2b", "D2c"))
+    agg1 = aggregate_split_detector(JointProbabilities(pair, _pattern_probs(split, [[0], [1]], [1.0, 1.0])), pair)
     assert abs(agg1[(1,)] - 1.0) < 1e-12
     assert agg1.get((2,), 0.0) < 1e-12
 
@@ -229,8 +243,6 @@ def test_aggregate_vacuum_and_indivisible_photon():
 
 
 def _bernoulli_probs(p):
-    from dlczsim.detection import JointProbabilities
-
     return JointProbabilities(("A",), {(0,): 1.0 - p, (1,): p})
 
 

@@ -16,12 +16,11 @@ from dlczsim.fock import (
     fidelity,
     fock_state,
     no_click_weights,
-    partial_trace,
     two_mode_squeezed,
     vacuum,
 )
 
-from helpers import expm_beamsplitter, pi0_series_matrix, random_density_operator, tmss_probabilities_series
+from helpers import expm_beamsplitter, partial_trace, pi0_series_matrix, random_density_operator, tmss_probabilities_series
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +235,7 @@ def test_phase_jitter_dephasing_factors():
 
 
 # ---------------------------------------------------------------------------
-# partial trace
+# partial trace (the oracle in tests/helpers.py that the reduced-state checks use)
 
 
 def test_partial_trace_product_state():

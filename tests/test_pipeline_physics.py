@@ -8,11 +8,11 @@ import pytest
 from dlczsim.config import load_preset, config_from_dict
 from dlczsim.entanglement import concurrence_restricted, witnesses
 from dlczsim.fock import apply_loss, fidelity
-from dlczsim.pipeline import full_experiment, unconditioned_field_state
+from dlczsim.pipeline import full_experiment
 from dlczsim.protocol import EnsembleParams, HeraldChoice, InterferometerParams, herald, write_stage
 from dlczsim.tomography import restrict
 
-from helpers import ideal_config_dict, restricted_matrix_for_model
+from helpers import ideal_config_dict, restricted_matrix_for_model, unconditioned_field_state
 
 
 def test_unconditioned_suppression_ratio_near_one():

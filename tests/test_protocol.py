@@ -5,7 +5,7 @@ import pytest
 
 from dlczsim.config import config_from_dict
 from dlczsim.fock import ModeRegister, apply_loss, fidelity
-from dlczsim.pipeline import full_experiment, sample_fringe_records, stream_id
+from dlczsim.pipeline import full_experiment, g12_report, sample_fringe_records, stream_id
 from dlczsim.protocol import (
     EnsembleParams,
     HeraldChoice,
@@ -21,7 +21,7 @@ from dlczsim.protocol import (
 from dlczsim.tomography import FringeScan, RestrictedDensity, fit_fringe, restrict
 from dlczsim.entanglement import invert_attenuation
 
-from helpers import first_order_heralded_state, ideal_config_dict
+from helpers import field_pair_statistics_oracle, first_order_heralded_state, heralded_fields_oracle, ideal_config_dict
 
 
 BS1_ASYM = 0.85 / 1.85  # transmission for T/R = 0.85
@@ -152,6 +152,43 @@ def test_herald_pattern_probabilities_sum_to_one():
     patterns = herald_probabilities(st, InterferometerParams(bs1_T=0.4), 0.7, 0.9)
     total = sum(p for _, p in patterns.items())
     assert abs(total - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.3])
+@pytest.mark.parametrize("dark_prob", [0.0, 1e-3])
+@pytest.mark.parametrize("cutoff", [2, 3])
+@pytest.mark.parametrize("overlap", [1.0, 0.7])
+def test_forward_model_matches_generic_detector_oracle(overlap, cutoff, dark_prob, jitter):
+    # the heralding and g12 detectors read fock.click_weights; the generic
+    # per-detector model of tests/helpers.py must give the same bytes for an
+    # exclusive herald (same arithmetic), and agree to rounding for an
+    # inclusive one (one weighted trace instead of a trace and a partial trace)
+    base = ideal_config_dict(
+        cutoff=cutoff,
+        fringe_phases={"num": 5},
+        ensembles={"L": {"chi": 0.04, "xi": 0.6}, "R": {"chi": 0.07, "xi": 0.45}},
+        interferometer={"bs1_T": 0.45, "eta1": 0.4, "overlap": overlap, "phase_jitter_sigma": jitter},
+        detectors={"eta_d2a": 0.5, "eta_d2b": 0.7, "eta_d2c": 0.6, "dark_prob": dark_prob},
+    )
+    for which in ("D1a", "D1b"):
+        for exclusive in (True, False):
+            herald_block = {"which": which, "exclusive": exclusive, "d1a_efficiency": 0.6, "d1b_efficiency": 0.8}
+            cfg = config_from_dict({**base, "herald": herald_block})
+            result = full_experiment(cfg)
+            patterns, probability, atomic, z0 = heralded_fields_oracle(cfg)
+            assert dict(result.herald_patterns.items()) == dict(patterns.items())
+            if exclusive:
+                assert result.herald_probability == probability
+                assert result.atomic.matrix.tobytes() == atomic.matrix.tobytes()
+                assert result.z0.matrix.tobytes() == z0.matrix.tobytes()
+            else:
+                assert abs(result.herald_probability / probability - 1.0) < 1e-12
+                for new, old in ((result.atomic.matrix, atomic.matrix), (result.z0.matrix, z0.matrix)):
+                    assert np.max(np.abs(new - old)) < 1e-12 * np.max(np.abs(old))
+    cfg = config_from_dict(base)
+    for side, stats in g12_report(cfg).items():
+        ensemble = cfg.left if side == "L" else cfg.right
+        assert stats == field_pair_statistics_oracle(ensemble, cfg.d1a_efficiency, cfg.budget.total(side), cutoff)
 
 
 # ---------------------------------------------------------------------------

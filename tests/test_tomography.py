@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 import dlczsim.tomography as tom
-from dlczsim.detection import CountRecord, sample_counts, substream_rng
+from dlczsim.detection import CountRecord, RecordIntegrityError, sample_counts, substream_rng
 from dlczsim.fock import DensityOperator, ModeRegister, fidelity
 from dlczsim.layouts import PATTERNS, bench_povm, diagonal_layout_probabilities, fringe_layout_probabilities
 from dlczsim.tomography import (
@@ -603,6 +603,36 @@ def _published_regime_records(seed):
     )
     eff = EfficiencyModel.unit()
     return (*_records_from_restricted(rd, eff, 4 * 10**6, 3 * 10**5, seed=seed), eff)
+
+
+def _permuted(record, order):
+    """The same record with its detectors listed in ``order``."""
+    ids = tuple(record.detector_ids[k] for k in order)
+    tally = {tuple(pattern[k] for k in order): n for pattern, n in record.tally.items()}
+    return CountRecord(ids, record.trials, tally, phase=record.phase, seed=record.seed)
+
+
+@pytest.mark.parametrize("order", [(2, 0, 1), (1, 0, 2), (0, 2, 1)])
+def test_records_in_another_detector_order_read_the_same(order):
+    # a record file may list the detectors in any order; the bits follow it
+    diag_rec, fringe_recs, eff = _published_regime_records(77)
+    diag_perm, fringe_perm = _permuted(diag_rec, order), [_permuted(r, order) for r in fringe_recs]
+    assert diag_perm.detector_ids != diag_rec.detector_ids
+    agg, agg_perm = AggregatedCounts.from_record(diag_rec), AggregatedCounts.from_record(diag_perm)
+    assert agg == agg_perm
+    est, est_perm = (invert_diagonal(a, eff, bootstrap=20, seed=5) for a in (agg, agg_perm))
+    assert (est.values, est.sigmas, est.bootstrap_sigmas) == (est_perm.values, est_perm.sigmas, est_perm.bootstrap_sigmas)
+    assert fit_fringe(FringeScan(fringe_recs)).as_dict() == fit_fringe(FringeScan(fringe_perm)).as_dict()
+    start = _two_stage(diag_rec, fringe_recs, eff)
+    mle, mle_perm = mle_fit([diag_rec], fringe_recs, eff, initial=start), mle_fit([diag_perm], fringe_perm, eff, initial=start)
+    assert (mle.restricted.as_dict(), mle.log_likelihood) == (mle_perm.restricted.as_dict(), mle_perm.log_likelihood)
+
+
+def test_records_of_other_detectors_rejected():
+    for ids in (("D2a", "D2b", "D3"), ("D2a", "D2b", "D2b")):
+        record = CountRecord(ids, 1, {(0, 0, 0): 1})
+        with pytest.raises(RecordIntegrityError, match="not D2a, D2b, D2c"):
+            AggregatedCounts.from_record(record)
 
 
 def _chain_like_records(seed):
