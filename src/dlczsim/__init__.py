@@ -1,106 +1,22 @@
 """Desk-scale simulator and verification pipeline for heralded entanglement
-between two remote atomic ensembles (DLCZ-type write/read protocol)."""
+between two remote atomic ensembles (DLCZ-type write/read protocol).
 
-from .fock import (
-    DensityOperator,
-    ModeRegister,
-    PureState,
-    apply_beamsplitter,
-    apply_loss,
-    apply_phase,
-    apply_phase_jitter,
-    fidelity,
-    fock_state,
-    two_mode_squeezed,
-    vacuum,
-)
-from .detection import (
-    ClickPattern,
-    CountRecord,
-    JointProbabilities,
-    sample_counts,
-)
-from .protocol import (
-    EnsembleParams,
-    HeraldChoice,
-    InterferometerParams,
-    herald,
-    overlap_from_extinction_db,
-    read_stage,
-    write_stage,
-)
-from .tomography import (
-    AggregatedCounts,
-    EfficiencyModel,
-    FringeScan,
-    MLEOptions,
-    RestrictedDensity,
-    estimate_coherence,
-    fit_fringe,
-    invert_diagonal,
-    mle_fit,
-    restrict,
-)
-from .entanglement import (
-    ChannelBudget,
-    ConcurrenceResult,
-    WitnessReport,
-    backpropagate,
-    concurrence_restricted,
-    entanglement_of_formation,
-    locc_bound_check,
-    witnesses,
-    wootters_concurrence,
-)
-from .config import ExperimentConfig, load_preset
-from .pipeline import ExperimentResult, full_experiment
+The package exports the names of the README's library sketch; everything
+else is imported from its module (``dlczsim.pipeline``, ``dlczsim.tomography``, ...)."""
+
+from .protocol import EnsembleParams, HeraldChoice, InterferometerParams, herald, read_stage, write_stage
+from .tomography import restrict
+from .entanglement import concurrence_restricted
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregatedCounts",
-    "ChannelBudget",
-    "ClickPattern",
-    "ConcurrenceResult",
-    "CountRecord",
-    "DensityOperator",
-    "EfficiencyModel",
     "EnsembleParams",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FringeScan",
     "HeraldChoice",
     "InterferometerParams",
-    "JointProbabilities",
-    "MLEOptions",
-    "ModeRegister",
-    "PureState",
-    "RestrictedDensity",
-    "WitnessReport",
-    "apply_beamsplitter",
-    "apply_loss",
-    "apply_phase",
-    "apply_phase_jitter",
-    "backpropagate",
     "concurrence_restricted",
-    "entanglement_of_formation",
-    "estimate_coherence",
-    "fidelity",
-    "fit_fringe",
-    "fock_state",
-    "full_experiment",
     "herald",
-    "invert_diagonal",
-    "load_preset",
-    "locc_bound_check",
-    "mle_fit",
-    "overlap_from_extinction_db",
     "read_stage",
     "restrict",
-    "sample_counts",
-    "two_mode_squeezed",
-    "vacuum",
-    "witnesses",
-    "wootters_concurrence",
     "write_stage",
 ]

@@ -12,9 +12,10 @@ analyze      two-stage tomography (+ optional maximum-likelihood cross-check)
 backprop     invert the channel budget for a quoted restricted state
 
 Exit codes: 0 success; 2 configuration/schema errors; 3 record-integrity
-errors; 4 fit/convergence failures; 5 unphysical physics inputs (budget or
-heralding).  All randomness derives from the configured seed via named
-substreams, so identical config+seed reproduce byte-identical outputs.
+errors; 4 fit/convergence failures; 5 unphysical physics inputs (budget,
+heralding or restricted state).  All randomness derives from the configured
+seed via named substreams, so identical config+seed reproduce byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .entanglement import (
     concurrence_restricted,
     witnesses,
 )
+from .layouts import D2_IDS, PATTERNS
 from .pipeline import (
     full_experiment,
     g12_report,
@@ -70,12 +72,16 @@ from .tomography import (
     MLEConvergenceError,
     MLEOptions,
     RestrictedDensity,
+    UnphysicalStateError,
+    arm_clicks,
     assemble_restricted,
     estimate_coherence,
     fit_fringe,
+    in_bench_order,
     invert_diagonal,
     log_likelihood,
     mle_fit,
+    pattern_counts,
     two_stage_block,
 )
 
@@ -91,6 +97,7 @@ _ERROR_CODES: tuple[tuple[type, int], ...] = (
     (DataQualityError, EXIT_FIT),
     (MLEConvergenceError, EXIT_FIT),
     (UnphysicalBudgetError, EXIT_PHYSICS),
+    (UnphysicalStateError, EXIT_PHYSICS),
     (HeraldError, EXIT_PHYSICS),
 )
 
@@ -292,24 +299,16 @@ def fringe_scan(config_path, preset, out_dir, seed, trials):
         fits = {}
         for which in ("D1a", "D1b"):
             result = full_experiment(config, which=which)
-            per_point = max(config.trials // max(len(config.fringe_phases), 1), 1) if config.trials else 0
-            if per_point:
+            phis = [phi for phi, _ in result.fringe_probs]
+            if config.trials:  # counts of sampled records, else the exact probabilities
+                per_point = max(config.trials // max(len(config.fringe_phases), 1), 1)
                 records = sample_fringe_records(result, per_point, config.seed)
+                arms, trials = arm_clicks(pattern_counts(records)), [rec.trials for rec in records]
+                fits[which] = fit_fringe(FringeScan(records)).as_dict()
             else:
-                records = None
-            for k, (phi, probs) in enumerate(result.fringe_probs):
-                if records is not None:
-                    rec = records[k]
-                    n2a = rec.clicked_count("D2a")
-                    n2bc = rec.clicked_count("D2b") + rec.clicked_count("D2c")
-                    rows.append([which, phi, n2a, n2bc, rec.trials])
-                else:
-                    p2a = sum(p for pat, p in probs.items() if pat[0] == 1)
-                    p2bc = sum(p * (pat[1] + pat[2]) for pat, p in probs.items())
-                    rows.append([which, phi, p2a, p2bc, 0])
-            if records is not None:
-                fit = fit_fringe(FringeScan(records))
-                fits[which] = fit.as_dict()
+                arms = arm_clicks(np.array([[probs[pattern] for pattern in PATTERNS] for _, probs in result.fringe_probs]))
+                trials = [0] * len(phis)
+            rows += [[which, phi, n2a, n2bc, n] for phi, (n2a, n2bc), n in zip(phis, arms.tolist(), trials)]
         out.write_csv("fringe_scan.csv", ["herald", "phase_phi_radians", "n2a", "n2b_plus_n2c", "trials"], rows)
         if fits:
             if len(fits) == 2:
@@ -330,7 +329,7 @@ def fringe_scan(config_path, preset, out_dir, seed, trials):
 def _read_records(path: Path) -> list[CountRecord]:
     if path.suffix == ".json":
         return read_count_records_json(path)
-    return read_count_records_csv(path, detector_ids=("D2a", "D2b", "D2c"))
+    return read_count_records_csv(path, detector_ids=D2_IDS)
 
 
 def _analysis_payload(rd: RestrictedDensity, herald_label: str) -> dict:
@@ -368,8 +367,9 @@ def analyze(config_path, preset, out_dir, seed, herald, records_dir, diag_path, 
 
         herald_label = config.herald.which
         unit_eff = EfficiencyModel(split=config.detectors.split, bs2_T=config.detectors.bs2_T)
-        diag_rec = diag_records[0]
-        for extra in diag_records[1:]:
+        # in bench order first, so that records listing their detectors in different orders merge
+        diag_rec, *extras = map(in_bench_order, diag_records)
+        for extra in extras:
             diag_rec = merge_counts(diag_rec, extra)
         estimate = invert_diagonal(AggregatedCounts.from_record(diag_rec), unit_eff, bootstrap=200, seed=config.seed)
         fit = fit_fringe(FringeScan(fringe_records))
@@ -460,6 +460,31 @@ def analyze(config_path, preset, out_dir, seed, herald, records_dir, diag_path, 
         raise _fail(exc)
 
 
+def _read_result(path: Path) -> tuple[dict, float, dict, str | None]:
+    """Populations, |d|, sigmas and herald label of an ``analyze`` result file."""
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise RecordIntegrityError(f"{path}: invalid JSON ({exc})") from exc
+
+    def number(*keys):
+        value = payload
+        for depth, key in enumerate(keys, start=1):
+            if not isinstance(value, dict) or key not in value:
+                raise RecordIntegrityError(f"{path}: no field {'.'.join(keys[:depth])}")
+            value = value[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise RecordIntegrityError(f"{path}: field {'.'.join(keys)} is not a number")
+        return value
+
+    pops = {key: number("populations", key) for key in ("p00", "p01", "p10", "p11")}
+    sig = payload.get("sigmas", {})
+    if not isinstance(sig, dict):
+        raise RecordIntegrityError(f"{path}: field sigmas is not an object")
+    sigmas = {f"sigma_{key}": number("sigmas", key) for key in pops if key in sig} | {"sigma_d": number("coherence", "sigma")}
+    return pops, number("coherence", "d_abs"), sigmas, payload.get("herald")
+
+
 @main.command()
 @_with_options(_HERALD)
 @click.option("--result", "result_path", type=click.Path(dir_okay=False, exists=True), default=None, help="tomography_result.json from analyze.")
@@ -476,26 +501,14 @@ def backprop(config_path, preset, out_dir, herald, result_path, plane, p00, p01,
         config = _apply_overrides(config, herald=herald)
         direct = [p00, p01, p10, p11, vis]
         if result_path is not None:
-            payload = json.loads(Path(result_path).read_text())
-            pops = payload["populations"]
-            d_abs = payload["coherence"]["d_abs"]
-            sig = payload.get("sigmas", {})
-            rd = RestrictedDensity(
-                p00=pops["p00"],
-                p01=pops["p01"],
-                p10=pops["p10"],
-                p11=pops["p11"],
-                d=min(d_abs, (pops["p01"] * pops["p10"]) ** 0.5),
-                sigmas={f"sigma_{k}": v for k, v in sig.items() if k in ("p00", "p01", "p10", "p11")}
-                | {"sigma_d": payload["coherence"]["sigma"]},
-            )
-            herald_label = payload.get("herald", config.herald.which)
+            pops, d_abs, sigmas, herald_label = _read_result(Path(result_path))
+            herald_label = config.herald.which if herald_label is None else herald_label
         elif all(v is not None for v in direct):
-            d_abs = vis * (p10 + p01) / 2.0
-            rd = RestrictedDensity(p00=p00, p01=p01, p10=p10, p11=p11, d=min(d_abs, (p01 * p10) ** 0.5))
+            pops, d_abs, sigmas = {"p00": p00, "p01": p01, "p10": p10, "p11": p11}, vis * (p10 + p01) / 2.0, {}
             herald_label = config.herald.which
         else:
             raise ConfigError("backprop needs --result or all of --p00/--p01/--p10/--p11/--visibility")
+        rd = RestrictedDensity(**pops, d=min(d_abs, max(pops["p01"] * pops["p10"], 0.0) ** 0.5), sigmas=sigmas)
 
         out = _Outputs(Path(out_dir))
         rows = []

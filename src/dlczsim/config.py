@@ -300,7 +300,3 @@ def preset_dict(name: str) -> dict[str, Any]:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESETS)}")
     text = resources.files("dlczsim.presets").joinpath(f"{name}.json").read_text()
     return json.loads(text)
-
-
-def load_preset(name: str) -> ExperimentConfig:
-    return config_from_dict(preset_dict(name))

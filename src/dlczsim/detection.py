@@ -76,10 +76,6 @@ class CountRecord:
             if n < 0:
                 raise RecordIntegrityError(f"pattern {pattern} has negative count {n}")
 
-    def clicked_count(self, detector_id: str) -> int:
-        pos = self.detector_ids.index(detector_id)
-        return sum(n for pattern, n in self.tally.items() if pattern[pos] == 1)
-
     def items(self):
         return self.tally.items()
 

@@ -1,10 +1,9 @@
 """Entanglement quantification and loss back-propagation.
 
 For the restricted two-mode form the concurrence has the closed form
-P~ C = max(2|d| - 2 sqrt(p00 p11), 0); the generic spin-flip construction is
-provided as an independent oracle and for arbitrary two-qubit states.  Known
-channel attenuations can be inverted to quote the restricted state (and its
-concurrence) at planes upstream of the detectors.
+P~ C = max(2|d| - 2 sqrt(p00 p11), 0).  Known channel attenuations can be
+inverted to quote the restricted state (and its concurrence) at planes
+upstream of the detectors.
 """
 
 from __future__ import annotations
@@ -16,10 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .detection import substream_rng
-from .fock import DensityOperator, ModeRegister, apply_loss, apply_phase
 from .tomography import RestrictedDensity
-
-QUBIT_REGISTER = ModeRegister(2, 1)
 
 
 class UnphysicalBudgetError(ValueError):
@@ -137,25 +133,6 @@ def concurrence_restricted(
     )
 
 
-def wootters_concurrence(rho: np.ndarray | DensityOperator) -> float:
-    """Spin-flip concurrence of an arbitrary two-qubit density matrix."""
-    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-    if mat.shape != (4, 4):
-        raise ValueError("expected a 4x4 two-qubit density matrix")
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
-        raise ValueError("matrix is not Hermitian")
-    if abs(np.trace(mat).real - 1.0) > 1e-8:
-        raise ValueError("matrix does not have unit trace")
-    if np.linalg.eigvalsh(mat)[0] < -1e-8:
-        raise ValueError("matrix is not positive semidefinite")
-    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    flip = np.kron(sy, sy)
-    r = mat @ flip @ mat.conj() @ flip
-    evals = np.linalg.eigvals(r)
-    lam = np.sqrt(np.clip(np.sort(evals.real)[::-1], 0.0, None))
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
 # ---------------------------------------------------------------------------
 # channel budget and loss back-propagation
 
@@ -234,7 +211,6 @@ def invert_attenuation(
     rd: RestrictedDensity,
     alpha_l: float,
     alpha_r: float,
-    constant_visibility: bool = True,
     sigma_alpha_l: float = 0.0,
     sigma_alpha_r: float = 0.0,
 ) -> RestrictedDensity:
@@ -242,9 +218,8 @@ def invert_attenuation(
 
     Populations scale with the inverse single- and two-photon survival
     probabilities and the vacuum absorbs the complement.  The coherence is
-    recomputed from a constant visibility by default (the measured fringe
-    contrast is carried along the channel); the alternative scales d by
-    1/sqrt(alpha_l alpha_r).
+    recomputed from a constant visibility (the measured fringe contrast is
+    carried along the channel).
     """
 
     total = rd.p_tilde
@@ -256,11 +231,8 @@ def invert_attenuation(
         # vacuum absorbs the rescaling; keeping the input's total weight makes
         # the all-ones budget an exact identity
         out00 = total - out01 - out10 - out11
-        if constant_visibility:
-            vis = 2.0 * d_abs / (p10 + p01) if (p10 + p01) > 0 else 0.0
-            out_d = vis * (out10 + out01) / 2.0
-        else:
-            out_d = d_abs / math.sqrt(al * ar)
+        vis = 2.0 * d_abs / (p10 + p01) if (p10 + p01) > 0 else 0.0
+        out_d = vis * (out10 + out01) / 2.0
         return out00, out01, out10, out11, out_d
 
     base = transform(rd.p01, rd.p10, rd.p11, rd.d_abs, alpha_l, alpha_r)
@@ -360,54 +332,3 @@ def witnesses(rd: RestrictedDensity) -> WitnessReport:
     """
     h, sigma = _h_ratio(rd.p11, rd.p10, rd.p01, dict(rd.sigmas))
     return WitnessReport(h_c2=float(h), sigma_h_c2=float(sigma), h_below_one=bool(h < 1.0))
-
-
-# ---------------------------------------------------------------------------
-# local-operation monotonicity harness
-
-
-@dataclass(frozen=True)
-class LoccCheck:
-    holds: bool
-    c_before: float
-    bound_after: float
-
-
-def _as_qubit_density(state: RestrictedDensity | np.ndarray | DensityOperator) -> tuple[np.ndarray, float]:
-    """(normalized 4x4 matrix, retained weight) for either input flavor."""
-    if isinstance(state, RestrictedDensity):
-        return state.normalized_matrix(), state.p_tilde
-    mat = state.matrix if isinstance(state, DensityOperator) else np.asarray(state, dtype=complex)
-    return mat, 1.0
-
-
-def locc_bound_check(
-    before: RestrictedDensity | np.ndarray | DensityOperator,
-    after: RestrictedDensity | np.ndarray | DensityOperator,
-    tol: float = 1e-9,
-) -> LoccCheck:
-    """Verify P~(after) C(after) <= C(before) + tol.
-
-    Property-test harness for states relatable by declared local channels
-    (attenuation, local phase, mode filtering); not a physics claim
-    generator.
-    """
-    mat_before, _ = _as_qubit_density(before)
-    mat_after, weight_after = _as_qubit_density(after)
-    c_before = wootters_concurrence(mat_before)
-    bound_after = weight_after * wootters_concurrence(mat_after)
-    return LoccCheck(holds=bool(bound_after <= c_before + tol), c_before=c_before, bound_after=bound_after)
-
-
-def local_attenuation(rho4: np.ndarray, eta: float, side: str) -> np.ndarray:
-    """Attenuation channel on one side of a two-qubit photon-number state."""
-    mode = 0 if side == "L" else 1
-    op = DensityOperator(QUBIT_REGISTER, rho4)
-    return apply_loss(op, eta, mode).matrix
-
-
-def local_phase(rho4: np.ndarray, theta: float, side: str) -> np.ndarray:
-    """Local phase rotation on one side (a local unitary)."""
-    mode = 0 if side == "L" else 1
-    op = DensityOperator(QUBIT_REGISTER, rho4)
-    return apply_phase(op, theta, mode).matrix

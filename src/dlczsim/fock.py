@@ -179,12 +179,6 @@ def vacuum(register: ModeRegister) -> PureState:
     return PureState(register, amps)
 
 
-def fock_state(register: ModeRegister, occupation: Sequence[int]) -> PureState:
-    amps = np.zeros(register.dim, dtype=complex)
-    amps[register.index(occupation)] = 1.0
-    return PureState(register, amps)
-
-
 def two_mode_squeezed(chi: float, cutoff: int) -> PureState:
     """Pair-correlated state ~ sum_n chi^(n/2) |n,n>, truncated and renormalized.
 
@@ -419,22 +413,3 @@ def click_weights(
     no_click = np.array([no_click_weights(register, group, eta, dark_prob) for group, eta in zip(groups, efficiencies, strict=True)])
     patterns = np.array(list(np.ndindex((2,) * len(groups))))
     return np.where(patterns[:, :, None] == 0, no_click, 1.0 - no_click).prod(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# comparisons
-
-
-def fidelity(a: State, b: State) -> float:
-    """Uhlmann fidelity; reduces to |<psi|phi>|^2 or <psi|rho|psi> for pure inputs."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-    if isinstance(a, PureState):
-        return float(np.real(a.amplitudes.conj() @ b.matrix @ a.amplitudes))
-    if isinstance(b, PureState):
-        return fidelity(b, a)
-    evals, evecs = np.linalg.eigh(a.matrix)
-    sqrt_a = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-    inner = sqrt_a @ b.matrix @ sqrt_a
-    vals = np.linalg.eigvalsh(inner)
-    return float(np.sum(np.sqrt(np.clip(vals, 0.0, None))) ** 2)

@@ -90,20 +90,6 @@ class HeraldChoice:
             raise ValueError(f"herald detector must be D1a or D1b, got {self.which}")
 
 
-def overlap_from_extinction_db(extinction_db: float) -> float:
-    """Residual mode overlap when the fields are combined with orthogonal
-    polarizations through fibers of finite polarization extinction.
-
-    Both fibers leak amplitude 10^(-dB/20) into the nominally empty
-    polarization, and both leaked components interfere with the opposite
-    field, so the residual overlap (hence fringe visibility) is twice the
-    single-fiber amplitude leakage.
-    """
-    if extinction_db < 0:
-        raise ValueError("extinction must be nonnegative dB")
-    return min(1.0, 2.0 * 10.0 ** (-extinction_db / 20.0))
-
-
 # mode layout of the write-stage register
 MODE_1L, MODE_AL, MODE_1R, MODE_AR, MODE_ORTH_R, MODE_ORTH_L = range(6)
 

@@ -23,9 +23,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .detection import CountRecord, RecordIntegrityError, aggregate_split_detector, substream_rng
+from .detection import CountRecord, RecordIntegrityError, substream_rng
 from .fock import DensityOperator, ModeRegister
-from .layouts import D2_IDS, PATTERNS, SPLIT_PAIR, bench_povm
+from .layouts import D2_IDS, PATTERNS, bench_povm
 from .layouts import diagonal_layout_probabilities, fringe_layout_probabilities  # noqa: F401 - bound here for the benchmark's layer tracer
 
 TWO_PI = 2.0 * math.pi
@@ -42,7 +42,7 @@ _I01, _I10 = _REGISTER2.index((0, 1)), _REGISTER2.index((1, 0))
 _PATTERN_CLASS = [Q_CLASSES.index((a, b + c)) for a, b, c in PATTERNS]
 _WITH_P00 = np.vstack([-np.ones(4), np.eye(4)])  # (p01, p10, p11, p02) -> all five, p00 = 1 - the others
 # fringe arms per pattern: clicks at D2a, and clicks summed over the split pair
-_ARM_WEIGHTS = np.array([[a for a, _, _ in PATTERNS], [b + c for _, b, c in PATTERNS]], dtype=float)
+_ARM_WEIGHTS = np.array([[a for a, _, _ in PATTERNS], [b + c for _, b, c in PATTERNS]])
 
 
 class DataQualityError(ValueError):
@@ -53,6 +53,10 @@ class InconsistentCountsError(ValueError):
     """Inverted populations are negative beyond statistical tolerance."""
 
 
+class UnphysicalStateError(ValueError):
+    """Restricted-state values outside the physical range."""
+
+
 class MLEConvergenceError(RuntimeError):
     """The likelihood maximization did not converge; best iterate attached."""
 
@@ -61,9 +65,9 @@ class MLEConvergenceError(RuntimeError):
         self.best = best
 
 
-def _in_bench_order(record: CountRecord) -> CountRecord:
-    """``record`` with its pattern bits in ``D2_IDS`` order, the order every
-    reader below takes them in by position."""
+def in_bench_order(record: CountRecord) -> CountRecord:
+    """``record`` with its pattern bits in ``D2_IDS`` order, the order that
+    ``pattern_counts`` reads them in by position."""
     ids = tuple(record.detector_ids)
     if ids == D2_IDS:
         return record
@@ -72,6 +76,21 @@ def _in_bench_order(record: CountRecord) -> CountRecord:
     order = [ids.index(detector) for detector in D2_IDS]
     tally = {tuple(pattern[k] for k in order): n for pattern, n in record.tally.items()}
     return CountRecord(D2_IDS, record.trials, tally, phase=record.phase, seed=record.seed)
+
+
+def pattern_counts(records: Sequence[CountRecord]) -> np.ndarray:
+    """The one readout of count records: one row per record, its counts per
+    click pattern in ``PATTERNS`` order, read in bench order."""
+    rows = [[record.tally.get(pattern, 0) for pattern in PATTERNS] for record in map(in_bench_order, records)]
+    return np.array(rows, dtype=np.int64).reshape(-1, len(PATTERNS))
+
+
+def arm_clicks(per_pattern: np.ndarray) -> np.ndarray:
+    """The two fringe arms of counts or probabilities given per pattern on the
+    last axis: clicks at D2a, and clicks summed over the split pair.  Each sum
+    runs pattern by pattern in ``PATTERNS`` order, an accumulation that no
+    BLAS kernel reorders, so a sum of probabilities has one value."""
+    return np.cumsum(per_pattern[..., None, :] * _ARM_WEIGHTS, axis=-1)[..., -1]
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +115,6 @@ class EfficiencyModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-
-    @classmethod
-    def unit(cls) -> "EfficiencyModel":
-        return cls()
 
     @property
     def d2a(self) -> float:
@@ -130,8 +145,7 @@ class RestrictedDensity:
     """The at-most-one-photon-per-mode block of the two-mode field state.
 
     Populations are stored unnormalized; their sum is the retained
-    probability P~ and the properly normalized 4x4 matrix is
-    ``normalized_matrix()``.  ``d`` is the coherence between |0,1> and |1,0>;
+    probability P~.  ``d`` is the coherence between |0,1> and |1,0>;
     reports use |d| (its global phase is unobservable in the two layouts),
     the complex value is kept internally.
     """
@@ -150,14 +164,14 @@ class RestrictedDensity:
         for name in ("p00", "p01", "p10", "p11"):
             v = getattr(self, name)
             if v < -1e-12:
-                raise ValueError(f"{name} = {v} is negative")
+                raise UnphysicalStateError(f"{name} = {v} is negative")
             if v < 0.0:
                 object.__setattr__(self, name, 0.0)
         if not 0.0 < self.p_tilde <= 1.0 + P_TILDE_TOL:
-            raise ValueError(f"retained probability {self.p_tilde} outside (0, 1]")
+            raise UnphysicalStateError(f"retained probability {self.p_tilde} outside (0, 1]")
         bound = math.sqrt(self.p01 * self.p10)
         if abs(self.d) > bound + PSD_REL_TOL + 1e-12:
-            raise ValueError(
+            raise UnphysicalStateError(
                 f"|d| = {abs(self.d):.3e} exceeds positivity bound sqrt(p01 p10) = {bound:.3e}"
             )
 
@@ -168,16 +182,6 @@ class RestrictedDensity:
     @property
     def d_abs(self) -> float:
         return abs(self.d)
-
-    def normalized_matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4), dtype=complex)
-        m[0, 0] = self.p00
-        m[1, 1] = self.p01
-        m[2, 2] = self.p10
-        m[3, 3] = self.p11
-        m[1, 2] = self.d
-        m[2, 1] = np.conj(self.d)
-        return m / self.p_tilde
 
     def as_dict(self) -> dict[str, object]:
         out: dict[str, object] = {
@@ -244,8 +248,9 @@ class AggregatedCounts:
 
     @classmethod
     def from_record(cls, record: CountRecord) -> "AggregatedCounts":
-        agg = aggregate_split_detector(_in_bench_order(record), SPLIT_PAIR)
-        return cls(counts={k: int(v) for k, v in agg.items()}, trials=record.trials)
+        counts = np.zeros(len(Q_CLASSES), dtype=np.int64)
+        np.add.at(counts, _PATTERN_CLASS, pattern_counts([record])[0])
+        return cls(counts=dict(zip(Q_CLASSES, counts.tolist())), trials=record.trials)
 
     def frequencies(self) -> np.ndarray:
         return np.array([self.counts.get(cls_, 0) / self.trials for cls_ in Q_CLASSES])
@@ -362,18 +367,6 @@ def invert_diagonal(
     )
 
 
-def invert_diagonal_probabilities(q: Mapping[tuple[int, int], float], eff: EfficiencyModel) -> dict[str, float]:
-    """Exact (noise-free) inversion of class probabilities; no uncertainties."""
-    qv = np.array([q.get(cls_, 0.0) for cls_ in Q_CLASSES])
-    m = forward_class_matrix(eff)
-    a = (m[:, 1:] - m[:, [0]])[1:, :]
-    b = (qv - m[:, 0])[1:]
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    out = {"p00": float(1.0 - x.sum())}
-    out.update({key: float(v) for key, v in zip(DIAG_KEYS[1:], x)})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # stage two: fringe fit and coherence
 
@@ -385,7 +378,7 @@ class FringeScan:
     records: Sequence[CountRecord]
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple(map(_in_bench_order, self.records)))
+        object.__setattr__(self, "records", tuple(self.records))
         phases = [r.phase for r in self.records]
         if any(p is None for p in phases):
             raise DataQualityError("every fringe record needs a phase")
@@ -395,26 +388,18 @@ class FringeScan:
         if distinct[-1] - distinct[0] < TWO_PI - 1e-9:
             raise DataQualityError("phase scan must span at least 2 pi")
 
-    def arm_data(self, arm: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(phases, values, sigmas) for arm '2a' (click fraction at D2a) or
-        '2bc' (mean clicks per trial summed over the split pair)."""
-        phis, ys, sigmas = [], [], []
-        for rec in self.records:
-            n = rec.trials
-            if arm == "2a":
-                y = sum(cnt for pat, cnt in rec.tally.items() if pat[0] == 1) / n
-                var = max(y * (1.0 - y), 1.0 / n) / n
-            elif arm == "2bc":
-                total = sum(cnt * (pat[1] + pat[2]) for pat, cnt in rec.tally.items())
-                sq = sum(cnt * (pat[1] + pat[2]) ** 2 for pat, cnt in rec.tally.items())
-                y = total / n
-                var = max(sq / n - y * y, 1.0 / n) / n
-            else:
-                raise ValueError(f"unknown arm {arm!r}")
-            phis.append(float(rec.phase))
-            ys.append(y)
-            sigmas.append(math.sqrt(var))
-        return np.array(phis), np.array(ys), np.array(sigmas)
+    def arm_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(phases, values, sigmas), values and sigmas with one row per arm of
+        ``arm_clicks``: the click fraction y at D2a, whose variance per trial
+        is y (1 - y), and the mean clicks per trial summed over the split
+        pair, whose variance is the second moment less y^2; each floored at 1/n."""
+        counts = pattern_counts(self.records)
+        n = counts.sum(axis=1)
+        y_a, y_bc = arm_clicks(counts).T / n
+        second_bc = counts @ _ARM_WEIGHTS[1] ** 2 / n
+        var = np.array([y_a * (1.0 - y_a), second_bc - y_bc * y_bc])
+        phis = np.array([float(record.phase) for record in self.records])
+        return phis, np.array([y_a, y_bc]), np.sqrt(np.maximum(var, 1.0 / n) / n)
 
 
 @dataclass(frozen=True)
@@ -502,8 +487,8 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     arm's.  A visibility exceeding 1 by more than 3 sigma is rejected as a
     data-quality failure.
     """
-    arm_a = _fit_single_arm(*scan.arm_data("2a"))
-    arm_bc = _fit_single_arm(*scan.arm_data("2bc"))
+    phis, ys, sigmas = scan.arm_data()
+    arm_a, arm_bc = (_fit_single_arm(phis, y, sigma) for y, sigma in zip(ys, sigmas))
     visibility = 0.5 * (arm_a.visibility + arm_bc.visibility)
     sigma = 0.5 * math.hypot(arm_a.sigma_visibility, arm_bc.sigma_visibility)
     if visibility > 1.0 + 3.0 * sigma:
@@ -774,9 +759,7 @@ def _collect_mle_data(
         raise ValueError("maximum-likelihood fit needs at least one record")
     phis = tuple(float(record.phase) for record in fringe_records)
     elements, forms = _mle_elements(eff.d2a, eff.d2b, eff.d2c, eff.split, eff.bs2_T, len(diag_records), phis)
-    records = map(_in_bench_order, [*diag_records, *fringe_records])
-    counts = np.array([[record.tally.get(pattern, 0) for pattern in PATTERNS] for record in records])
-    return elements, forms, counts.reshape(-1)
+    return elements, forms, pattern_counts([*diag_records, *fringe_records]).reshape(-1)
 
 
 def log_likelihood(

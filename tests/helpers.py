@@ -2,18 +2,21 @@
 
 Everything here recomputes expected values through a different route than the
 library (explicit operator series, matrix exponentials, first-order
-perturbation theory) so the tests stay meaningful.
+perturbation theory) so the tests stay meaningful.  The last section holds
+the states, comparisons and local channels that only the tests use.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
+from dlczsim.config import ExperimentConfig, config_from_dict, preset_dict
 from dlczsim.detection import JointProbabilities, substream_rng
 from dlczsim.fock import (
     DensityOperator,
@@ -321,6 +324,23 @@ def concurrence_mc_sigma_loop(rd: RestrictedDensity, mc_samples: int, seed: int)
     return float(np.std(draws, ddof=1))
 
 
+def fringe_arms_loop(records) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phases, values, sigmas) of the D2a and split-pair fringe arms, summed
+    record by record over each tally (records in D2a, D2b, D2c order)."""
+    phis, ys, sigmas = [], [[], []], [[], []]
+    for rec in records:
+        n = rec.trials
+        y = sum(cnt for pat, cnt in rec.tally.items() if pat[0] == 1) / n
+        ys[0].append(y)
+        sigmas[0].append(math.sqrt(max(y * (1.0 - y), 1.0 / n) / n))
+        y = sum(cnt * (pat[1] + pat[2]) for pat, cnt in rec.tally.items()) / n
+        sq = sum(cnt * (pat[1] + pat[2]) ** 2 for pat, cnt in rec.tally.items())
+        ys[1].append(y)
+        sigmas[1].append(math.sqrt(max(sq / n - y * y, 1.0 / n) / n))
+        phis.append(float(rec.phase))
+    return np.array(phis), np.array(ys), np.array(sigmas)
+
+
 def brute_force_pattern_probs(rho: np.ndarray, register: ModeRegister, detectors) -> dict:
     """Joint click probabilities via explicit POVM operator products."""
     elements = {}
@@ -427,3 +447,120 @@ def ideal_config_dict(**overrides) -> dict:
         else:
             data[key] = value
     return data
+
+
+# ---------------------------------------------------------------------------
+# states, comparisons and local channels that only the tests use
+
+QUBIT_REGISTER = ModeRegister(2, 1)
+
+
+def load_preset(name: str) -> ExperimentConfig:
+    return config_from_dict(preset_dict(name))
+
+
+def fock_state(register: ModeRegister, occupation: Sequence[int]) -> PureState:
+    amps = np.zeros(register.dim, dtype=complex)
+    amps[register.index(occupation)] = 1.0
+    return PureState(register, amps)
+
+
+def fidelity(a: PureState | DensityOperator, b: PureState | DensityOperator) -> float:
+    """Uhlmann fidelity; reduces to |<psi|phi>|^2 or <psi|rho|psi> for pure inputs."""
+    if isinstance(a, PureState) and isinstance(b, PureState):
+        return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    if isinstance(a, PureState):
+        return float(np.real(a.amplitudes.conj() @ b.matrix @ a.amplitudes))
+    if isinstance(b, PureState):
+        return fidelity(b, a)
+    evals, evecs = np.linalg.eigh(a.matrix)
+    sqrt_a = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+    inner = sqrt_a @ b.matrix @ sqrt_a
+    vals = np.linalg.eigvalsh(inner)
+    return float(np.sum(np.sqrt(np.clip(vals, 0.0, None))) ** 2)
+
+
+def overlap_from_extinction_db(extinction_db: float) -> float:
+    """Residual mode overlap when the fields are combined with orthogonal
+    polarizations through fibers of finite polarization extinction.
+
+    Both fibers leak amplitude 10^(-dB/20) into the nominally empty
+    polarization, and both leaked components interfere with the opposite
+    field, so the residual overlap (hence fringe visibility) is twice the
+    single-fiber amplitude leakage.
+    """
+    if extinction_db < 0:
+        raise ValueError("extinction must be nonnegative dB")
+    return min(1.0, 2.0 * 10.0 ** (-extinction_db / 20.0))
+
+
+def normalized_matrix(rd: RestrictedDensity) -> np.ndarray:
+    """The restricted block as a unit-trace 4x4 matrix on |00>, |01>, |10>, |11>."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = rd.p00
+    m[1, 1] = rd.p01
+    m[2, 2] = rd.p10
+    m[3, 3] = rd.p11
+    m[1, 2] = rd.d
+    m[2, 1] = np.conj(rd.d)
+    return m / rd.p_tilde
+
+
+def wootters_concurrence(rho: np.ndarray | DensityOperator) -> float:
+    """Spin-flip concurrence of an arbitrary two-qubit density matrix."""
+    mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+    if mat.shape != (4, 4):
+        raise ValueError("expected a 4x4 two-qubit density matrix")
+    if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
+        raise ValueError("matrix is not Hermitian")
+    if abs(np.trace(mat).real - 1.0) > 1e-8:
+        raise ValueError("matrix does not have unit trace")
+    if np.linalg.eigvalsh(mat)[0] < -1e-8:
+        raise ValueError("matrix is not positive semidefinite")
+    sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+    flip = np.kron(sy, sy)
+    r = mat @ flip @ mat.conj() @ flip
+    evals = np.linalg.eigvals(r)
+    lam = np.sqrt(np.clip(np.sort(evals.real)[::-1], 0.0, None))
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+@dataclass(frozen=True)
+class LoccCheck:
+    holds: bool
+    c_before: float
+    bound_after: float
+
+
+def _as_qubit_density(state: RestrictedDensity | np.ndarray | DensityOperator) -> tuple[np.ndarray, float]:
+    """(normalized 4x4 matrix, retained weight) for either input flavor."""
+    if isinstance(state, RestrictedDensity):
+        return normalized_matrix(state), state.p_tilde
+    mat = state.matrix if isinstance(state, DensityOperator) else np.asarray(state, dtype=complex)
+    return mat, 1.0
+
+
+def locc_bound_check(
+    before: RestrictedDensity | np.ndarray | DensityOperator,
+    after: RestrictedDensity | np.ndarray | DensityOperator,
+    tol: float = 1e-9,
+) -> LoccCheck:
+    """Verify P~(after) C(after) <= C(before) + tol for states relatable by
+    declared local channels (attenuation, local phase, mode filtering)."""
+    mat_before, _ = _as_qubit_density(before)
+    mat_after, weight_after = _as_qubit_density(after)
+    c_before = wootters_concurrence(mat_before)
+    bound_after = weight_after * wootters_concurrence(mat_after)
+    return LoccCheck(holds=bool(bound_after <= c_before + tol), c_before=c_before, bound_after=bound_after)
+
+
+def local_attenuation(rho4: np.ndarray, eta: float, side: str) -> np.ndarray:
+    """Attenuation channel on one side of a two-qubit photon-number state."""
+    mode = 0 if side == "L" else 1
+    return apply_loss(DensityOperator(QUBIT_REGISTER, rho4), eta, mode).matrix
+
+
+def local_phase(rho4: np.ndarray, theta: float, side: str) -> np.ndarray:
+    """Local phase rotation on one side (a local unitary)."""
+    mode = 0 if side == "L" else 1
+    return apply_phase(DensityOperator(QUBIT_REGISTER, rho4), theta, mode).matrix

@@ -15,11 +15,10 @@ from dlczsim.config import (
     ConfigError,
     config_from_dict,
     config_hash,
-    load_preset,
     preset_dict,
 )
 
-from helpers import ideal_config_dict
+from helpers import ideal_config_dict, load_preset
 
 
 @pytest.fixture()
@@ -215,25 +214,44 @@ def test_analyze_malformed_record_exits_integrity_code(runner, tmp_path, case):
     assert message in result.output
 
 
+def _permuted(record: dict, order=(2, 0, 1)) -> dict:
+    """A JSON count record with its detectors listed in ``order``."""
+    tally = {"".join(bits[k] for k in order): n for bits, n in record["tally"].items()}
+    return {**record, "detector_ids": [record["detector_ids"][k] for k in order], "tally": tally}
+
+
 def test_analyze_records_in_another_detector_order(runner, tmp_path):
     # the JSON records declare their detector order; (D2c, D2a, D2b) must
     # analyze to the same bytes as the simulator's (D2a, D2b, D2c)
     sim_out, permuted = tmp_path / "sim", tmp_path / "permuted"
     assert _run(runner, ["simulate", "--preset", "paper", "--layout", "both", "--trials", "400000", "--out", str(sim_out)]).exit_code == 0
     permuted.mkdir()
-    order = (2, 0, 1)
     for name in ("counts_diagonal.json", "counts_fringe.json"):
         records = json.loads((sim_out / name).read_text())
-        for record in records:
-            record["detector_ids"] = [record["detector_ids"][k] for k in order]
-            record["tally"] = {"".join(bits[k] for k in order): n for bits, n in record["tally"].items()}
-        (permuted / name).write_text(json.dumps(records))
+        (permuted / name).write_text(json.dumps([_permuted(record) for record in records]))
     outputs = []
     for records_dir in (sim_out, permuted):
         out = tmp_path / f"ana_{records_dir.name}"
         args = ["analyze", "--preset", "paper", "--records", str(records_dir), "--mle", "--plane", "z2", "--out", str(out)]
         assert _run(runner, args).exit_code == 0
         outputs.append({p.name: p.read_bytes() for p in _data_files(out)})
+    assert outputs[0] == outputs[1]
+
+
+def test_analyze_merges_records_listed_in_different_detector_orders(runner, tmp_path):
+    # one diagonal record twice, the second listed as (D2c, D2a, D2b): the
+    # records are put into bench order before they merge
+    sim = tmp_path / "sim"
+    assert _run(runner, ["simulate", "--preset", "paper", "--layout", "both", "--seed", "3", "--out", str(sim)]).exit_code == 0
+    (record,) = json.loads((sim / "counts_diagonal.json").read_text())
+    outputs = []
+    for name, records in (("same", [record, record]), ("mixed", [record, _permuted(record)])):
+        diag, out = tmp_path / f"{name}.json", tmp_path / f"ana_{name}"
+        diag.write_text(json.dumps(records))
+        args = ["analyze", "--preset", "paper", "--diag", str(diag), "--fringe", str(sim / "counts_fringe.json"), "--mle", "--seed", "3"]
+        result = _run(runner, [*args, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        outputs.append((out / "tomography_result.json").read_bytes())
     assert outputs[0] == outputs[1]
 
 
@@ -435,6 +453,32 @@ def test_backprop_unphysical_budget_exit(runner, tmp_path):
         ],
     )
     assert result.exit_code == EXIT_PHYSICS
+
+
+_BACKPROP_POPULATIONS = ["--p10", "7.38e-3", "--p01", "7.51e-3", "--p11", "1.7e-5", "-v", "0.70"]
+_MALFORMED_BACKPROP = {  # case -> (result file text or None, options, exit code, expected message)
+    "invalid_json": ("{not json", [], EXIT_INTEGRITY, "invalid JSON"),
+    "no_populations": (json.dumps({"which": "D1a", "probability": 0.17}), [], EXIT_INTEGRITY, "no field populations"),
+    "mistyped_population": (
+        json.dumps({"populations": {"p00": 0.98, "p01": "7.5e-3", "p10": 7.4e-3, "p11": 1.7e-5}}),
+        [], EXIT_INTEGRITY, "field populations.p01 is not a number",
+    ),
+    "negative_p00": (None, ["--p00", "-0.5", *_BACKPROP_POPULATIONS], EXIT_PHYSICS, "p00 = -0.5 is negative"),
+    "sum_above_one": (None, ["--p00", "0.99", *_BACKPROP_POPULATIONS], EXIT_PHYSICS, "retained probability"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_BACKPROP))
+def test_backprop_malformed_input_exits_with_its_code(runner, tmp_path, case):
+    text, options, code, message = _MALFORMED_BACKPROP[case]
+    if text is not None:
+        result_file = tmp_path / "result.json"
+        result_file.write_text(text)
+        options = ["--result", str(result_file)]
+    result = runner.invoke(main, ["backprop", *options, "--out", str(tmp_path / "bp")])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "error:" in result.output and message in result.output
 
 
 def test_preset_w120_manifest_hash(runner, tmp_path):

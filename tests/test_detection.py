@@ -25,7 +25,6 @@ from dlczsim.fock import (
     ModeRegister,
     apply_beamsplitter,
     click_weights,
-    fock_state,
     two_mode_squeezed,
     vacuum,
 )
@@ -44,6 +43,7 @@ from helpers import (
     brute_force_pattern_probs,
     click_probabilities,
     condition_on_pattern,
+    fock_state,
     partial_trace,
     random_density_operator,
 )

@@ -13,14 +13,12 @@ from dlczsim.fock import (
     apply_phase,
     apply_phase_jitter,
     beamsplitter_unitary,
-    fidelity,
-    fock_state,
     no_click_weights,
     two_mode_squeezed,
     vacuum,
 )
 
-from helpers import expm_beamsplitter, partial_trace, pi0_series_matrix, random_density_operator, tmss_probabilities_series
+from helpers import expm_beamsplitter, fidelity, fock_state, partial_trace, pi0_series_matrix, random_density_operator, tmss_probabilities_series
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,10 @@ three-mode bench."""
 import numpy as np
 import pytest
 
-from dlczsim.config import load_preset
 from dlczsim.fock import ModeRegister
 from dlczsim.layouts import PATTERNS, bench_povm, diagonal_layout_probabilities, fringe_layout_probabilities
 
-from helpers import diagonal_layout_oracle, fringe_layout_oracle, random_density_operator
+from helpers import diagonal_layout_oracle, fringe_layout_oracle, load_preset, random_density_operator
 
 # D2a, D2b, D2c efficiencies of acceptance criterion 6
 ETAS = (0.392 * 0.32, 0.364 * 0.40, 0.364 * 0.40)

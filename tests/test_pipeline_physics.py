@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from dlczsim.config import load_preset, config_from_dict
+from dlczsim.config import config_from_dict
 from dlczsim.entanglement import concurrence_restricted, witnesses
-from dlczsim.fock import apply_loss, fidelity
+from dlczsim.fock import apply_loss
 from dlczsim.pipeline import full_experiment
 from dlczsim.protocol import EnsembleParams, HeraldChoice, InterferometerParams, herald, write_stage
 from dlczsim.tomography import restrict
 
-from helpers import ideal_config_dict, restricted_matrix_for_model, unconditioned_field_state
+from helpers import fidelity, ideal_config_dict, load_preset, restricted_matrix_for_model, unconditioned_field_state
 
 
 def test_unconditioned_suppression_ratio_near_one():
@@ -101,7 +101,7 @@ def test_mle_fringe_only_records():
     from dlczsim.layouts import fringe_layout_probabilities
     from dlczsim.tomography import EfficiencyModel, RestrictedDensity, mle_fit
 
-    eff = EfficiencyModel.unit()
+    eff = EfficiencyModel()
     diagonals = {"p00": 0.94, "p01": 0.03, "p10": 0.028, "p11": 1e-3, "p02": 0.0}
     rho = restricted_matrix_for_model(diagonals, 0.02)
     records = []

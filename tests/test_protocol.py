@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dlczsim.config import config_from_dict
-from dlczsim.fock import ModeRegister, apply_loss, fidelity
+from dlczsim.fock import ModeRegister, apply_loss
 from dlczsim.pipeline import full_experiment, g12_report, sample_fringe_records, stream_id
 from dlczsim.protocol import (
     EnsembleParams,
@@ -14,14 +14,20 @@ from dlczsim.protocol import (
     field_pair_statistics,
     herald,
     herald_probabilities,
-    overlap_from_extinction_db,
     read_stage,
     write_stage,
 )
 from dlczsim.tomography import FringeScan, RestrictedDensity, fit_fringe, restrict
 from dlczsim.entanglement import invert_attenuation
 
-from helpers import field_pair_statistics_oracle, first_order_heralded_state, heralded_fields_oracle, ideal_config_dict
+from helpers import (
+    fidelity,
+    field_pair_statistics_oracle,
+    first_order_heralded_state,
+    heralded_fields_oracle,
+    ideal_config_dict,
+    overlap_from_extinction_db,
+)
 
 
 BS1_ASYM = 0.85 / 1.85  # transmission for T/R = 0.85

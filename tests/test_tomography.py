@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 import dlczsim.tomography as tom
-from dlczsim.detection import CountRecord, RecordIntegrityError, sample_counts, substream_rng
-from dlczsim.fock import DensityOperator, ModeRegister, fidelity
-from dlczsim.layouts import PATTERNS, bench_povm, diagonal_layout_probabilities, fringe_layout_probabilities
+from dlczsim.config import config_from_dict
+from dlczsim.detection import CountRecord, RecordIntegrityError, aggregate_split_detector, sample_counts, substream_rng
+from dlczsim.fock import DensityOperator, ModeRegister
+from dlczsim.layouts import PATTERNS, SPLIT_PAIR, bench_povm, diagonal_layout_probabilities, fringe_layout_probabilities
+from dlczsim.pipeline import full_experiment
 from dlczsim.tomography import (
     AggregatedCounts,
     DIAG_KEYS,
@@ -23,11 +25,11 @@ from dlczsim.tomography import (
     Q_CLASSES,
     RestrictedDensity,
     assemble_restricted,
+    arm_clicks,
     estimate_coherence,
     fit_fringe,
     forward_class_matrix,
     invert_diagonal,
-    invert_diagonal_probabilities,
     log_likelihood,
     mle_fit,
     restrict,
@@ -35,7 +37,11 @@ from dlczsim.tomography import (
 )
 
 from helpers import (
+    fidelity,
+    fringe_arms_loop,
+    ideal_config_dict,
     lbfgs_mle_log_likelihood,
+    normalized_matrix,
     random_density_operator,
     random_restricted,
     restricted_matrix_for_model,
@@ -96,7 +102,7 @@ def test_mle_elements_match_setting_povm_oracle(eff):
 
 
 @pytest.mark.parametrize(
-    "eff", [EFF_BENCH, EFF_UNBALANCED, EfficiencyModel.unit()], ids=["balanced", "unbalanced", "unit"]
+    "eff", [EFF_BENCH, EFF_UNBALANCED, EfficiencyModel()], ids=["balanced", "unbalanced", "unit"]
 )
 def test_visibility_slope_matches_nine_phase_oracle(eff):
     for diagonals in (
@@ -168,7 +174,7 @@ def test_cold_bench_caches_give_the_warm_bits():
 
 
 def test_forward_map_is_identity_at_unit_efficiency():
-    m = forward_class_matrix(EfficiencyModel.unit())
+    m = forward_class_matrix(EfficiencyModel())
     # on the one-photon block the class probabilities are the populations
     expected = np.zeros((6, 5))
     expected[0, 0] = 1.0  # p00 -> (0,0)
@@ -181,17 +187,20 @@ def test_forward_map_is_identity_at_unit_efficiency():
 
 
 def test_published_values_representable_exactly():
+    # the expected counts of the published populations invert back to them
     p = np.array([PUBLISHED_D1A[k] for k in DIAG_KEYS])
     p = p / p.sum()
-    q = forward_class_matrix(EfficiencyModel.unit()) @ p
-    recovered = invert_diagonal_probabilities(dict(zip(Q_CLASSES, q)), EfficiencyModel.unit())
+    trials = 10**9
+    q = forward_class_matrix(EfficiencyModel()) @ p
+    recovered = invert_diagonal(AggregatedCounts(counts=dict(zip(Q_CLASSES, q * trials)), trials=trials), EfficiencyModel())
+    assert not recovered.flags
     for i, key in enumerate(DIAG_KEYS):
         assert abs(recovered[key] - p[i]) < 1e-12
 
 
 def test_all_no_click_data_gives_vacuum():
     agg = AggregatedCounts(counts={(0, 0): 1000}, trials=1000)
-    est = invert_diagonal(agg, EfficiencyModel.unit())
+    est = invert_diagonal(agg, EfficiencyModel())
     assert abs(est["p00"] - 1.0) < 1e-9
     for key in ("p01", "p10", "p11", "p02"):
         assert est[key] == 0.0
@@ -216,7 +225,7 @@ def test_inversion_negative_clamp_and_flag():
     # a lone two-click event with no single-click partner drives p01 slightly
     # negative (p01 = q01 - p02/2); within noise it clamps to zero with a flag
     counts = {(0, 0): 999999, (0, 2): 1}
-    est = invert_diagonal(AggregatedCounts(counts=counts, trials=10**6), EfficiencyModel.unit())
+    est = invert_diagonal(AggregatedCounts(counts=counts, trials=10**6), EfficiencyModel())
     assert all(est[k] >= 0.0 for k in DIAG_KEYS)
     assert "clamped_p01" in est.flags
 
@@ -226,7 +235,7 @@ def test_inversion_inconsistent_counts_raise():
     # -3 sigma: the data cannot come from the model
     counts = {(0, 0): 900000, (0, 2): 100000}
     with pytest.raises(InconsistentCountsError):
-        invert_diagonal(AggregatedCounts(counts=counts, trials=10**6), EfficiencyModel.unit())
+        invert_diagonal(AggregatedCounts(counts=counts, trials=10**6), EfficiencyModel())
 
 
 @pytest.mark.parametrize(
@@ -241,7 +250,7 @@ def test_inversion_without_vacuum_events(counts):
     # lossless records (the ideal preset) never show the (0,0) class; the
     # inversion must still weight the other classes consistently
     n = sum(counts.values())
-    est = invert_diagonal(AggregatedCounts(counts=counts, trials=n), EfficiencyModel.unit())
+    est = invert_diagonal(AggregatedCounts(counts=counts, trials=n), EfficiencyModel())
     assert 0.0 < est.sigmas["p00"] < 1e-4
     assert est["p00"] < 3.0 * est.sigmas["p00"]
     assert abs(est["p10"] - counts[(1, 0)] / n) < 3.0 * est.sigmas["p10"]
@@ -269,7 +278,7 @@ def _bootstrap_sigmas_one_at_a_time(agg, eff, bootstrap, seed):
     "counts, eff",
     [
         ({(0, 0): 9851815, (0, 1): 74610, (0, 2): 100, (1, 0): 73300, (1, 1): 175, (1, 2): 0}, EFF_BENCH),
-        ({(0, 0): 0, (0, 1): 49724, (0, 2): 15, (1, 0): 50210, (1, 1): 51, (1, 2): 0}, EfficiencyModel.unit()),
+        ({(0, 0): 0, (0, 1): 49724, (0, 2): 15, (1, 0): 50210, (1, 1): 51, (1, 2): 0}, EfficiencyModel()),
     ],
     ids=["paper_like", "no_vacuum"],
 )
@@ -323,25 +332,25 @@ def test_uncertainty_calibration_68_percent():
 
 def test_noiseless_unit_visibility():
     rd = RestrictedDensity(p00=0.9, p01=0.05, p10=0.05, p11=0.0, d=0.05)
-    _, fringe = _records_from_restricted(rd, EfficiencyModel.unit(), 10**9, 10**9, seed=0, exact=True)
+    _, fringe = _records_from_restricted(rd, EfficiencyModel(), 10**9, 10**9, seed=0, exact=True)
     fit = fit_fringe(FringeScan(fringe))
     assert abs(fit.visibility - 1.0) < 1e-6
 
 
 def test_flat_fringe_fits_zero_visibility():
     rd = RestrictedDensity(p00=0.9, p01=0.05, p10=0.05, p11=0.0, d=0.0)
-    _, fringe = _records_from_restricted(rd, EfficiencyModel.unit(), 10**6, 10**6, seed=7)
+    _, fringe = _records_from_restricted(rd, EfficiencyModel(), 10**6, 10**6, seed=7)
     fit = fit_fringe(FringeScan(fringe))
     assert abs(fit.visibility) < 4.0 * fit.sigma_visibility
 
 
 def test_fringe_scan_validation():
     rd = RestrictedDensity(p00=0.9, p01=0.05, p10=0.05, p11=0.0, d=0.04)
-    _, fringe = _records_from_restricted(rd, EfficiencyModel.unit(), 10**4, 10**4, seed=8)
+    _, fringe = _records_from_restricted(rd, EfficiencyModel(), 10**4, 10**4, seed=8)
     with pytest.raises(DataQualityError, match="5 distinct"):
         FringeScan(fringe[:4])
     short = np.linspace(0.0, math.pi, 9)
-    _, half_span = _records_from_restricted(rd, EfficiencyModel.unit(), 10**4, 10**4, seed=9, phases=short)
+    _, half_span = _records_from_restricted(rd, EfficiencyModel(), 10**4, 10**4, seed=9, phases=short)
     with pytest.raises(DataQualityError, match="2 pi"):
         FringeScan(half_span)
 
@@ -365,10 +374,10 @@ def test_overmodulated_fringe_rejected():
 def test_simplified_coherence_arithmetic():
     est = estimate_coherence(
         0.70, {"p01": 7.51e-3, "p10": 7.38e-3, "p11": 0.0, "p02": 0.0},
-        EfficiencyModel.unit(), "simplified",
+        EfficiencyModel(), "simplified",
     )
     assert abs(est.d_abs - 5.2115e-3) < 1e-7
-    zero = estimate_coherence(0.0, {"p01": 7.51e-3, "p10": 7.38e-3}, EfficiencyModel.unit(), "simplified")
+    zero = estimate_coherence(0.0, {"p01": 7.51e-3, "p10": 7.38e-3}, EfficiencyModel(), "simplified")
     assert zero.d_abs == 0.0
 
 
@@ -413,7 +422,7 @@ def test_full_inversion_handles_unbalanced_splitters():
 def test_positivity_violation_flagged():
     # asymmetric populations make V (p01+p10)/2 exceed sqrt(p01 p10)
     est = estimate_coherence(
-        0.9, {"p01": 4e-3, "p10": 0.25e-3, "p11": 0.0, "p02": 0.0}, EfficiencyModel.unit(), "simplified"
+        0.9, {"p01": 4e-3, "p10": 0.25e-3, "p11": 0.0, "p02": 0.0}, EfficiencyModel(), "simplified"
     )
     assert est.d_abs > math.sqrt(4e-3 * 0.25e-3)
     assert "positivity_violation" in est.flags
@@ -427,7 +436,7 @@ def test_restrict_identity_on_block_state():
     rd = random_restricted(np.random.default_rng(11))
     reg = ModeRegister(2, 2)
     mat = np.zeros((9, 9), dtype=complex)
-    mat[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = rd.normalized_matrix()
+    mat[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = normalized_matrix(rd)
     back = restrict(DensityOperator(reg, mat))
     assert abs(back.p_tilde - 1.0) < 1e-12
     assert abs(back.p01 - rd.p01 / rd.p_tilde) < 1e-12
@@ -445,7 +454,7 @@ def test_restrict_accounts_for_two_photon_weight():
     rd = restrict(DensityOperator(reg, mat))
     assert abs(rd.p_tilde - 0.90) < 1e-12
     assert abs(rd.p02 - 0.05) < 1e-12
-    assert abs(rd.normalized_matrix()[0, 0].real - 0.8) < 1e-12
+    assert abs(normalized_matrix(rd)[0, 0].real - 0.8) < 1e-12
 
 
 def test_restrict_preserves_block_positivity():
@@ -454,7 +463,7 @@ def test_restrict_preserves_block_positivity():
     for _ in range(20):
         rho = random_density_operator(reg, rng)
         rd = restrict(rho)
-        evals = np.linalg.eigvalsh(rd.normalized_matrix())
+        evals = np.linalg.eigvalsh(normalized_matrix(rd))
         assert evals[0] > -1e-12
 
 
@@ -474,7 +483,7 @@ def test_mle_on_vacuum_data():
         restricted_matrix_for_model({"p00": 1.0}, 0.0), 1.0, 1.0, 1.0
     )
     rec = _exact_record(probs, 10**6)
-    result = mle_fit([rec], [], EfficiencyModel.unit())
+    result = mle_fit([rec], [], EfficiencyModel())
     assert result.restricted.p00 > 1.0 - 1e-4
     assert result.restricted.d_abs < 1e-6
 
@@ -601,7 +610,7 @@ def _published_regime_records(seed):
         d=0.70 * (PUBLISHED_D1A["p10"] + PUBLISHED_D1A["p01"]) / 2.0,
         p02=PUBLISHED_D1A["p02"],
     )
-    eff = EfficiencyModel.unit()
+    eff = EfficiencyModel()
     return (*_records_from_restricted(rd, eff, 4 * 10**6, 3 * 10**5, seed=seed), eff)
 
 
@@ -626,6 +635,19 @@ def test_records_in_another_detector_order_read_the_same(order):
     start = _two_stage(diag_rec, fringe_recs, eff)
     mle, mle_perm = mle_fit([diag_rec], fringe_recs, eff, initial=start), mle_fit([diag_perm], fringe_perm, eff, initial=start)
     assert (mle.restricted.as_dict(), mle.log_likelihood) == (mle_perm.restricted.as_dict(), mle_perm.log_likelihood)
+
+
+def test_readout_matches_record_by_record_sums():
+    # the pattern-count matrix reads the same classes and arms as summing
+    # each tally, and the arm sums of probabilities run in pattern order
+    diag_rec, fringe_recs, _ = _published_regime_records(77)
+    scan = FringeScan(fringe_recs).arm_data()
+    assert all(np.array_equal(a, b) for a, b in zip(scan, fringe_arms_loop(fringe_recs)))
+    classes = aggregate_split_detector(diag_rec, SPLIT_PAIR)
+    assert AggregatedCounts.from_record(diag_rec).counts == {cls: classes.get(cls, 0) for cls in Q_CLASSES}
+    for _, probs in full_experiment(config_from_dict(ideal_config_dict())).fringe_probs:
+        arms = arm_clicks(np.array([probs[pattern] for pattern in PATTERNS])).tolist()
+        assert arms == [sum(p * w for p, w in zip(probs.probabilities.values(), weights)) for weights in tom._ARM_WEIGHTS.tolist()]
 
 
 def test_records_of_other_detectors_rejected():
@@ -697,7 +719,7 @@ def test_published_regime_mle_concurrence_cross_validation():
     # published ratios
     from dlczsim.entanglement import concurrence_restricted, witnesses
 
-    eff = EfficiencyModel.unit()
+    eff = EfficiencyModel()
     d_true = 0.70 * (PUBLISHED_D1A["p10"] + PUBLISHED_D1A["p01"]) / 2.0
     rd_true = RestrictedDensity(
         p00=PUBLISHED_D1A["p00"] / 1.000007,

@@ -29,9 +29,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dlczsim.config import config_from_dict
 from dlczsim.detection import aggregate_split_detector
-from dlczsim.layouts import SPLIT_PAIR
+from dlczsim.layouts import PATTERNS, SPLIT_PAIR
 from dlczsim.pipeline import full_experiment
-from dlczsim.tomography import EfficiencyModel, invert_diagonal_probabilities
+from dlczsim.tomography import AggregatedCounts, EfficiencyModel, arm_clicks, invert_diagonal
 
 TARGET_P10 = 7.38e-3
 TARGET_P01 = 7.51e-3
@@ -39,6 +39,8 @@ TARGET_P11 = 1.7e-5
 TARGET_V = 0.70
 
 BS1_T = 0.85 / 1.85  # measured transmission/reflection ratio 0.85
+
+EXPECTED_TRIALS = 10**9  # the diagonal is inverted from the expected counts of this many trials
 
 CHANNEL = {
     "L": {"fc": [0.80, 0.02], "c": [0.70, 0.02], "f": [0.70, 0.02], "apd": [0.32, 0.02]},
@@ -68,18 +70,14 @@ def build_config(chi_l, chi_r, xi_l, xi_r, overlap):
 def observables(params):
     config = build_config(*params)
     result = full_experiment(config)
-    q = aggregate_split_detector(result.diagonal_probs, SPLIT_PAIR)
-    inverted = invert_diagonal_probabilities(q, EfficiencyModel.unit())
+    classes = aggregate_split_detector(result.diagonal_probs, SPLIT_PAIR)
+    expected = AggregatedCounts(counts={k: p * EXPECTED_TRIALS for k, p in classes.items()}, trials=EXPECTED_TRIALS)
+    inverted = invert_diagonal(expected, EfficiencyModel())
     phis = np.array([p for p, _ in result.fringe_probs])
+    arms = arm_clicks(np.array([[probs[pattern] for pattern in PATTERNS] for _, probs in result.fringe_probs]))
     design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
-    vis = []
-    for arm in ("a", "bc"):
-        if arm == "a":
-            y = np.array([sum(v for pat, v in jp.items() if pat[0] == 1) for _, jp in result.fringe_probs])
-        else:
-            y = np.array([sum(v * (pat[1] + pat[2]) for pat, v in jp.items()) for _, jp in result.fringe_probs])
-        beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-        vis.append(np.hypot(beta[1], beta[2]) / beta[0])
+    beta, *_ = np.linalg.lstsq(design, arms, rcond=None)  # one column per arm
+    vis = np.hypot(beta[1], beta[2]) / beta[0]
     return inverted["p10"], inverted["p01"], inverted["p11"], 0.5 * (vis[0] + vis[1])
 
 

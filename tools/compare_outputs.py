@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Compare the CLI data files that two dlczsim source trees write.
 
-Runs `simulate --layout both`, `fringe-scan`, `analyze --mle --plane z2` on
-the simulated records and `backprop --plane z2` on the analysis result with
-each tree on PYTHONPATH per preset and seed; prints per data file
+Runs `simulate --layout both`, `fringe-scan` on sampled records and on the
+exact probabilities (`--trials 0`), `analyze --mle --plane z2` on the
+simulated JSON records, `analyze` on the same records read from CSV, and
+`backprop --plane z2` on the analysis result with each tree on PYTHONPATH
+per preset and seed; prints per data file
 "identical" or its largest relative difference (`mle` block apart), and one
 `mle` line: the MLE concurrence old -> new, |dC| in units of the two-stage
 sigma_C, the change in log L, the iterations old -> new and convergence:
@@ -26,7 +28,9 @@ from pathlib import Path
 COMMANDS = {
     "sim": ["simulate", "--layout", "both"],
     "scan": ["fringe-scan"],
+    "scan0": ["fringe-scan", "--trials", "0"],  # the probability branch of the fringe table
     "ana": ["analyze", "--mle", "--plane", "z2"],
+    "csv": ["analyze"],  # the CSV record reader
     "bp": ["backprop", "--plane", "z2"],  # samples nothing, so it takes no --seed
 }
 
@@ -36,7 +40,9 @@ def run(src, preset, seed, out):
     inputs = {
         "sim": ["--seed", str(seed)],
         "scan": ["--seed", str(seed)],
+        "scan0": [],
         "ana": ["--seed", str(seed), "--records", str(out / "sim")],
+        "csv": ["--seed", str(seed), "--diag", str(out / "sim" / "counts_diagonal.csv"), "--fringe", str(out / "sim" / "counts_fringe.csv")],
         "bp": ["--result", str(out / "ana" / "tomography_result.json")],
     }
     codes = {}
