@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -31,15 +32,16 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    PLANES,
     ConfigError,
     ExperimentConfig,
-    MAX_TRIALS,
     config_from_dict,
     config_hash,
     load_config_dict,
     preset_dict,
 )
 from .detection import (
+    MAX_TRIALS,
     CountRecord,
     RecordIntegrityError,
     merge_counts,
@@ -49,7 +51,6 @@ from .detection import (
     write_count_records_json,
 )
 from .entanglement import (
-    PLANES,
     UnphysicalBudgetError,
     backpropagate,
     concurrence_restricted,
@@ -108,6 +109,16 @@ def _fail(exc: Exception) -> "SystemExit":
             click.echo(f"error: {exc}", err=True)
             return SystemExit(code)
     raise exc
+
+
+class _Main(click.Group):
+    """Maps the errors of every command to their exit codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except Exception as exc:  # noqa: BLE001 - mapped to exit codes
+            raise _fail(exc)
 
 
 def _load_config(config_path: str | None, preset: str) -> tuple[ExperimentConfig, dict]:
@@ -170,11 +181,10 @@ class _Outputs:
 
 
 def _round_sig(x: float, sig: int = 12) -> float:
-    if x == 0.0 or not np.isfinite(x):
-        return float(x)
-    from math import floor, log10
-
-    return float(round(x, sig - 1 - floor(log10(abs(x)))))
+    x = float(x)  # numpy scalars round by scale-and-rint, Python floats correctly
+    if x == 0.0 or not math.isfinite(x):
+        return x
+    return round(x, sig - 1 - math.floor(math.log10(abs(x))))
 
 
 def _round_floats(obj, sig: int = 12):
@@ -204,7 +214,7 @@ def _density_payload(rho) -> dict:
     }
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="dlczsim")
 def main() -> None:
     """Simulation and verification pipeline for heralded entanglement of two
@@ -236,106 +246,94 @@ def _with_options(*options):
 @click.option("--layout", type=click.Choice(["diagonal", "fringe", "both"]), default=None, help="Override configured detector layout (or emit both).")
 def simulate(config_path, preset, out_dir, seed, trials, herald, layout):
     """Forward simulation: states, probabilities, optional synthetic counts."""
-    try:
-        config, data = _load_config(config_path, preset)
-        config = _apply_overrides(config, seed, trials, herald)
-        layouts = {layout} if layout not in (None, "both") else ({"diagonal", "fringe"} if layout == "both" else {config.layout})
-        out = _Outputs(Path(out_dir))
-        result = full_experiment(config)
+    config, data = _load_config(config_path, preset)
+    config = _apply_overrides(config, seed, trials, herald)
+    layouts = {layout} if layout not in (None, "both") else ({"diagonal", "fringe"} if layout == "both" else {config.layout})
+    out = _Outputs(Path(out_dir))
+    result = full_experiment(config)
 
-        out.write_json("state_atomic.json", _density_payload(result.atomic))
-        out.write_json("state_z2.json", _density_payload(result.z2))
-        out.write_json("state_z1.json", _density_payload(result.z1))
-        out.write_json("state_z0.json", _density_payload(result.z0))
-        out.write_json(
-            "herald.json",
-            {
-                "which": result.herald_which,
-                "probability": result.herald_probability,
-                "patterns": {"".join(map(str, k)): v for k, v in result.herald_patterns.items()},
-            },
-        )
+    out.write_json("state_atomic.json", _density_payload(result.atomic))
+    out.write_json("state_z2.json", _density_payload(result.z2))
+    out.write_json("state_z1.json", _density_payload(result.z1))
+    out.write_json("state_z0.json", _density_payload(result.z0))
+    out.write_json(
+        "herald.json",
+        {
+            "which": result.herald_which,
+            "probability": result.herald_probability,
+            "patterns": {"".join(map(str, k)): v for k, v in result.herald_patterns.items()},
+        },
+    )
 
-        rows = [["".join(map(str, pattern)), p] for pattern, p in sorted(result.diagonal_probs.items())]
-        out.write_csv("probs_diagonal.csv", ["pattern_bits", "probability"], rows)
-        rows = []
-        for phi, probs in result.fringe_probs:
-            for pattern, p in sorted(probs.items()):
-                rows.append([phi, "".join(map(str, pattern)), p])
-        out.write_csv("probs_fringe.csv", ["phase_phi_radians", "pattern_bits", "probability"], rows)
+    rows = [["".join(map(str, pattern)), p] for pattern, p in sorted(result.diagonal_probs.items())]
+    out.write_csv("probs_diagonal.csv", ["pattern_bits", "probability"], rows)
+    rows = []
+    for phi, probs in result.fringe_probs:
+        for pattern, p in sorted(probs.items()):
+            rows.append([phi, "".join(map(str, pattern)), p])
+    out.write_csv("probs_fringe.csv", ["phase_phi_radians", "pattern_bits", "probability"], rows)
 
-        if config.trials > 0:
-            if "diagonal" in layouts:
-                rec = sample_diagonal_records(result, config.trials, config.seed)
-                write_count_records_csv([rec], out.path("counts_diagonal.csv"))
-                write_count_records_json([rec], out.path("counts_diagonal.json"))
-            if "fringe" in layouts:
-                per_point = max(config.trials // max(len(config.fringe_phases), 1), 1)
-                recs = sample_fringe_records(result, per_point, config.seed)
-                write_count_records_csv(recs, out.path("counts_fringe.csv"))
-                write_count_records_json(recs, out.path("counts_fringe.json"))
+    if config.trials > 0:
+        if "diagonal" in layouts:
+            rec = sample_diagonal_records(result, config.trials, config.seed)
+            write_count_records_csv([rec], out.path("counts_diagonal.csv"))
+            write_count_records_json([rec], out.path("counts_diagonal.json"))
+        if "fringe" in layouts:
+            per_point = max(config.trials // max(len(config.fringe_phases), 1), 1)
+            recs = sample_fringe_records(result, per_point, config.seed)
+            write_count_records_csv(recs, out.path("counts_fringe.csv"))
+            write_count_records_json(recs, out.path("counts_fringe.json"))
 
-        g12 = g12_report(config)
-        out.write_json(
-            "g12.json",
-            {side: {"p1": s.p1, "p2": s.p2, "p12": s.p12, "g12": s.g12} for side, s in g12.items()},
-        )
-        out.manifest("simulate", data)
-        click.echo(f"herald {result.herald_which}: probability {result.herald_probability:.4e}")
-        click.echo(f"outputs in {out.out_dir}")
-    except Exception as exc:  # noqa: BLE001 - mapped to exit codes
-        raise _fail(exc)
+    g12 = g12_report(config)
+    out.write_json(
+        "g12.json",
+        {side: {"p1": s.p1, "p2": s.p2, "p12": s.p12, "g12": s.g12} for side, s in g12.items()},
+    )
+    out.manifest("simulate", data)
+    click.echo(f"herald {result.herald_which}: probability {result.herald_probability:.4e}")
+    click.echo(f"outputs in {out.out_dir}")
 
 
 @main.command("fringe-scan")
 @_with_options(_SEED, _TRIALS)
 def fringe_scan(config_path, preset, out_dir, seed, trials):
     """Two-herald phase scan of the interference layout."""
-    try:
-        config, data = _load_config(config_path, preset)
-        config = _apply_overrides(config, seed, trials)
-        out = _Outputs(Path(out_dir))
-        rows = []
-        fits = {}
+    config, data = _load_config(config_path, preset)
+    config = _apply_overrides(config, seed, trials)
+    out = _Outputs(Path(out_dir))
+    rows = []
+    fits = {}
+    for which in ("D1a", "D1b"):
+        result = full_experiment(config, which=which)
+        phis = [phi for phi, _ in result.fringe_probs]
+        if config.trials:  # counts of sampled records, else the exact probabilities
+            per_point = max(config.trials // max(len(config.fringe_phases), 1), 1)
+            records = sample_fringe_records(result, per_point, config.seed)
+            arms, trials = arm_clicks(pattern_counts(records)), [rec.trials for rec in records]
+            fits[which] = fit_fringe(FringeScan(records)).as_dict()
+        else:
+            arms = arm_clicks(np.array([[probs[pattern] for pattern in PATTERNS] for _, probs in result.fringe_probs]))
+            trials = [0] * len(phis)
+        rows += [[which, phi, n2a, n2bc, n] for phi, (n2a, n2bc), n in zip(phis, arms.tolist(), trials)]
+    out.write_csv("fringe_scan.csv", ["herald", "phase_phi_radians", "n2a", "n2b_plus_n2c", "trials"], rows)
+    if fits:
+        if len(fits) == 2:
+            delta = abs(fits["D1a"]["phase0"] - fits["D1b"]["phase0"])
+            fits["phase_offset_minus_pi"] = abs(delta - np.pi)
+        out.write_json("fringe_fits.json", fits)
         for which in ("D1a", "D1b"):
-            result = full_experiment(config, which=which)
-            phis = [phi for phi, _ in result.fringe_probs]
-            if config.trials:  # counts of sampled records, else the exact probabilities
-                per_point = max(config.trials // max(len(config.fringe_phases), 1), 1)
-                records = sample_fringe_records(result, per_point, config.seed)
-                arms, trials = arm_clicks(pattern_counts(records)), [rec.trials for rec in records]
-                fits[which] = fit_fringe(FringeScan(records)).as_dict()
-            else:
-                arms = arm_clicks(np.array([[probs[pattern] for pattern in PATTERNS] for _, probs in result.fringe_probs]))
-                trials = [0] * len(phis)
-            rows += [[which, phi, n2a, n2bc, n] for phi, (n2a, n2bc), n in zip(phis, arms.tolist(), trials)]
-        out.write_csv("fringe_scan.csv", ["herald", "phase_phi_radians", "n2a", "n2b_plus_n2c", "trials"], rows)
-        if fits:
-            if len(fits) == 2:
-                delta = abs(fits["D1a"]["phase0"] - fits["D1b"]["phase0"])
-                fits["phase_offset_minus_pi"] = abs(delta - np.pi)
-            out.write_json("fringe_fits.json", fits)
-            for which in ("D1a", "D1b"):
-                click.echo(
-                    f"{which}: V = {fits[which]['visibility']:.4f} "
-                    f"+- {fits[which]['sigma_visibility']:.4f}"
-                )
-        out.manifest("fringe-scan", data)
-        click.echo(f"outputs in {out.out_dir}")
-    except Exception as exc:  # noqa: BLE001
-        raise _fail(exc)
+            click.echo(
+                f"{which}: V = {fits[which]['visibility']:.4f} "
+                f"+- {fits[which]['sigma_visibility']:.4f}"
+            )
+    out.manifest("fringe-scan", data)
+    click.echo(f"outputs in {out.out_dir}")
 
 
 def _read_records(path: Path) -> list[CountRecord]:
     if path.suffix == ".json":
         return read_count_records_json(path)
     return read_count_records_csv(path, detector_ids=D2_IDS)
-
-
-def _analysis_payload(rd: RestrictedDensity, herald_label: str) -> dict:
-    payload = rd.as_dict()
-    payload["herald"] = herald_label
-    return payload
 
 
 @main.command()
@@ -353,111 +351,108 @@ def analyze(config_path, preset, out_dir, seed, herald, records_dir, diag_path, 
     raw records (the conservative choice); --plane re-references them through
     the channel budget.
     """
-    try:
-        config, data = _load_config(config_path, preset)
-        config = _apply_overrides(config, seed=seed, herald=herald)
-        if records_dir is None and (diag_path is None or fringe_path is None):
-            raise ConfigError("analyze needs --records DIR or both --diag and --fringe")
-        if records_dir is not None:
-            diag_path = diag_path or str(Path(records_dir) / "counts_diagonal.json")
-            fringe_path = fringe_path or str(Path(records_dir) / "counts_fringe.json")
-        diag_records = _read_records(Path(diag_path))
-        fringe_records = _read_records(Path(fringe_path))
-        out = _Outputs(Path(out_dir))
+    config, data = _load_config(config_path, preset)
+    config = _apply_overrides(config, seed=seed, herald=herald)
+    if records_dir is None and (diag_path is None or fringe_path is None):
+        raise ConfigError("analyze needs --records DIR or both --diag and --fringe")
+    if records_dir is not None:
+        diag_path = diag_path or str(Path(records_dir) / "counts_diagonal.json")
+        fringe_path = fringe_path or str(Path(records_dir) / "counts_fringe.json")
+    diag_records = _read_records(Path(diag_path))
+    fringe_records = _read_records(Path(fringe_path))
+    out = _Outputs(Path(out_dir))
 
-        herald_label = config.herald.which
-        unit_eff = EfficiencyModel(split=config.detectors.split, bs2_T=config.detectors.bs2_T)
-        # in bench order first, so that records listing their detectors in different orders merge
-        diag_rec, *extras = map(in_bench_order, diag_records)
-        for extra in extras:
-            diag_rec = merge_counts(diag_rec, extra)
-        estimate = invert_diagonal(AggregatedCounts.from_record(diag_rec), unit_eff, bootstrap=200, seed=config.seed)
-        fit = fit_fringe(FringeScan(fringe_records))
-        coherence = estimate_coherence(fit.visibility, estimate, unit_eff, coherence_mode, fit.sigma_visibility)
-        rd = assemble_restricted(estimate, coherence, fit.phase0)
-        conc = concurrence_restricted(rd, herald=herald_label, mc_samples=10000, seed=config.seed)
-        report = witnesses(rd)
+    herald_label = config.herald.which
+    unit_eff = EfficiencyModel(split=config.detectors.split, bs2_T=config.detectors.bs2_T)
+    # in bench order first, so that records listing their detectors in different orders merge
+    diag_rec, *extras = map(in_bench_order, diag_records)
+    for extra in extras:
+        diag_rec = merge_counts(diag_rec, extra)
+    estimate = invert_diagonal(AggregatedCounts.from_record(diag_rec), unit_eff, bootstrap=200, seed=config.seed)
+    fit = fit_fringe(FringeScan(fringe_records))
+    coherence = estimate_coherence(fit.visibility, estimate, unit_eff, coherence_mode, fit.sigma_visibility)
+    rd = assemble_restricted(estimate, coherence, fit.phase0)
+    conc = concurrence_restricted(rd, herald=herald_label, mc_samples=10000, seed=config.seed)
+    report = witnesses(rd)
 
-        result_payload = {
-            "herald": herald_label,
-            "reference": "detectors (unit detection efficiency)",
-            "populations": {k: estimate[k] for k in ("p00", "p01", "p10", "p11", "p02")},
-            "sigmas": dict(estimate.sigmas),
-            "bootstrap_sigmas": dict(estimate.bootstrap_sigmas or {}),
-            "visibility": fit.as_dict(),
-            "coherence": {"d_abs": coherence.d_abs, "sigma": coherence.sigma, "mode": coherence.mode},
-            "p_tilde": rd.p_tilde,
-            "flags": list(rd.flags),
-            "efficiency_model": unit_eff.as_dict(),
-            "concurrence": conc.as_dict(),
-            "witnesses": report.as_dict(),
+    result_payload = {
+        "herald": herald_label,
+        "reference": "detectors (unit detection efficiency)",
+        "populations": {k: estimate[k] for k in ("p00", "p01", "p10", "p11", "p02")},
+        "sigmas": dict(estimate.sigmas),
+        "bootstrap_sigmas": dict(estimate.bootstrap_sigmas or {}),
+        "visibility": fit.as_dict(),
+        "coherence": {"d_abs": coherence.d_abs, "sigma": coherence.sigma, "mode": coherence.mode},
+        "p_tilde": rd.p_tilde,
+        "flags": list(rd.flags),
+        "efficiency_model": unit_eff.as_dict(),
+        "concurrence": conc.as_dict(),
+        "witnesses": report.as_dict(),
+    }
+
+    if mle:
+        mle_result = mle_fit(diag_records, fringe_records, unit_eff, MLEOptions(), initial=rd)
+        ll_two_stage = log_likelihood(two_stage_block(rd), diag_records, fringe_records, unit_eff)
+        result_payload["mle"] = {
+            "restricted": mle_result.restricted.as_dict(),
+            "log_likelihood": mle_result.log_likelihood,
+            "log_likelihood_two_stage": ll_two_stage,
+            "iterations": mle_result.n_iterations,
+            "converged": mle_result.converged,
+            "concurrence": concurrence_restricted(mle_result.restricted).as_dict(),
         }
 
-        if mle:
-            mle_result = mle_fit(diag_records, fringe_records, unit_eff, MLEOptions(), initial=rd)
-            ll_two_stage = log_likelihood(two_stage_block(rd), diag_records, fringe_records, unit_eff)
-            result_payload["mle"] = {
-                "restricted": mle_result.restricted.as_dict(),
-                "log_likelihood": mle_result.log_likelihood,
-                "log_likelihood_two_stage": ll_two_stage,
-                "iterations": mle_result.n_iterations,
-                "converged": mle_result.converged,
-                "concurrence": concurrence_restricted(mle_result.restricted).as_dict(),
-            }
-
-        fig_rows = []
-        plane_payload = {}
-        planes = ["detectors"] if plane == "detectors" else ["detectors", plane]
-        for target in planes:
-            rd_t = rd if target == "detectors" else backpropagate(rd, config.budget, target)
-            conc_t = concurrence_restricted(rd_t, herald=herald_label)
-            plane_payload[target] = {
-                "state": _analysis_payload(rd_t, herald_label),
-                "concurrence": conc_t.as_dict(),
-            }
-            fig_rows.append(
-                [
-                    target,
-                    herald_label,
-                    conc_t.concurrence,
-                    conc_t.sigma_concurrence,
-                    rd_t.p00,
-                    rd_t.p01,
-                    rd_t.p10,
-                    rd_t.p11,
-                    rd_t.d_abs,
-                ]
-            )
-        result_payload["planes"] = plane_payload
-        out.write_json("tomography_result.json", result_payload)
-        out.write_csv(
-            "concurrence_planes.csv",
-            ["plane", "herald", "concurrence", "sigma_concurrence", "p00", "p01", "p10", "p11", "d_abs"],
-            fig_rows,
+    fig_rows = []
+    plane_payload = {}
+    planes = ["detectors"] if plane == "detectors" else ["detectors", plane]
+    for target in planes:
+        rd_t = rd if target == "detectors" else backpropagate(rd, config.budget, target)
+        conc_t = concurrence_restricted(rd_t, herald=herald_label)
+        plane_payload[target] = {
+            "state": {**rd_t.as_dict(), "herald": herald_label},
+            "concurrence": conc_t.as_dict(),
+        }
+        fig_rows.append(
+            [
+                target,
+                herald_label,
+                conc_t.concurrence,
+                conc_t.sigma_concurrence,
+                rd_t.p00,
+                rd_t.p01,
+                rd_t.p10,
+                rd_t.p11,
+                rd_t.d_abs,
+            ]
         )
-        out.manifest("analyze", data)
+    result_payload["planes"] = plane_payload
+    out.write_json("tomography_result.json", result_payload)
+    out.write_csv(
+        "concurrence_planes.csv",
+        ["plane", "herald", "concurrence", "sigma_concurrence", "p00", "p01", "p10", "p11", "d_abs"],
+        fig_rows,
+    )
+    out.manifest("analyze", data)
 
-        click.echo(f"herald {herald_label} | reference: detectors, unit detection efficiency")
-        for key in ("p00", "p01", "p10", "p11", "p02"):
-            click.echo(f"  {key} = {estimate[key]:.5e} +- {estimate.sigmas[key]:.1e}")
-        click.echo(f"  V = {fit.visibility:.4f} +- {fit.sigma_visibility:.4f}")
-        click.echo(f"  |d| = {coherence.d_abs:.4e} +- {coherence.sigma:.1e} ({coherence.mode})")
-        click.echo(f"  h_c2 = {report.h_c2:.4f} +- {report.sigma_h_c2:.4f}")
+    click.echo(f"herald {herald_label} | reference: detectors, unit detection efficiency")
+    for key in ("p00", "p01", "p10", "p11", "p02"):
+        click.echo(f"  {key} = {estimate[key]:.5e} +- {estimate.sigmas[key]:.1e}")
+    click.echo(f"  V = {fit.visibility:.4f} +- {fit.sigma_visibility:.4f}")
+    click.echo(f"  |d| = {coherence.d_abs:.4e} +- {coherence.sigma:.1e} ({coherence.mode})")
+    click.echo(f"  h_c2 = {report.h_c2:.4f} +- {report.sigma_h_c2:.4f}")
+    click.echo(
+        f"  C = {conc.concurrence:.4e} +- {conc.sigma_concurrence:.1e}"
+        f"  (P~C = {conc.lower_bound:.4e})"
+    )
+    if plane != "detectors":
+        conc_t = plane_payload[plane]["concurrence"]
+        click.echo(f"  C at {plane} = {conc_t['concurrence']:.4e} +- {conc_t['sigma_concurrence']:.1e}")
+    if mle:
         click.echo(
-            f"  C = {conc.concurrence:.4e} +- {conc.sigma_concurrence:.1e}"
-            f"  (P~C = {conc.lower_bound:.4e})"
+            f"  MLE: logL = {result_payload['mle']['log_likelihood']:.2f} "
+            f"(two-stage {result_payload['mle']['log_likelihood_two_stage']:.2f})"
         )
-        if plane != "detectors":
-            conc_t = plane_payload[plane]["concurrence"]
-            click.echo(f"  C at {plane} = {conc_t['concurrence']:.4e} +- {conc_t['sigma_concurrence']:.1e}")
-        if mle:
-            click.echo(
-                f"  MLE: logL = {result_payload['mle']['log_likelihood']:.2f} "
-                f"(two-stage {result_payload['mle']['log_likelihood_two_stage']:.2f})"
-            )
-        click.echo(f"outputs in {out.out_dir}")
-    except Exception as exc:  # noqa: BLE001
-        raise _fail(exc)
+    click.echo(f"outputs in {out.out_dir}")
 
 
 def _read_result(path: Path) -> tuple[dict, float, dict, str | None]:
@@ -488,7 +483,7 @@ def _read_result(path: Path) -> tuple[dict, float, dict, str | None]:
 @main.command()
 @_with_options(_HERALD)
 @click.option("--result", "result_path", type=click.Path(dir_okay=False, exists=True), default=None, help="tomography_result.json from analyze.")
-@click.option("--plane", type=click.Choice(["z0", "z1", "z2"]), default="z2", show_default=True)
+@click.option("--plane", type=click.Choice(list(PLANES)[1:]), default="z2", show_default=True)  # upstream of the detectors
 @click.option("--p00", type=float, default=None)
 @click.option("--p01", type=float, default=None)
 @click.option("--p10", type=float, default=None)
@@ -496,48 +491,45 @@ def _read_result(path: Path) -> tuple[dict, float, dict, str | None]:
 @click.option("--visibility", "-v", "vis", type=float, default=None, help="Fringe visibility fixing the coherence via |d| = V (p10+p01)/2.")
 def backprop(config_path, preset, out_dir, herald, result_path, plane, p00, p01, p10, p11, vis):
     """Back-propagate a restricted state through the channel budget."""
-    try:
-        config, data = _load_config(config_path, preset)
-        config = _apply_overrides(config, herald=herald)
-        direct = [p00, p01, p10, p11, vis]
-        if result_path is not None:
-            pops, d_abs, sigmas, herald_label = _read_result(Path(result_path))
-            herald_label = config.herald.which if herald_label is None else herald_label
-        elif all(v is not None for v in direct):
-            pops, d_abs, sigmas = {"p00": p00, "p01": p01, "p10": p10, "p11": p11}, vis * (p10 + p01) / 2.0, {}
-            herald_label = config.herald.which
-        else:
-            raise ConfigError("backprop needs --result or all of --p00/--p01/--p10/--p11/--visibility")
-        rd = RestrictedDensity(**pops, d=min(d_abs, max(pops["p01"] * pops["p10"], 0.0) ** 0.5), sigmas=sigmas)
+    config, data = _load_config(config_path, preset)
+    config = _apply_overrides(config, herald=herald)
+    direct = [p00, p01, p10, p11, vis]
+    if result_path is not None:
+        pops, d_abs, sigmas, herald_label = _read_result(Path(result_path))
+        herald_label = config.herald.which if herald_label is None else herald_label
+    elif all(v is not None for v in direct):
+        pops, d_abs, sigmas = {"p00": p00, "p01": p01, "p10": p10, "p11": p11}, vis * (p10 + p01) / 2.0, {}
+        herald_label = config.herald.which
+    else:
+        raise ConfigError("backprop needs --result or all of --p00/--p01/--p10/--p11/--visibility")
+    rd = RestrictedDensity(**pops, d=min(d_abs, max(pops["p01"] * pops["p10"], 0.0) ** 0.5), sigmas=sigmas)
 
-        out = _Outputs(Path(out_dir))
-        rows = []
-        payload_planes = {}
-        for target in ("detectors", "z0", "z1", "z2"):
-            rd_t = rd if target == "detectors" else backpropagate(rd, config.budget, target)
-            conc = concurrence_restricted(rd_t, herald=herald_label)
-            payload_planes[target] = {
-                "state": rd_t.as_dict(),
-                "concurrence": conc.as_dict(),
-            }
-            rows.append(
-                [target, herald_label, conc.concurrence, conc.sigma_concurrence, rd_t.p00, rd_t.p01, rd_t.p10, rd_t.p11, rd_t.d_abs]
-            )
-            if target == plane:
-                click.echo(
-                    f"{target}: C = {conc.concurrence:.4e} +- {conc.sigma_concurrence:.1e}, "
-                    f"p10+p01 = {rd_t.p10 + rd_t.p01:.4f}"
-                )
-        out.write_json("backprop.json", payload_planes)
-        out.write_csv(
-            "concurrence_planes.csv",
-            ["plane", "herald", "concurrence", "sigma_concurrence", "p00", "p01", "p10", "p11", "d_abs"],
-            rows,
+    out = _Outputs(Path(out_dir))
+    rows = []
+    payload_planes = {}
+    for target in PLANES:
+        rd_t = rd if target == "detectors" else backpropagate(rd, config.budget, target)
+        conc = concurrence_restricted(rd_t, herald=herald_label)
+        payload_planes[target] = {
+            "state": rd_t.as_dict(),
+            "concurrence": conc.as_dict(),
+        }
+        rows.append(
+            [target, herald_label, conc.concurrence, conc.sigma_concurrence, rd_t.p00, rd_t.p01, rd_t.p10, rd_t.p11, rd_t.d_abs]
         )
-        out.manifest("backprop", data)
-        click.echo(f"outputs in {out.out_dir}")
-    except Exception as exc:  # noqa: BLE001
-        raise _fail(exc)
+        if target == plane:
+            click.echo(
+                f"{target}: C = {conc.concurrence:.4e} +- {conc.sigma_concurrence:.1e}, "
+                f"p10+p01 = {rd_t.p10 + rd_t.p01:.4f}"
+            )
+    out.write_json("backprop.json", payload_planes)
+    out.write_csv(
+        "concurrence_planes.csv",
+        ["plane", "herald", "concurrence", "sigma_concurrence", "p00", "p01", "p10", "p11", "d_abs"],
+        rows,
+    )
+    out.manifest("backprop", data)
+    click.echo(f"outputs in {out.out_dir}")
 
 
 if __name__ == "__main__":

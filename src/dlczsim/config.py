@@ -1,4 +1,4 @@
-"""Experiment configuration: JSON schema, presets, deterministic hashing.
+"""Experiment configuration: JSON schema, channel budget, presets, hashing.
 
 A configuration fully determines a simulation run together with one seed;
 unknown keys are rejected so that a config file can be trusted to reproduce
@@ -20,11 +20,18 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .entanglement import ChannelBudget
+from .detection import MAX_TRIALS
 from .protocol import EnsembleParams, HeraldChoice, InterferometerParams
 
 SCHEMA_VERSION = 1
-MAX_TRIALS = 2**63 - 1  # numpy samples counts as int64
+
+COMPONENT_KEYS = ("fc", "c", "f", "apd")
+PLANES: dict[str, tuple[str, ...]] = {
+    "detectors": (),
+    "z0": ("apd",),
+    "z1": ("apd", "f", "c"),
+    "z2": ("apd", "f", "c", "fc"),
+}
 
 _COMPONENT_SCHEMA = {
     "type": "array",
@@ -48,8 +55,8 @@ _ENSEMBLE_SCHEMA = {
 
 _SIDE_SCHEMA = {
     "type": "object",
-    "properties": {k: _COMPONENT_SCHEMA for k in ("fc", "c", "f", "apd")},
-    "required": ["fc", "c", "f", "apd"],
+    "properties": dict.fromkeys(COMPONENT_KEYS, _COMPONENT_SCHEMA),
+    "required": list(COMPONENT_KEYS),
     "additionalProperties": False,
 }
 
@@ -217,6 +224,67 @@ class DetectorBench:
 
 
 @dataclass(frozen=True)
+class ChannelBudget:
+    """Per-path transmissions with uncertainties, keyed by component.
+
+    Components, ordered from the ensembles toward the detectors: ``fc``
+    (filter cell), ``c`` (fiber coupling), ``f`` (auxiliary-light filter),
+    ``apd`` (detector quantum efficiency).  Planes are cumulative component
+    sets counted backward from the raw detector record: z0 undoes only apd,
+    z1 additionally f and c, z2 additionally fc (ensemble output edge).
+    """
+
+    left: Mapping[str, tuple[float, float]]
+    right: Mapping[str, tuple[float, float]]
+
+    def __post_init__(self):
+        for side in (self.left, self.right):
+            for key in COMPONENT_KEYS:
+                if key not in side:
+                    raise ValueError(f"budget is missing component {key!r}")
+                value, err = side[key]
+                if not 0.0 < value <= 1.0:
+                    raise ValueError(f"component {key} transmission {value} outside (0, 1]")
+                if err < 0.0:
+                    raise ValueError("component uncertainty must be nonnegative")
+
+    def segment(self, side: str, from_plane: str, to_plane: str) -> tuple[float, float]:
+        """Product transmission (and uncertainty) between two planes."""
+        for plane in (from_plane, to_plane):
+            if plane not in PLANES:
+                raise ValueError(f"unknown plane {plane!r}")
+        if set(PLANES[from_plane]) - set(PLANES[to_plane]):
+            raise ValueError(f"target plane {to_plane} is downstream of {from_plane}")
+        # a fixed multiplication order keeps the product independent of
+        # string hashing (PYTHONHASHSEED)
+        keys = [key for key in COMPONENT_KEYS if key in PLANES[to_plane] and key not in PLANES[from_plane]]
+        comps = self.left if side == "L" else self.right
+        alpha = 1.0
+        rel_var = 0.0
+        for key in keys:
+            value, err = comps[key]
+            alpha *= value
+            rel_var += (err / value) ** 2
+        return alpha, alpha * math.sqrt(rel_var)
+
+    def total(self, side: str) -> float:
+        return self.segment(side, "detectors", "z2")[0]
+
+    def as_dict(self) -> dict[str, object]:
+        return {
+            "L": {k: list(v) for k, v in self.left.items()},
+            "R": {k: list(v) for k, v in self.right.items()},
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Mapping[str, object]]) -> "ChannelBudget":
+        def side(entries):
+            return {k: (float(v[0]), float(v[1])) for k, v in entries.items()}
+
+        return cls(left=side(data["L"]), right=side(data["R"]))
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     left: EnsembleParams
     right: EnsembleParams
@@ -277,12 +345,8 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
     )
 
 
-def canonical_json(data: Mapping[str, Any]) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(data: Mapping[str, Any]) -> str:
-    return hashlib.sha256(canonical_json(data).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def load_config_dict(path: str | Path) -> dict[str, Any]:

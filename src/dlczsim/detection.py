@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 PROBABILITY_SUM_TOL = 1e-10
+MAX_TRIALS = 2**63 - 1  # numpy samples and sums counts as int64
 
 ClickPattern = tuple[int, ...]
 
@@ -63,8 +66,14 @@ class CountRecord:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise RecordIntegrityError(f"trials must be >= 1, got {self.trials}")
+        for name, n in [("trials", self.trials), *((f"count of {pattern}", n) for pattern, n in self.tally.items())]:
+            if isinstance(n, bool) or not isinstance(n, Integral):
+                raise RecordIntegrityError(f"{name} has the wrong type: {n!r} is not an integer")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise RecordIntegrityError(f"trials must be >= 1 and <= {MAX_TRIALS}, got {self.trials}")
+        phase = self.phase
+        if phase is not None and (isinstance(phase, bool) or not isinstance(phase, Real) or not math.isfinite(phase)):
+            raise RecordIntegrityError(f"phase {phase!r} is not a finite real number")
         total = sum(self.tally.values())
         if total != self.trials:
             raise RecordIntegrityError(f"tally sums to {total}, trials is {self.trials}")
@@ -83,7 +92,7 @@ class CountRecord:
 def merge_counts(a: CountRecord, b: CountRecord) -> CountRecord:
     """Associative merge of two records of the same measurement setting."""
     if a.detector_ids != b.detector_ids or a.phase != b.phase:
-        raise ValueError("records describe different measurement settings")
+        raise RecordIntegrityError("records describe different measurement settings")
     tally = dict(a.tally)
     for pattern, n in b.tally.items():
         tally[pattern] = tally.get(pattern, 0) + n
@@ -233,11 +242,5 @@ def read_count_records_json(path: str | Path) -> list[CountRecord]:
             raise RecordIntegrityError(f"{path}: record {index} has malformed pattern bits ({exc})") from exc
         except (AttributeError, TypeError) as exc:
             raise RecordIntegrityError(f"{path}: record {index} has a field of the wrong type ({exc})") from exc
-        try:
-            record = CountRecord(
-                detector_ids, trials, tally, phase=entry.get("phase_phi_radians"), seed=entry.get("seed")
-            )
-        except TypeError as exc:
-            raise RecordIntegrityError(f"{path}: record {index} has a field of the wrong type ({exc})") from exc
-        records.append(record)
+        records.append(CountRecord(detector_ids, trials, tally, phase=entry.get("phase_phi_radians"), seed=entry.get("seed")))
     return records

@@ -9,11 +9,12 @@ upstream of the detectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 import numpy as np
 
+from .config import ChannelBudget
 from .detection import substream_rng
 from .tomography import RestrictedDensity
 
@@ -134,77 +135,7 @@ def concurrence_restricted(
 
 
 # ---------------------------------------------------------------------------
-# channel budget and loss back-propagation
-
-PLANES: dict[str, tuple[str, ...]] = {
-    "detectors": (),
-    "z0": ("apd",),
-    "z1": ("apd", "f", "c"),
-    "z2": ("apd", "f", "c", "fc"),
-}
-
-COMPONENT_KEYS = ("fc", "c", "f", "apd")
-
-
-@dataclass(frozen=True)
-class ChannelBudget:
-    """Per-path transmissions with uncertainties, keyed by component.
-
-    Components, ordered from the ensembles toward the detectors: ``fc``
-    (filter cell), ``c`` (fiber coupling), ``f`` (auxiliary-light filter),
-    ``apd`` (detector quantum efficiency).  Planes are cumulative component
-    sets counted backward from the raw detector record: z0 undoes only apd,
-    z1 additionally f and c, z2 additionally fc (ensemble output edge).
-    """
-
-    left: Mapping[str, tuple[float, float]]
-    right: Mapping[str, tuple[float, float]]
-
-    def __post_init__(self):
-        for side in (self.left, self.right):
-            for key in COMPONENT_KEYS:
-                if key not in side:
-                    raise ValueError(f"budget is missing component {key!r}")
-                value, err = side[key]
-                if not 0.0 < value <= 1.0:
-                    raise ValueError(f"component {key} transmission {value} outside (0, 1]")
-                if err < 0.0:
-                    raise ValueError("component uncertainty must be nonnegative")
-
-    def segment(self, side: str, from_plane: str, to_plane: str) -> tuple[float, float]:
-        """Product transmission (and uncertainty) between two planes."""
-        for plane in (from_plane, to_plane):
-            if plane not in PLANES:
-                raise ValueError(f"unknown plane {plane!r}")
-        if set(PLANES[from_plane]) - set(PLANES[to_plane]):
-            raise ValueError(f"target plane {to_plane} is downstream of {from_plane}")
-        # a fixed multiplication order keeps the product independent of
-        # string hashing (PYTHONHASHSEED)
-        keys = [key for key in COMPONENT_KEYS if key in PLANES[to_plane] and key not in PLANES[from_plane]]
-        comps = self.left if side == "L" else self.right
-        alpha = 1.0
-        rel_var = 0.0
-        for key in keys:
-            value, err = comps[key]
-            alpha *= value
-            rel_var += (err / value) ** 2
-        return alpha, alpha * math.sqrt(rel_var)
-
-    def total(self, side: str) -> float:
-        return self.segment(side, "detectors", "z2")[0]
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "L": {k: list(v) for k, v in self.left.items()},
-            "R": {k: list(v) for k, v in self.right.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Mapping[str, object]]) -> "ChannelBudget":
-        def side(entries):
-            return {k: (float(v[0]), float(v[1])) for k, v in entries.items()}
-
-        return cls(left=side(data["L"]), right=side(data["R"]))
+# loss back-propagation
 
 
 def invert_attenuation(
@@ -309,7 +240,7 @@ class WitnessReport:
     h_below_one: bool
 
     def as_dict(self) -> dict[str, object]:
-        return {"h_c2": self.h_c2, "sigma_h_c2": self.sigma_h_c2, "h_below_one": self.h_below_one}
+        return asdict(self)
 
 
 def _h_ratio(p11: float, p10: float, p01: float, sigmas: Mapping[str, float]) -> tuple[float, float]:

@@ -204,35 +204,24 @@ def two_mode_squeezed(chi: float, cutoff: int) -> PureState:
 # generic tensor application
 
 
-def _apply_on_vector(vec: np.ndarray, register: ModeRegister, mat: np.ndarray, modes: Sequence[int]) -> np.ndarray:
-    levels = register.levels
-    k = len(modes)
-    t = vec.reshape((levels,) * register.n_modes)
-    t = np.moveaxis(t, modes, range(k))
+def _contract(t: np.ndarray, mat: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Apply ``mat`` to the level axes ``axes`` of the tensor ``t``."""
+    k = len(axes)
+    t = np.moveaxis(t, axes, range(k))
     shape = t.shape
-    t = mat @ t.reshape(levels**k, -1)
-    t = np.moveaxis(t.reshape(shape), range(k), modes)
-    return t.reshape(register.dim)
+    t = (mat @ t.reshape(mat.shape[1], -1)).reshape(shape)
+    return np.moveaxis(t, range(k), axes)
+
+
+def _apply_on_vector(vec: np.ndarray, register: ModeRegister, mat: np.ndarray, modes: Sequence[int]) -> np.ndarray:
+    return _contract(vec.reshape((register.levels,) * register.n_modes), mat, modes).reshape(register.dim)
 
 
 def _apply_on_density(rho: np.ndarray, register: ModeRegister, mat: np.ndarray, modes: Sequence[int]) -> np.ndarray:
     """(M x I) rho (M x I)^dag with M acting on ``modes``."""
     n = register.n_modes
-    levels = register.levels
-    k = len(modes)
-    t = rho.reshape((levels,) * (2 * n))
-    # ket side
-    t = np.moveaxis(t, modes, range(k))
-    shape = t.shape
-    t = (mat @ t.reshape(levels**k, -1)).reshape(shape)
-    t = np.moveaxis(t, range(k), modes)
-    # bra side (conjugate action)
-    bra = [n + m for m in modes]
-    t = np.moveaxis(t, bra, range(k))
-    shape = t.shape
-    t = (mat.conj() @ t.reshape(levels**k, -1)).reshape(shape)
-    t = np.moveaxis(t, range(k), bra)
-    return t.reshape(register.dim, register.dim)
+    t = _contract(rho.reshape((register.levels,) * (2 * n)), mat, modes)  # ket side
+    return _contract(t, mat.conj(), [n + m for m in modes]).reshape(register.dim, register.dim)  # bra side, conjugated
 
 
 # ---------------------------------------------------------------------------

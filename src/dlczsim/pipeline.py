@@ -12,9 +12,8 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, replace
 
-from .config import ExperimentConfig
+from .config import ChannelBudget, ExperimentConfig
 from .detection import CountRecord, JointProbabilities, sample_counts
-from .entanglement import ChannelBudget
 from .fock import DensityOperator, apply_loss
 from .layouts import diagonal_layout_probabilities, fringe_layout_probabilities
 from .protocol import (

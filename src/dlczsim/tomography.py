@@ -17,7 +17,7 @@ bounded cache of read-only arrays keyed on the bench values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -111,8 +111,7 @@ class EfficiencyModel:
     bs2_T: float = 0.5
 
     def __post_init__(self):
-        for name in ("eta_l", "eta_r", "eta_1", "eta_2", "eta_3", "split", "bs2_T"):
-            v = getattr(self, name)
+        for name, v in self.as_dict().items():
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
@@ -129,15 +128,7 @@ class EfficiencyModel:
         return self.eta_r * self.eta_3
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "eta_l": self.eta_l,
-            "eta_r": self.eta_r,
-            "eta_1": self.eta_1,
-            "eta_2": self.eta_2,
-            "eta_3": self.eta_3,
-            "split": self.split,
-            "bs2_T": self.bs2_T,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,9 @@ import math
 
 import numpy as np
 
-from dlczsim.config import config_from_dict
+from dlczsim.config import ChannelBudget, config_from_dict
 from dlczsim.detection import sample_counts
 from dlczsim.entanglement import (
-    ChannelBudget,
     backpropagate,
     concurrence_restricted,
     invert_attenuation,

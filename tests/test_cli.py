@@ -1,16 +1,18 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import numpy as np
 from click.testing import CliRunner
 
 import dlczsim
-from dlczsim.cli import EXIT_CONFIG, EXIT_FIT, EXIT_INTEGRITY, EXIT_PHYSICS, main
+from dlczsim.cli import EXIT_CONFIG, EXIT_FIT, EXIT_INTEGRITY, EXIT_PHYSICS, _csv_cell, _round_floats, main
 from dlczsim.config import (
     ConfigError,
     config_from_dict,
@@ -212,6 +214,52 @@ def test_analyze_malformed_record_exits_integrity_code(runner, tmp_path, case):
     )
     assert result.exit_code == EXIT_INTEGRITY, result.output
     assert message in result.output
+
+
+@pytest.fixture(scope="module")
+def paper_records(tmp_path_factory):
+    """The diagonal and fringe JSON records of one ``paper`` simulation."""
+    out = tmp_path_factory.mktemp("sim")
+    args = ["simulate", "--preset", "paper", "--seed", "3", "--trials", "200000", "--layout", "both", "--out", str(out)]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    return [json.loads((out / f"counts_{layout}.json").read_text()) for layout in ("diagonal", "fringe")]
+
+
+def _corrupt(case: str, diag: list, fringe: list) -> None:
+    tally = diag[0]["tally"]
+    if case == "count_beyond_int64":
+        tally["000"] += 2**63
+        diag[0]["trials"] += 2**63
+    elif case == "fractional_counts":
+        tally["000"] -= 0.5
+        tally["100"] += 0.5
+    elif case == "fringe_record_in_diagonal_file":
+        diag.append(fringe[0])
+    else:
+        fringe[0]["phase_phi_radians"] = {"phase_text": "abc", "phase_infinite": math.inf, "phase_nan": math.nan}[case]
+
+
+_CORRUPTED_RECORDS = {  # case -> expected message
+    "count_beyond_int64": "trials must be >= 1 and <= 9223372036854775807",
+    "fractional_counts": "count of (0, 0, 0) has the wrong type",
+    "phase_text": "phase 'abc' is not a finite real number",
+    "phase_infinite": "phase inf is not a finite real number",
+    "phase_nan": "phase nan is not a finite real number",
+    "fringe_record_in_diagonal_file": "records describe different measurement settings",
+}
+
+
+@pytest.mark.parametrize("case", list(_CORRUPTED_RECORDS))
+def test_analyze_corrupted_simulated_records_exit_integrity_code(runner, tmp_path, paper_records, case):
+    diag, fringe = json.loads(json.dumps(paper_records))  # a deep copy
+    _corrupt(case, diag, fringe)
+    for name, records in (("diag", diag), ("fringe", fringe)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(records))
+    args = ["analyze", "--preset", "paper", "--diag", str(tmp_path / "diag.json"), "--fringe", str(tmp_path / "fringe.json")]
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "o")])
+    assert result.exit_code == EXIT_INTEGRITY, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "error:" in result.output and _CORRUPTED_RECORDS[case] in result.output
 
 
 def _permuted(record: dict, order=(2, 0, 1)) -> dict:
@@ -511,3 +559,11 @@ def test_herald_flag_is_case_insensitive(runner, tmp_path, flag):
     out = tmp_path / "sim"
     assert _run(runner, ["simulate", "--preset", "ideal", "--trials", "0", "--herald", flag, "--out", str(out)]).exit_code == 0
     assert json.loads((out / "herald.json").read_text())["which"] == "D1b"
+
+
+def test_numpy_scalars_write_the_bytes_of_floats():
+    # fringe-scan --trials 0 --preset ideal: D1a, phase 0, n2b_plus_n2c
+    value = -8.128869315681114e-20
+    for write in (_csv_cell, lambda x: json.dumps(_round_floats([x]))):
+        assert write(np.float64(value)) == write(value)
+    assert _csv_cell(np.float64(value)) == "-8.12886931568e-20"

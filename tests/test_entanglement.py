@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dlczsim.config import config_from_dict
+from dlczsim.config import ChannelBudget, config_from_dict
 from dlczsim.entanglement import (
-    ChannelBudget,
     UnphysicalBudgetError,
     backpropagate,
     binary_entropy,

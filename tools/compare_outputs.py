@@ -8,12 +8,14 @@ simulated JSON records, `analyze` on the same records read from CSV, and
 per preset and seed; prints per data file
 "identical" or its largest relative difference (`mle` block apart), and one
 `mle` line: the MLE concurrence old -> new, |dC| in units of the two-stage
-sigma_C, the change in log L, the iterations old -> new and convergence:
+sigma_C, the change in log L, the iterations old -> new and convergence.
+It also compares the `--help` text of `dlczsim` and of each command:
 
     python3 tools/compare_outputs.py OLD/src src --presets paper,ideal --seeds 3,11
 
-Exits 1 when a data file differs, an exit code changes, or an `mle` line
-shows a nonzero |dC| or change in log L; 0 when every output is the same.
+Exits 1 when a data file or a help text differs, an exit code changes, or an
+`mle` line shows a nonzero |dC| or change in log L; 0 when every output is
+the same.
 """
 
 import argparse
@@ -33,10 +35,21 @@ COMMANDS = {
     "csv": ["analyze"],  # the CSV record reader
     "bp": ["backprop", "--plane", "z2"],  # samples nothing, so it takes no --seed
 }
+HELP = ["", "simulate", "fringe-scan", "analyze", "backprop"]  # "" is the group itself
+
+
+def tree_env(src):
+    return {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+
+
+def help_texts(src):
+    """The `--help` output of the group and of each command, in HELP order."""
+    cmd = [sys.executable, "-m", "dlczsim.cli"]
+    return [subprocess.run([*cmd, *command.split(), "--help"], env=tree_env(src), capture_output=True).stdout for command in HELP]
 
 
 def run(src, preset, seed, out):
-    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve())}
+    env = tree_env(src)
     inputs = {
         "sim": ["--seed", str(seed)],
         "scan": ["--seed", str(seed)],
@@ -100,6 +113,9 @@ def main():
     parser.add_argument("--seeds", default="3,11,29")
     args = parser.parse_args()
     differs = False
+    for command, old_text, new_text in zip(HELP, help_texts(args.old_src), help_texts(args.new_src)):
+        print(f"help {command or 'dlczsim'}: {'identical' if old_text == new_text else 'differs'}")
+        differs |= old_text != new_text
     with tempfile.TemporaryDirectory() as work:
         for preset in args.presets.split(","):
             for seed in args.seeds.split(","):
