@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,6 +34,7 @@ import numpy as np
 from . import __version__
 from .config import (
     PLANES,
+    ChannelBudget,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
@@ -76,6 +78,7 @@ from .tomography import (
     UnphysicalStateError,
     arm_clicks,
     assemble_restricted,
+    coherence_from_visibility,
     estimate_coherence,
     fit_fringe,
     in_bench_order,
@@ -330,6 +333,20 @@ def fringe_scan(config_path, preset, out_dir, seed, trials):
     click.echo(f"outputs in {out.out_dir}")
 
 
+PLANE_HEADER = ["plane", "herald", "concurrence", "sigma_concurrence", "p00", "p01", "p10", "p11", "d_abs"]
+
+
+def _plane_table(rd: RestrictedDensity, budget: ChannelBudget, planes, herald: str) -> tuple[dict, list[list]]:
+    """The state and concurrence at each plane, as JSON by plane and as ``PLANE_HEADER`` rows."""
+    payload, rows = {}, []
+    for target in planes:
+        rd_t = rd if target == "detectors" else backpropagate(rd, budget, target)
+        conc = concurrence_restricted(rd_t, herald=herald)
+        payload[target] = {"state": rd_t.as_dict(), "concurrence": conc.as_dict()}
+        rows.append([target, herald, conc.concurrence, conc.sigma_concurrence, rd_t.p00, rd_t.p01, rd_t.p10, rd_t.p11, rd_t.d_abs])
+    return payload, rows
+
+
 def _read_records(path: Path) -> list[CountRecord]:
     if path.suffix == ".json":
         return read_count_records_json(path)
@@ -402,36 +419,13 @@ def analyze(config_path, preset, out_dir, seed, herald, records_dir, diag_path, 
             "concurrence": concurrence_restricted(mle_result.restricted).as_dict(),
         }
 
-    fig_rows = []
-    plane_payload = {}
     planes = ["detectors"] if plane == "detectors" else ["detectors", plane]
-    for target in planes:
-        rd_t = rd if target == "detectors" else backpropagate(rd, config.budget, target)
-        conc_t = concurrence_restricted(rd_t, herald=herald_label)
-        plane_payload[target] = {
-            "state": {**rd_t.as_dict(), "herald": herald_label},
-            "concurrence": conc_t.as_dict(),
-        }
-        fig_rows.append(
-            [
-                target,
-                herald_label,
-                conc_t.concurrence,
-                conc_t.sigma_concurrence,
-                rd_t.p00,
-                rd_t.p01,
-                rd_t.p10,
-                rd_t.p11,
-                rd_t.d_abs,
-            ]
-        )
+    plane_payload, plane_rows = _plane_table(rd, config.budget, planes, herald_label)
+    for entry in plane_payload.values():
+        entry["state"]["herald"] = herald_label
     result_payload["planes"] = plane_payload
     out.write_json("tomography_result.json", result_payload)
-    out.write_csv(
-        "concurrence_planes.csv",
-        ["plane", "herald", "concurrence", "sigma_concurrence", "p00", "p01", "p10", "p11", "d_abs"],
-        fig_rows,
-    )
+    out.write_csv("concurrence_planes.csv", PLANE_HEADER, plane_rows)
     out.manifest("analyze", data)
 
     click.echo(f"herald {herald_label} | reference: detectors, unit detection efficiency")
@@ -470,13 +464,15 @@ def _read_result(path: Path) -> tuple[dict, float, dict, str | None]:
             value = value[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise RecordIntegrityError(f"{path}: field {'.'.join(keys)} is not a number")
+        if not abs(value) <= sys.float_info.max:  # NaN, Infinity, or an integer no float holds
+            raise RecordIntegrityError(f"{path}: field {'.'.join(keys)} is not a finite number")
         return value
 
     pops = {key: number("populations", key) for key in ("p00", "p01", "p10", "p11")}
     sig = payload.get("sigmas", {})
     if not isinstance(sig, dict):
         raise RecordIntegrityError(f"{path}: field sigmas is not an object")
-    sigmas = {f"sigma_{key}": number("sigmas", key) for key in pops if key in sig} | {"sigma_d": number("coherence", "sigma")}
+    sigmas = {key: number("sigmas", key) for key in pops if key in sig} | {"d": number("coherence", "sigma")}
     return pops, number("coherence", "d_abs"), sigmas, payload.get("herald")
 
 
@@ -498,36 +494,21 @@ def backprop(config_path, preset, out_dir, herald, result_path, plane, p00, p01,
         pops, d_abs, sigmas, herald_label = _read_result(Path(result_path))
         herald_label = config.herald.which if herald_label is None else herald_label
     elif all(v is not None for v in direct):
-        pops, d_abs, sigmas = {"p00": p00, "p01": p01, "p10": p10, "p11": p11}, vis * (p10 + p01) / 2.0, {}
+        pops, d_abs, sigmas = {"p00": p00, "p01": p01, "p10": p10, "p11": p11}, coherence_from_visibility(vis, p10, p01), {}
         herald_label = config.herald.which
     else:
         raise ConfigError("backprop needs --result or all of --p00/--p01/--p10/--p11/--visibility")
-    rd = RestrictedDensity(**pops, d=min(d_abs, max(pops["p01"] * pops["p10"], 0.0) ** 0.5), sigmas=sigmas)
+    rd = RestrictedDensity.clamped(**pops, d_abs=d_abs, sigmas=sigmas)
 
     out = _Outputs(Path(out_dir))
-    rows = []
-    payload_planes = {}
-    for target in PLANES:
-        rd_t = rd if target == "detectors" else backpropagate(rd, config.budget, target)
-        conc = concurrence_restricted(rd_t, herald=herald_label)
-        payload_planes[target] = {
-            "state": rd_t.as_dict(),
-            "concurrence": conc.as_dict(),
-        }
-        rows.append(
-            [target, herald_label, conc.concurrence, conc.sigma_concurrence, rd_t.p00, rd_t.p01, rd_t.p10, rd_t.p11, rd_t.d_abs]
-        )
-        if target == plane:
-            click.echo(
-                f"{target}: C = {conc.concurrence:.4e} +- {conc.sigma_concurrence:.1e}, "
-                f"p10+p01 = {rd_t.p10 + rd_t.p01:.4f}"
-            )
-    out.write_json("backprop.json", payload_planes)
-    out.write_csv(
-        "concurrence_planes.csv",
-        ["plane", "herald", "concurrence", "sigma_concurrence", "p00", "p01", "p10", "p11", "d_abs"],
-        rows,
+    payload, rows = _plane_table(rd, config.budget, PLANES, herald_label)
+    state, conc = payload[plane]["state"], payload[plane]["concurrence"]
+    click.echo(
+        f"{plane}: C = {conc['concurrence']:.4e} +- {conc['sigma_concurrence']:.1e}, "
+        f"p10+p01 = {state['p10'] + state['p01']:.4f}"
     )
+    out.write_json("backprop.json", payload)
+    out.write_csv("concurrence_planes.csv", PLANE_HEADER, rows)
     out.manifest("backprop", data)
     click.echo(f"outputs in {out.out_dir}")
 

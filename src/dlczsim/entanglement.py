@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ChannelBudget
 from .detection import substream_rng
-from .tomography import RestrictedDensity
+from .tomography import DataQualityError, RestrictedDensity, coherence_from_visibility
 
 
 class UnphysicalBudgetError(ValueError):
@@ -90,8 +90,7 @@ def concurrence_restricted(
 
     sigma_c = 0.0
     mc_sigma = None
-    sig = {k.removeprefix("sigma_"): v for k, v in rd.sigmas.items()}
-    if sig:
+    if rd.sigmas:
         # first-order propagation with numeric partials
         var = 0.0
         base = {"p00": rd.p00, "p01": rd.p01, "p10": rd.p10, "p11": rd.p11, "d": rd.d_abs}
@@ -100,7 +99,7 @@ def concurrence_restricted(
             pt = params["p00"] + params["p01"] + params["p10"] + params["p11"]
             return _concurrence_value(params["p00"], params["p11"], params["d"], pt)
 
-        for key, s in sig.items():
+        for key, s in rd.sigmas.items():
             if key not in base or s == 0.0:
                 continue
             step = max(1e-9, 1e-4 * abs(base[key]), 0.1 * s)
@@ -116,7 +115,7 @@ def concurrence_restricted(
             # element-wise mirror of value() on every row, same operation
             # order; in place, so the draw block is the only full-size array
             x = substream_rng(seed, stream=0xC0).standard_normal((mc_samples, len(base)))
-            x *= [sig.get(key, 0.0) for key in base]
+            x *= [rd.sigmas.get(key, 0.0) for key in base]
             x += list(base.values())
             p00, p01, p10, p11, d = np.maximum(x, 0.0, out=x).T
             pt = p00 + p01 + p10 + p11
@@ -150,7 +149,8 @@ def invert_attenuation(
     Populations scale with the inverse single- and two-photon survival
     probabilities and the vacuum absorbs the complement.  The coherence is
     recomputed from a constant visibility (the measured fringe contrast is
-    carried along the channel).
+    carried along the channel) and clamped as ``RestrictedDensity.clamped``
+    does.
     """
 
     total = rd.p_tilde
@@ -163,8 +163,7 @@ def invert_attenuation(
         # the all-ones budget an exact identity
         out00 = total - out01 - out10 - out11
         vis = 2.0 * d_abs / (p10 + p01) if (p10 + p01) > 0 else 0.0
-        out_d = vis * (out10 + out01) / 2.0
-        return out00, out01, out10, out11, out_d
+        return out00, out01, out10, out11, coherence_from_visibility(vis, out10, out01)
 
     base = transform(rd.p01, rd.p10, rd.p11, rd.d_abs, alpha_l, alpha_r)
     p00, p01, p10, p11, d_abs = base
@@ -174,17 +173,10 @@ def invert_attenuation(
             f"p10={p10:.4f}, p11={p11:.4f}"
         )
 
-    sig = {k.removeprefix("sigma_"): v for k, v in rd.sigmas.items()}
     sigmas = {}
-    if sig or sigma_alpha_l or sigma_alpha_r:
-        inputs = {
-            "p01": (rd.p01, sig.get("p01", 0.0)),
-            "p10": (rd.p10, sig.get("p10", 0.0)),
-            "p11": (rd.p11, sig.get("p11", 0.0)),
-            "d": (rd.d_abs, sig.get("d", 0.0)),
-            "al": (alpha_l, sigma_alpha_l),
-            "ar": (alpha_r, sigma_alpha_r),
-        }
+    if rd.sigmas or sigma_alpha_l or sigma_alpha_r:
+        inputs = {key: (getattr(rd, key), rd.sigmas.get(key, 0.0)) for key in ("p01", "p10", "p11")}
+        inputs |= {"d": (rd.d_abs, rd.sigmas.get("d", 0.0)), "al": (alpha_l, sigma_alpha_l), "ar": (alpha_r, sigma_alpha_r)}
         variances = np.zeros(5)
         for key, (v, s) in inputs.items():
             if s == 0.0:
@@ -195,30 +187,14 @@ def invert_attenuation(
             hi = transform(args_hi["p01"], args_hi["p10"], args_hi["p11"], args_hi["d"], args_hi["al"], args_hi["ar"])
             derivs = (np.array(hi) - np.array(base)) / step
             variances += (derivs * s) ** 2
-        for name, var in zip(("p00", "p01", "p10", "p11", "d"), variances):
-            sigmas[f"sigma_{name}"] = float(math.sqrt(var))
+        sigmas = {name: float(math.sqrt(var)) for name, var in zip(("p00", "p01", "p10", "p11", "d"), variances)}
 
-    phase = np.angle(rd.d) if rd.d_abs > 0 else 0.0
-    bound = math.sqrt(p01 * p10)
-    flags = rd.flags
-    if d_abs > bound:
-        d_abs = bound
-        flags = flags + ("coherence_clamped",)
     extras = {}
     if rd.p02 is not None:
         extras["p02"] = rd.p02 / alpha_r**2
     if rd.p20 is not None:
         extras["p20"] = rd.p20 / alpha_l**2
-    return RestrictedDensity(
-        p00=p00,
-        p01=p01,
-        p10=p10,
-        p11=p11,
-        d=d_abs * np.exp(1j * phase),
-        sigmas=sigmas,
-        flags=flags,
-        **extras,
-    )
+    return RestrictedDensity.clamped(p00, p01, p10, p11, d_abs, np.angle(rd.d), rd.flags, sigmas=sigmas, **extras)
 
 
 def backpropagate(rd: RestrictedDensity, budget: ChannelBudget, to_plane: str) -> RestrictedDensity:
@@ -245,11 +221,11 @@ class WitnessReport:
 
 def _h_ratio(p11: float, p10: float, p01: float, sigmas: Mapping[str, float]) -> tuple[float, float]:
     if p10 <= 0.0 or p01 <= 0.0:
-        raise ValueError("h ratio needs p10, p01 > 0")
+        raise DataQualityError("h ratio undefined: needs p10, p01 > 0")
     h = p11 / (p10 * p01)
     rel = 0.0
     for key, v in (("p11", p11), ("p10", p10), ("p01", p01)):
-        s = sigmas.get(key, sigmas.get(f"sigma_{key}", 0.0))
+        s = sigmas.get(key, 0.0)
         if v > 0:
             rel += (s / v) ** 2
     return h, h * math.sqrt(rel)
@@ -261,5 +237,5 @@ def witnesses(rd: RestrictedDensity) -> WitnessReport:
     h < 1 is the necessary precondition for a strictly positive concurrence
     bound (factorizable statistics give exactly 1).
     """
-    h, sigma = _h_ratio(rd.p11, rd.p10, rd.p01, dict(rd.sigmas))
+    h, sigma = _h_ratio(rd.p11, rd.p10, rd.p01, rd.sigmas)
     return WitnessReport(h_c2=float(h), sigma_h_c2=float(sigma), h_below_one=bool(h < 1.0))

@@ -138,7 +138,8 @@ class RestrictedDensity:
     Populations are stored unnormalized; their sum is the retained
     probability P~.  ``d`` is the coherence between |0,1> and |1,0>;
     reports use |d| (its global phase is unobservable in the two layouts),
-    the complex value is kept internally.
+    the complex value is kept internally.  ``sigmas`` are keyed by field
+    name (``p00`` ... ``p11``, ``p02``, ``d``).
     """
 
     p00: float
@@ -152,6 +153,8 @@ class RestrictedDensity:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not set(self.sigmas) <= {*DIAG_KEYS, "p20", "d"}:
+            raise ValueError(f"sigmas are keyed by field name, got {sorted(self.sigmas)}")
         for name in ("p00", "p01", "p10", "p11"):
             v = getattr(self, name)
             if v < -1e-12:
@@ -161,10 +164,24 @@ class RestrictedDensity:
         if not 0.0 < self.p_tilde <= 1.0 + P_TILDE_TOL:
             raise UnphysicalStateError(f"retained probability {self.p_tilde} outside (0, 1]")
         bound = math.sqrt(self.p01 * self.p10)
-        if abs(self.d) > bound + PSD_REL_TOL + 1e-12:
+        if not abs(self.d) <= bound + PSD_REL_TOL + 1e-12:  # NaN included
             raise UnphysicalStateError(
                 f"|d| = {abs(self.d):.3e} exceeds positivity bound sqrt(p01 p10) = {bound:.3e}"
             )
+
+    @classmethod
+    def clamped(
+        cls, p00: float, p01: float, p10: float, p11: float, d_abs: float, phase: float = 0.0, flags: Sequence[str] = (), **extras
+    ) -> "RestrictedDensity":
+        """The state with coherence ``d_abs`` e^(i phase), |d| clamped to the
+        positivity bound sqrt(p01 p10) and flagged ``coherence_clamped``
+        (once) where it exceeds it."""
+        if not 0.0 <= d_abs < math.inf:
+            raise UnphysicalStateError(f"|d| = {d_abs} is negative or not finite")
+        bound = math.sqrt(max(p01 * p10, 0.0))
+        if d_abs > bound:
+            d_abs, flags = bound, (*flags, "coherence_clamped")
+        return cls(p00, p01, p10, p11, d=d_abs * np.exp(1j * phase), flags=tuple(dict.fromkeys(flags)), **extras)
 
     @property
     def p_tilde(self) -> float:
@@ -188,7 +205,7 @@ class RestrictedDensity:
         if self.p20 is not None:
             out["p20"] = self.p20
         if self.sigmas:
-            out["sigmas"] = dict(self.sigmas)
+            out["sigmas"] = {f"sigma_{name}": v for name, v in self.sigmas.items()}
         if self.flags:
             out["flags"] = list(self.flags)
         return out
@@ -492,6 +509,11 @@ def fit_fringe(scan: FringeScan) -> FringeFit:
     )
 
 
+def coherence_from_visibility(visibility: float, p10: float, p01: float) -> float:
+    """The textbook |d| = V (p10 + p01) / 2: 50/50 splitters, no two-photon terms."""
+    return visibility * (p10 + p01) / 2.0
+
+
 @dataclass(frozen=True)
 class CoherenceEstimate:
     d_abs: float
@@ -550,7 +572,7 @@ def estimate_coherence(
     p10 = float(diagonals["p10"])
 
     if mode == "simplified":
-        d_abs = visibility * (p10 + p01) / 2.0
+        d_abs = coherence_from_visibility(visibility, p10, p01)
         var = ((p10 + p01) / 2.0 * sigma_visibility) ** 2
         if diagonal_sigmas:
             var += (visibility / 2.0) ** 2 * (
@@ -596,29 +618,15 @@ def assemble_restricted(
     coherence: CoherenceEstimate,
     phase: float = 0.0,
 ) -> RestrictedDensity:
-    """Combine stage-one and stage-two output into a RestrictedDensity.
-
-    The coherence is clamped into the positivity cone if the raw estimate
-    exceeds it (the violation itself is carried in the flags).
-    """
-    flags = list(diag.flags) + list(coherence.flags)
-    bound = math.sqrt(diag["p01"] * diag["p10"])
-    d_abs = coherence.d_abs
-    if d_abs > bound:
-        d_abs = bound
-        if "coherence_clamped" not in flags:
-            flags.append("coherence_clamped")
-    sigmas = {f"sigma_{k}": v for k, v in diag.sigmas.items()}
-    sigmas["sigma_d"] = coherence.sigma
-    return RestrictedDensity(
-        p00=diag["p00"],
-        p01=diag["p01"],
-        p10=diag["p10"],
-        p11=diag["p11"],
-        d=d_abs * np.exp(1j * phase),
+    """Combine stage-one and stage-two output into a RestrictedDensity,
+    the coherence clamped into the positivity cone (``RestrictedDensity.clamped``)."""
+    return RestrictedDensity.clamped(
+        *(diag[key] for key in ("p00", "p01", "p10", "p11")),
+        coherence.d_abs,
+        phase,
+        diag.flags + coherence.flags,
         p02=diag["p02"],
-        sigmas=sigmas,
-        flags=tuple(flags),
+        sigmas={**diag.sigmas, "d": coherence.sigma},
     )
 
 

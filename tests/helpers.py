@@ -312,7 +312,7 @@ def setting_povm_oracle(eff: EfficiencyModel, phi: float | None) -> dict:
 def concurrence_mc_sigma_loop(rd: RestrictedDensity, mc_samples: int, seed: int) -> float:
     """Gaussian-resampling spread of the restricted-state concurrence, one
     scalar normal deviate at a time in (p00, p01, p10, p11, d) order."""
-    sig = {k.removeprefix("sigma_"): v for k, v in rd.sigmas.items()}
+    sig = rd.sigmas
     base = {"p00": rd.p00, "p01": rd.p01, "p10": rd.p10, "p11": rd.p11, "d": rd.d_abs}
     rng = substream_rng(seed, stream=0xC0)
     draws = []

@@ -54,8 +54,8 @@ from helpers import (
 
 PUBLISHED_D1A = dict(p00=0.98510, p10=7.38e-3, p01=7.51e-3, p11=1.7e-5)
 PUBLISHED_D1B = dict(p00=0.98501, p10=6.19e-3, p01=8.78e-3, p11=1.9e-5)
-SIGMAS_D1A = {"sigma_p00": 7e-5, "sigma_p10": 5e-5, "sigma_p01": 5e-5, "sigma_p11": 2e-6}
-SIGMAS_D1B = {"sigma_p00": 7e-5, "sigma_p10": 4e-5, "sigma_p01": 5e-5, "sigma_p11": 2e-6}
+SIGMAS_D1A = {"p00": 7e-5, "p10": 5e-5, "p01": 5e-5, "p11": 2e-6}
+SIGMAS_D1B = {"p00": 7e-5, "p10": 4e-5, "p01": 5e-5, "p11": 2e-6}
 
 BUDGET = ChannelBudget(
     left={"fc": (0.80, 0.02), "c": (0.70, 0.02), "f": (0.70, 0.02), "apd": (0.32, 0.02)},
@@ -76,11 +76,11 @@ def _coherence_simplified(table, visibility, sigmas):
         UNIT_EFF,
         "simplified",
         sigma_visibility=0.02,
-        diagonal_sigmas={k.removeprefix("sigma_"): v for k, v in sigmas.items()},
+        diagonal_sigmas=sigmas,
     )
     return RestrictedDensity(
         d=min(est.d_abs, math.sqrt(table["p01"] * table["p10"])),
-        sigmas={**sigmas, "sigma_d": est.sigma},
+        sigmas={**sigmas, "d": est.sigma},
         **table,
     )
 

@@ -262,6 +262,22 @@ def test_analyze_corrupted_simulated_records_exit_integrity_code(runner, tmp_pat
     assert "error:" in result.output and _CORRUPTED_RECORDS[case] in result.output
 
 
+@pytest.mark.parametrize("mode, message", [("simplified", "h ratio undefined"), ("full", "model slope undefined")])
+def test_analyze_undefined_witness_exits_fit_code(runner, tmp_path, paper_records, mode, message):
+    # every D2a click moved into its no-click pattern: the inversion clamps p10 to 0
+    diag, fringe = json.loads(json.dumps(paper_records))  # a deep copy
+    tally = diag[0]["tally"]
+    for bits in [bits for bits in tally if bits[0] == "1"]:
+        tally["0" + bits[1:]] += tally.pop(bits)
+    for name, records in (("diag", diag), ("fringe", fringe)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(records))
+    args = ["analyze", "--preset", "paper", "--coherence-mode", mode, "--diag", str(tmp_path / "diag.json"), "--fringe", str(tmp_path / "fringe.json")]
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "o")])
+    assert result.exit_code == EXIT_FIT, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "error:" in result.output and message in result.output
+
+
 def _permuted(record: dict, order=(2, 0, 1)) -> dict:
     """A JSON count record with its detectors listed in ``order``."""
     tally = {"".join(bits[k] for k in order): n for bits, n in record["tally"].items()}
@@ -504,6 +520,7 @@ def test_backprop_unphysical_budget_exit(runner, tmp_path):
 
 
 _BACKPROP_POPULATIONS = ["--p10", "7.38e-3", "--p01", "7.51e-3", "--p11", "1.7e-5", "-v", "0.70"]
+_PUBLISHED_POPULATIONS = ["--p00", "0.98510", "--p10", "7.38e-3", "--p01", "7.51e-3", "--p11", "1.7e-5"]
 _MALFORMED_BACKPROP = {  # case -> (result file text or None, options, exit code, expected message)
     "invalid_json": ("{not json", [], EXIT_INTEGRITY, "invalid JSON"),
     "no_populations": (json.dumps({"which": "D1a", "probability": 0.17}), [], EXIT_INTEGRITY, "no field populations"),
@@ -511,8 +528,18 @@ _MALFORMED_BACKPROP = {  # case -> (result file text or None, options, exit code
         json.dumps({"populations": {"p00": 0.98, "p01": "7.5e-3", "p10": 7.4e-3, "p11": 1.7e-5}}),
         [], EXIT_INTEGRITY, "field populations.p01 is not a number",
     ),
+    "non_finite_coherence": (
+        json.dumps({"populations": {"p00": 0.98510, "p01": 7.51e-3, "p10": 7.38e-3, "p11": 1.7e-5}, "coherence": {"d_abs": math.nan, "sigma": 1e-4}}),
+        [], EXIT_INTEGRITY, "field coherence.d_abs is not a finite number",
+    ),
+    "population_beyond_float": (
+        '{"populations": {"p00": 0.98510, "p01": 1%s, "p10": 7.38e-3, "p11": 1.7e-5}, "coherence": {"d_abs": 1e-3, "sigma": 1e-4}}' % ("0" * 400),
+        [], EXIT_INTEGRITY, "field populations.p01 is not a finite number",
+    ),
     "negative_p00": (None, ["--p00", "-0.5", *_BACKPROP_POPULATIONS], EXIT_PHYSICS, "p00 = -0.5 is negative"),
     "sum_above_one": (None, ["--p00", "0.99", *_BACKPROP_POPULATIONS], EXIT_PHYSICS, "retained probability"),
+    "nan_visibility": (None, [*_PUBLISHED_POPULATIONS, "-v", "nan"], EXIT_PHYSICS, "|d| = nan is negative or not finite"),
+    "negative_visibility": (None, [*_PUBLISHED_POPULATIONS, "--visibility=-0.7"], EXIT_PHYSICS, "is negative or not finite"),
 }
 
 

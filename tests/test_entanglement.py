@@ -30,10 +30,10 @@ from helpers import (
 PUBLISHED_D1A = dict(p00=0.98510, p10=7.38e-3, p01=7.51e-3, p11=1.7e-5)
 PUBLISHED_D1B = dict(p00=0.98501, p10=6.19e-3, p01=8.78e-3, p11=1.9e-5)
 PUBLISHED_SIGMAS = {
-    "sigma_p00": 0.00007,
-    "sigma_p10": 0.05e-3,
-    "sigma_p01": 0.05e-3,
-    "sigma_p11": 0.2e-5,
+    "p00": 0.00007,
+    "p10": 0.05e-3,
+    "p01": 0.05e-3,
+    "p11": 0.2e-5,
 }
 
 BUDGET = ChannelBudget(
@@ -46,7 +46,7 @@ def _published_rd(table, visibility, with_sigmas=True):
     d = visibility * (table["p10"] + table["p01"]) / 2.0
     sigmas = dict(PUBLISHED_SIGMAS) if with_sigmas else {}
     if with_sigmas:
-        sigmas["sigma_d"] = 0.02 * (table["p10"] + table["p01"]) / 2.0
+        sigmas["d"] = 0.02 * (table["p10"] + table["p01"]) / 2.0
     return RestrictedDensity(d=d, sigmas=sigmas, **table)
 
 
@@ -72,7 +72,7 @@ def test_concurrence_published_detector_values():
         _published_rd(PUBLISHED_D1A, 0.70),
         # C clamps at 0 while the resampled coherence straddles the boundary
         RestrictedDensity(
-            p00=0.98, p01=7e-3, p10=7e-3, p11=1e-5, d=3e-3, sigmas={**PUBLISHED_SIGMAS, "sigma_d": 3e-4}
+            p00=0.98, p01=7e-3, p10=7e-3, p11=1e-5, d=3e-3, sigmas={**PUBLISHED_SIGMAS, "d": 3e-4}
         ),
         RestrictedDensity(d=0.7 * 7.4e-3, sigmas=PUBLISHED_SIGMAS, **PUBLISHED_D1A),
     ],
@@ -251,6 +251,15 @@ def test_backprop_inverts_forward_loss_populations_asymmetric():
         back = invert_attenuation(attenuated, alpha_l, alpha_r)
         for key in ("p00", "p01", "p10", "p11"):
             assert abs(getattr(back, key) - getattr(rd, key)) < 1e-10
+
+
+def test_backpropagate_lists_coherence_clamped_once():
+    # at constant visibility the unequal channel losses lift |d| above the
+    # bound again, so a state clamped at the detectors clamps again at z2
+    rd = RestrictedDensity(p00=0.97, p01=0.01, p10=0.01, p11=1e-5, d=0.01, flags=("coherence_clamped",))
+    out = backpropagate(rd, BUDGET, "z2")
+    assert out.d_abs == math.sqrt(out.p01 * out.p10)
+    assert out.flags == ("coherence_clamped",)
 
 
 def test_backprop_rejects_unphysical_budget():

@@ -474,6 +474,29 @@ def test_restricted_density_invariants():
         RestrictedDensity(p00=0.9, p01=0.04, p10=0.05, p11=0.01, d=0.9)
 
 
+def test_restricted_density_rejects_nan_coherence_and_prefixed_sigmas():
+    with pytest.raises(tom.UnphysicalStateError, match="positivity"):
+        RestrictedDensity(p00=0.9, p01=0.04, p10=0.05, p11=0.01, d=math.nan)
+    with pytest.raises(ValueError, match="keyed by field name"):
+        RestrictedDensity(p00=0.9, p01=0.04, p10=0.05, p11=0.01, sigmas={"sigma_p00": 1e-4})
+
+
+@pytest.mark.parametrize("d_abs", [-1e-3, math.nan, math.inf])
+def test_clamped_rejects_negative_or_non_finite_coherence(d_abs):
+    with pytest.raises(tom.UnphysicalStateError, match="negative or not finite"):
+        RestrictedDensity.clamped(0.9, 0.04, 0.05, 0.01, d_abs)
+
+
+def test_assemble_restricted_clamps_once_and_keeps_sigma_keys():
+    values = {"p00": 0.9, "p01": 0.04, "p10": 0.05, "p11": 0.01, "p02": 0.0}
+    diag = tom.DiagonalEstimate(values, dict.fromkeys(DIAG_KEYS, 1e-4), np.zeros((5, 5)), ("coherence_clamped",), 1000, 0.0)
+    coherence = tom.CoherenceEstimate(d_abs=0.9, sigma=2e-3, mode="full", flags=("positivity_violation",))
+    rd = assemble_restricted(diag, coherence, phase=0.3)
+    assert rd.d_abs == pytest.approx(math.sqrt(0.04 * 0.05), rel=1e-15)
+    assert rd.flags == ("coherence_clamped", "positivity_violation")
+    assert rd.as_dict()["sigmas"] == {**{f"sigma_{key}": 1e-4 for key in DIAG_KEYS}, "sigma_d": 2e-3}
+
+
 # ---------------------------------------------------------------------------
 # maximum likelihood
 

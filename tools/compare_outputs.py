@@ -5,7 +5,8 @@ Runs `simulate --layout both`, `fringe-scan` on sampled records and on the
 exact probabilities (`--trials 0`), `analyze --mle --plane z2` on the
 simulated JSON records, `analyze` on the same records read from CSV, and
 `backprop --plane z2` on the analysis result with each tree on PYTHONPATH
-per preset and seed; prints per data file
+per preset and seed, and `backprop --plane z2` on the README's direct values
+once per preset; prints per data file
 "identical" or its largest relative difference (`mle` block apart), and one
 `mle` line: the MLE concurrence old -> new, |dC| in units of the two-stage
 sigma_C, the change in log L, the iterations old -> new and convergence.
@@ -35,6 +36,8 @@ COMMANDS = {
     "csv": ["analyze"],  # the CSV record reader
     "bp": ["backprop", "--plane", "z2"],  # samples nothing, so it takes no --seed
 }
+# the README's direct-values example: it reads no records, so it runs once per preset
+DIRECT = {"bpv": ["backprop", "--plane", "z2", "--p00", "0.98510", "--p10", "7.38e-3", "--p01", "7.51e-3", "--p11", "1.7e-5", "-v", "0.70"]}
 HELP = ["", "simulate", "fringe-scan", "analyze", "backprop"]  # "" is the group itself
 
 
@@ -48,8 +51,9 @@ def help_texts(src):
     return [subprocess.run([*cmd, *command.split(), "--help"], env=tree_env(src), capture_output=True).stdout for command in HELP]
 
 
-def run(src, preset, seed, out):
-    env = tree_env(src)
+def seeded_commands(seed, out):
+    """The arguments of each command in COMMANDS for one seed, reading the
+    records and the analysis result written under ``out``."""
     inputs = {
         "sim": ["--seed", str(seed)],
         "scan": ["--seed", str(seed)],
@@ -58,11 +62,33 @@ def run(src, preset, seed, out):
         "csv": ["--seed", str(seed), "--diag", str(out / "sim" / "counts_diagonal.csv"), "--fringe", str(out / "sim" / "counts_fringe.csv")],
         "bp": ["--result", str(out / "ana" / "tomography_result.json")],
     }
+    return {name: [*args, *inputs[name]] for name, args in COMMANDS.items()}
+
+
+def run(src, preset, commands, out):
+    """Runs each named command with ``src`` on PYTHONPATH, writing to ``out/<name>``; returns the exit codes."""
+    env = tree_env(src)
     codes = {}
-    for name, args in COMMANDS.items():
-        cmd = [sys.executable, "-m", "dlczsim.cli", *args, *inputs[name], "--preset", preset, "--out", str(out / name)]
+    for name, args in commands.items():
+        cmd = [sys.executable, "-m", "dlczsim.cli", *args, "--preset", preset, "--out", str(out / name)]
         codes[name] = subprocess.run(cmd, env=env, capture_output=True).returncode
     return codes
+
+
+def report(tag, codes, old, new):
+    """Prints the exit codes of each command that failed in either tree, else
+    the verdict per data file; returns whether anything differs."""
+    differs = False
+    for name in codes[0]:
+        if codes[0][name] or codes[1][name]:
+            print(f"{tag} {name}: exit {codes[0][name]} -> {codes[1][name]}")
+            differs |= codes[0][name] != codes[1][name]
+        else:
+            for path in sorted(p for p in (old / name).iterdir() if p.name != "manifest.json"):
+                verdict = compare(path, new / name / path.name)
+                print(f"{tag} {name}/{path.name}: {verdict}")
+                differs |= verdict != "identical"
+    return differs
 
 
 def values(obj, key=""):
@@ -121,20 +147,18 @@ def main():
             for seed in args.seeds.split(","):
                 tag = f"{preset} seed {seed}"
                 old, new = Path(work, "old", tag), Path(work, "new", tag)
-                codes = run(args.old_src, preset, seed, old), run(args.new_src, preset, seed, new)
-                for name in COMMANDS:
-                    if codes[0][name] or codes[1][name]:
-                        print(f"{tag} {name}: exit {codes[0][name]} -> {codes[1][name]}")
-                        differs |= codes[0][name] != codes[1][name]
-                    else:
-                        for path in sorted(p for p in (old / name).iterdir() if p.name != "manifest.json"):
-                            verdict = compare(path, new / name / path.name)
-                            print(f"{tag} {name}/{path.name}: {verdict}")
-                            differs |= verdict != "identical"
+                codes = (
+                    run(args.old_src, preset, seeded_commands(seed, old), old),
+                    run(args.new_src, preset, seeded_commands(seed, new), new),
+                )
+                differs |= report(tag, codes, old, new)
                 if not (codes[0]["ana"] or codes[1]["ana"]):
                     text, moved = mle_line(old, new)
                     print(f"{tag} mle: {text}")
                     differs |= moved
+            old, new = Path(work, "old", preset), Path(work, "new", preset)
+            codes = run(args.old_src, preset, DIRECT, old), run(args.new_src, preset, DIRECT, new)
+            differs |= report(f"{preset} direct", codes, old, new)
     return 1 if differs else 0
 
 
