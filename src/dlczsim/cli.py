@@ -33,7 +33,9 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    LAYOUTS,
     PLANES,
+    PRESETS,
     ChannelBudget,
     ConfigError,
     ExperimentConfig,
@@ -65,7 +67,7 @@ from .pipeline import (
     sample_diagonal_records,
     sample_fringe_records,
 )
-from .protocol import HeraldError
+from .protocol import HERALDS, HeraldError
 from .tomography import (
     AggregatedCounts,
     DataQualityError,
@@ -124,21 +126,22 @@ class _Main(click.Group):
             raise _fail(exc)
 
 
-def _load_config(config_path: str | None, preset: str) -> tuple[ExperimentConfig, dict]:
+def _load_config(
+    config_path: str | None, preset: str, seed: int | None = None, trials: int | None = None, herald: str | None = None
+) -> tuple[ExperimentConfig, dict]:
+    """The typed config of ``--config`` (else ``--preset``) with the given
+    overrides, and the config data the manifest hashes."""
     data = load_config_dict(config_path) if config_path is not None else preset_dict(preset)
-    return config_from_dict(data), data
-
-
-def _apply_overrides(
-    config: ExperimentConfig, seed: int | None = None, trials: int | None = None, herald: str | None = None
-) -> ExperimentConfig:
-    if seed is not None:
-        config = replace(config, seed=seed)
-    if trials is not None:
-        config = replace(config, trials=trials)
+    config = config_from_dict(data)
+    overrides = {key: value for key, value in (("seed", seed), ("trials", trials)) if value is not None}
     if herald is not None:
-        config = replace(config, herald=replace(config.herald, which=herald))
-    return config
+        overrides["herald"] = replace(config.herald, which=herald)
+    return replace(config, **overrides), data
+
+
+def _per_phase(config: ExperimentConfig) -> int:
+    """Heralded trials per phase point of a sampled fringe scan."""
+    return max(config.trials // len(config.fringe_phases), 1)
 
 
 class _Outputs:
@@ -225,12 +228,12 @@ def main() -> None:
 
 
 _CONFIG = click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None, help="Experiment config JSON (overrides --preset).")
-_PRESET = click.option("--preset", type=click.Choice(["paper", "paper_w120", "ideal"]), default="paper", show_default=True, help="Bundled configuration preset (paper_w120: the 120 ns detection window).")
+_PRESET = click.option("--preset", type=click.Choice(PRESETS), default="paper", show_default=True, help="Bundled configuration preset (paper_w120: the 120 ns detection window).")
 _OUT = click.option("--out", "out_dir", type=click.Path(file_okay=False), default="out", show_default=True, help="Output directory.")
 _SEED = click.option("--seed", type=click.IntRange(min=0), default=None, help="Override config seed.")
 _TRIALS = click.option("--trials", type=click.IntRange(0, MAX_TRIALS), default=None, help="Override config trials.")
 # case-insensitive, and click hands over the canonical spelling
-_HERALD = click.option("--herald", type=click.Choice(["D1a", "D1b"], case_sensitive=False), default=None, help="Override heralding detector.")
+_HERALD = click.option("--herald", type=click.Choice(HERALDS, case_sensitive=False), default=None, help="Override heralding detector.")
 
 
 def _with_options(*options):
@@ -246,12 +249,11 @@ def _with_options(*options):
 
 @main.command()
 @_with_options(_SEED, _TRIALS, _HERALD)
-@click.option("--layout", type=click.Choice(["diagonal", "fringe", "both"]), default=None, help="Override configured detector layout (or emit both).")
+@click.option("--layout", type=click.Choice([*LAYOUTS, "both"]), default=None, help="Override configured detector layout (or emit both).")
 def simulate(config_path, preset, out_dir, seed, trials, herald, layout):
     """Forward simulation: states, probabilities, optional synthetic counts."""
-    config, data = _load_config(config_path, preset)
-    config = _apply_overrides(config, seed, trials, herald)
-    layouts = {layout} if layout not in (None, "both") else ({"diagonal", "fringe"} if layout == "both" else {config.layout})
+    config, data = _load_config(config_path, preset, seed=seed, trials=trials, herald=herald)
+    layouts = set(LAYOUTS) if layout == "both" else {layout or config.layout}
     out = _Outputs(Path(out_dir))
     result = full_experiment(config)
 
@@ -282,8 +284,7 @@ def simulate(config_path, preset, out_dir, seed, trials, herald, layout):
             write_count_records_csv([rec], out.path("counts_diagonal.csv"))
             write_count_records_json([rec], out.path("counts_diagonal.json"))
         if "fringe" in layouts:
-            per_point = max(config.trials // max(len(config.fringe_phases), 1), 1)
-            recs = sample_fringe_records(result, per_point, config.seed)
+            recs = sample_fringe_records(result, _per_phase(config), config.seed)
             write_count_records_csv(recs, out.path("counts_fringe.csv"))
             write_count_records_json(recs, out.path("counts_fringe.json"))
 
@@ -301,17 +302,15 @@ def simulate(config_path, preset, out_dir, seed, trials, herald, layout):
 @_with_options(_SEED, _TRIALS)
 def fringe_scan(config_path, preset, out_dir, seed, trials):
     """Two-herald phase scan of the interference layout."""
-    config, data = _load_config(config_path, preset)
-    config = _apply_overrides(config, seed, trials)
+    config, data = _load_config(config_path, preset, seed=seed, trials=trials)
     out = _Outputs(Path(out_dir))
     rows = []
     fits = {}
-    for which in ("D1a", "D1b"):
+    for which in HERALDS:
         result = full_experiment(config, which=which)
         phis = [phi for phi, _ in result.fringe_probs]
         if config.trials:  # counts of sampled records, else the exact probabilities
-            per_point = max(config.trials // max(len(config.fringe_phases), 1), 1)
-            records = sample_fringe_records(result, per_point, config.seed)
+            records = sample_fringe_records(result, _per_phase(config), config.seed)
             arms, trials = arm_clicks(pattern_counts(records)), [rec.trials for rec in records]
             fits[which] = fit_fringe(FringeScan(records)).as_dict()
         else:
@@ -320,11 +319,10 @@ def fringe_scan(config_path, preset, out_dir, seed, trials):
         rows += [[which, phi, n2a, n2bc, n] for phi, (n2a, n2bc), n in zip(phis, arms.tolist(), trials)]
     out.write_csv("fringe_scan.csv", ["herald", "phase_phi_radians", "n2a", "n2b_plus_n2c", "trials"], rows)
     if fits:
-        if len(fits) == 2:
-            delta = abs(fits["D1a"]["phase0"] - fits["D1b"]["phase0"])
-            fits["phase_offset_minus_pi"] = abs(delta - np.pi)
+        delta = abs(fits["D1a"]["phase0"] - fits["D1b"]["phase0"])
+        fits["phase_offset_minus_pi"] = abs(delta - np.pi)
         out.write_json("fringe_fits.json", fits)
-        for which in ("D1a", "D1b"):
+        for which in HERALDS:
             click.echo(
                 f"{which}: V = {fits[which]['visibility']:.4f} "
                 f"+- {fits[which]['sigma_visibility']:.4f}"
@@ -368,8 +366,7 @@ def analyze(config_path, preset, out_dir, seed, herald, records_dir, diag_path, 
     raw records (the conservative choice); --plane re-references them through
     the channel budget.
     """
-    config, data = _load_config(config_path, preset)
-    config = _apply_overrides(config, seed=seed, herald=herald)
+    config, data = _load_config(config_path, preset, seed=seed, herald=herald)
     if records_dir is None and (diag_path is None or fringe_path is None):
         raise ConfigError("analyze needs --records DIR or both --diag and --fringe")
     if records_dir is not None:
@@ -449,8 +446,10 @@ def analyze(config_path, preset, out_dir, seed, herald, records_dir, diag_path, 
     click.echo(f"outputs in {out.out_dir}")
 
 
-def _read_result(path: Path) -> tuple[dict, float, dict, str | None]:
-    """Populations, |d|, sigmas and herald label of an ``analyze`` result file."""
+def _read_result(path: Path) -> tuple[dict, str | None]:
+    """The restricted state (populations, |d|, sigmas and flags, as
+    ``RestrictedDensity.clamped`` takes them) and the herald label of an
+    ``analyze`` result file."""
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -473,7 +472,12 @@ def _read_result(path: Path) -> tuple[dict, float, dict, str | None]:
     if not isinstance(sig, dict):
         raise RecordIntegrityError(f"{path}: field sigmas is not an object")
     sigmas = {key: number("sigmas", key) for key in pops if key in sig} | {"d": number("coherence", "sigma")}
-    return pops, number("coherence", "d_abs"), sigmas, payload.get("herald")
+    flags = payload.get("flags", [])
+    if not (isinstance(flags, list) and all(isinstance(flag, str) for flag in flags)):
+        raise RecordIntegrityError(f"{path}: field flags is not a list of strings")
+    if "herald" in payload and payload["herald"] not in HERALDS:
+        raise RecordIntegrityError(f"{path}: field herald is not {' or '.join(HERALDS)}")
+    return {**pops, "d_abs": number("coherence", "d_abs"), "sigmas": sigmas, "flags": flags}, payload.get("herald")
 
 
 @main.command()
@@ -487,18 +491,16 @@ def _read_result(path: Path) -> tuple[dict, float, dict, str | None]:
 @click.option("--visibility", "-v", "vis", type=float, default=None, help="Fringe visibility fixing the coherence via |d| = V (p10+p01)/2.")
 def backprop(config_path, preset, out_dir, herald, result_path, plane, p00, p01, p10, p11, vis):
     """Back-propagate a restricted state through the channel budget."""
-    config, data = _load_config(config_path, preset)
-    config = _apply_overrides(config, herald=herald)
+    config, data = _load_config(config_path, preset, herald=herald)
     direct = [p00, p01, p10, p11, vis]
     if result_path is not None:
-        pops, d_abs, sigmas, herald_label = _read_result(Path(result_path))
-        herald_label = config.herald.which if herald_label is None else herald_label
+        quoted, herald_label = _read_result(Path(result_path))
     elif all(v is not None for v in direct):
-        pops, d_abs, sigmas = {"p00": p00, "p01": p01, "p10": p10, "p11": p11}, coherence_from_visibility(vis, p10, p01), {}
-        herald_label = config.herald.which
+        quoted, herald_label = {"p00": p00, "p01": p01, "p10": p10, "p11": p11, "d_abs": coherence_from_visibility(vis, p10, p01)}, None
     else:
         raise ConfigError("backprop needs --result or all of --p00/--p01/--p10/--p11/--visibility")
-    rd = RestrictedDensity.clamped(**pops, d_abs=d_abs, sigmas=sigmas)
+    rd = RestrictedDensity.clamped(**quoted)
+    herald_label = herald_label or config.herald.which
 
     out = _Outputs(Path(out_dir))
     payload, rows = _plane_table(rd, config.budget, PLANES, herald_label)

@@ -15,15 +15,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
 from .detection import MAX_TRIALS
-from .protocol import EnsembleParams, HeraldChoice, InterferometerParams
+from .protocol import HERALDS, EnsembleParams, HeraldChoice, InterferometerParams
 
 SCHEMA_VERSION = 1
+PRESETS = ("paper", "paper_w120", "ideal")
+LAYOUTS = ("diagonal", "fringe")
 
 COMPONENT_KEYS = ("fc", "c", "f", "apd")
 PLANES: dict[str, tuple[str, ...]] = {
@@ -65,11 +67,11 @@ CONFIG_SCHEMA: dict[str, Any] = {
     "type": "object",
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
-        "description": {"type": "string"},
+        "description": {"type": "string"},  # like provenance, validated and hashed but not read
         "cutoff": {"type": "integer", "minimum": 2, "maximum": 5},
         "trials": {"type": "integer", "minimum": 0, "maximum": MAX_TRIALS},
         "seed": {"type": "integer", "minimum": 0},
-        "layout": {"enum": ["diagonal", "fringe"]},
+        "layout": {"enum": list(LAYOUTS)},
         "fringe_phases": {
             "oneOf": [
                 {"type": "array", "items": {"type": "number"}, "minItems": 5},
@@ -110,7 +112,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
         "herald": {
             "type": "object",
             "properties": {
-                "which": {"enum": ["D1a", "D1b"]},
+                "which": {"enum": list(HERALDS)},
                 "exclusive": {"type": "boolean"},
                 "d1a_efficiency": {"type": "number", "minimum": 0, "maximum": 1},
                 "d1b_efficiency": {"type": "number", "minimum": 0, "maximum": 1},
@@ -270,12 +272,6 @@ class ChannelBudget:
     def total(self, side: str) -> float:
         return self.segment(side, "detectors", "z2")[0]
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "L": {k: list(v) for k, v in self.left.items()},
-            "R": {k: list(v) for k, v in self.right.items()},
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Mapping[str, object]]) -> "ChannelBudget":
         def side(entries):
@@ -291,21 +287,15 @@ class ExperimentConfig:
     budget: ChannelBudget
     interferometer: InterferometerParams = InterferometerParams()
     herald: HeraldChoice = HeraldChoice()
-    d1a_efficiency: float = 1.0
-    d1b_efficiency: float = 1.0
     detectors: DetectorBench = DetectorBench()
     layout: str = "diagonal"
     fringe_phases: tuple[float, ...] = ()
     cutoff: int = 3
     trials: int = 0
     seed: int = 0
-    description: str = ""
-    provenance: Mapping[str, str] = field(default_factory=dict)
 
 
 def _phases_from_entry(entry: Any) -> tuple[float, ...]:
-    if entry is None:
-        return tuple(float(x) for x in _linspace(0.0, 2.0 * math.pi, 13))
     if isinstance(entry, list):
         return tuple(float(x) for x in entry)
     num = int(entry["num"])
@@ -328,19 +318,16 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
     _validate(data, CONFIG_SCHEMA)
 
     # only the keys present are passed on, so the dataclass defaults are the only ones
-    herald = dict(data.get("herald", {}))
-    top = {key: herald.pop(key) for key in ("d1a_efficiency", "d1b_efficiency") if key in herald}
-    top |= {key: data[key] for key in ("layout", "description") if key in data}
+    top = {key: data[key] for key in ("layout",) if key in data}
     top |= {key: int(data[key]) for key in ("cutoff", "trials", "seed") if key in data}
     return ExperimentConfig(
         left=EnsembleParams(**data["ensembles"]["L"]),
         right=EnsembleParams(**data["ensembles"]["R"]),
         interferometer=InterferometerParams(**data.get("interferometer", {})),
-        herald=HeraldChoice(**herald),
+        herald=HeraldChoice(**data.get("herald", {})),
         detectors=DetectorBench(**data.get("detectors", {})),
         budget=ChannelBudget.from_dict(data["channel"]),
-        fringe_phases=_phases_from_entry(data.get("fringe_phases")),
-        provenance=dict(data.get("provenance", {})),
+        fringe_phases=_phases_from_entry(data.get("fringe_phases", {"num": 13})),
         **top,
     )
 
@@ -354,9 +341,6 @@ def load_config_dict(path: str | Path) -> dict[str, Any]:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-
-
-PRESETS = ("paper", "paper_w120", "ideal")
 
 
 def preset_dict(name: str) -> dict[str, Any]:

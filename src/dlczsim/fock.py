@@ -24,7 +24,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-9
 NORM_TOL = 1e-12
-TRUNCATION_WARN_LEVEL = 1e-6
 
 # Eigenvalue checks are O(dim^3); above this dimension construction skips the
 # spectral positivity test (Hermiticity/trace are always enforced) and
@@ -92,7 +91,8 @@ def _check_mode(register: ModeRegister, mode: int) -> None:
 
 @dataclass(frozen=True)
 class PureState:
-    """Normalized state vector over a mode register."""
+    """Normalized state vector over a mode register; the tensor product and
+    the unitaries carry on the norm its sources lost to truncation."""
 
     register: ModeRegister
     amplitudes: np.ndarray
@@ -109,10 +109,6 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def truncation_warning(self) -> bool:
-        return self.truncation_deficit > TRUNCATION_WARN_LEVEL
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -124,7 +120,7 @@ class PureState:
         if other.register.cutoff != self.register.cutoff:
             raise ValueError("tensor product requires equal cutoffs")
         reg = ModeRegister(self.register.n_modes + other.register.n_modes, self.register.cutoff)
-        return PureState(reg, np.kron(self.amplitudes, other.amplitudes))
+        return PureState(reg, np.kron(self.amplitudes, other.amplitudes), self.truncation_deficit + other.truncation_deficit)
 
 
 class DensityOperator:
@@ -185,12 +181,10 @@ def two_mode_squeezed(chi: float, cutoff: int) -> PureState:
     ``chi`` is the probability of at least one excitation; the untruncated
     photon-number distribution is (1-chi) chi^n, so the norm lost to
     truncation is exactly chi^(cutoff+1).  The deficit is recorded on the
-    returned state and flags a warning above ``TRUNCATION_WARN_LEVEL``.
+    returned state.
     """
     if not 0.0 <= chi < 1.0:
         raise ValueError(f"chi must lie in [0, 1), got {chi}")
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
     register = ModeRegister(2, cutoff)
     amps = np.zeros(register.dim, dtype=complex)
     for n in range(cutoff + 1):
@@ -296,7 +290,7 @@ def apply_beamsplitter(state: State, transmittance: float, i: int, j: int) -> St
         raise ValueError("beam splitter needs two distinct modes")
     mat = beamsplitter_unitary(register.cutoff, transmittance)
     if isinstance(state, PureState):
-        return PureState(register, _apply_on_vector(state.amplitudes, register, mat, [i, j]))
+        return PureState(register, _apply_on_vector(state.amplitudes, register, mat, [i, j]), state.truncation_deficit)
     return DensityOperator(register, _apply_on_density(state.matrix, register, mat, [i, j]), _skip_positivity=True)
 
 
@@ -310,7 +304,7 @@ def apply_phase(state: State, phi: float, mode: int) -> State:
     _check_mode(register, mode)
     w = np.exp(1j * phi * register.mode_numbers(mode))
     if isinstance(state, PureState):
-        return PureState(register, w * state.amplitudes)
+        return PureState(register, w * state.amplitudes, state.truncation_deficit)
     return DensityOperator(register, (w[:, None] * state.matrix) * w.conj()[None, :], _skip_positivity=True)
 
 

@@ -55,12 +55,8 @@ def full_experiment(config: ExperimentConfig, which: str | None = None) -> Exper
     """
     choice = config.herald if which is None else replace(config.herald, which=which)
     state = write_stage(config.left, config.right, config.cutoff, config.interferometer.overlap)
-    patterns = herald_probabilities(
-        state, config.interferometer, config.d1a_efficiency, config.d1b_efficiency
-    )
-    atomic, p_herald = herald(
-        state, config.interferometer, choice, config.d1a_efficiency, config.d1b_efficiency
-    )
+    patterns = herald_probabilities(state, config.interferometer, choice)
+    atomic, p_herald = herald(state, config.interferometer, choice)
     z2 = read_stage(
         atomic,
         config.left.xi,
@@ -146,7 +142,7 @@ def g12_report(config: ExperimentConfig) -> dict[str, FieldPairStats]:
     for label, ens in (("L", config.left), ("R", config.right)):
         out[label] = field_pair_statistics(
             ens,
-            field1_efficiency=config.d1a_efficiency,
+            field1_efficiency=config.herald.d1a_efficiency,
             field2_efficiency=config.budget.total(label),
             cutoff=config.cutoff,
         )

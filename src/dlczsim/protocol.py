@@ -80,14 +80,22 @@ class InterferometerParams:
             raise ValueError("phase_jitter_sigma must be nonnegative")
 
 
+HERALDS = ("D1a", "D1b")  # the heralding detectors, in pattern order
+
+
 @dataclass(frozen=True)
 class HeraldChoice:
+    """The heralding event, a click at ``which`` (alone, if ``exclusive``),
+    and the efficiencies of the two heralding detectors."""
+
     which: str = "D1a"
     exclusive: bool = True
+    d1a_efficiency: float = 1.0
+    d1b_efficiency: float = 1.0
 
     def __post_init__(self):
-        if self.which not in ("D1a", "D1b"):
-            raise ValueError(f"herald detector must be D1a or D1b, got {self.which}")
+        if self.which not in HERALDS:
+            raise ValueError(f"herald detector must be {' or '.join(HERALDS)}, got {self.which}")
 
 
 # mode layout of the write-stage register
@@ -100,7 +108,7 @@ def write_stage(left: EnsembleParams, right: EnsembleParams, cutoff: int = 3, ov
     Mode order is (1_L, a_L, 1_R, a_R) and, when overlap < 1, two extra
     orthogonal-polarization modes (orth_R carrying sqrt(1-overlap^2) of the
     right field, plus the vacuum port orth_L feeding the other side of the
-    heralding splitter).
+    heralding splitter).  It carries the truncation deficit of both sources.
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2 for the write stage")
@@ -112,8 +120,7 @@ def write_stage(left: EnsembleParams, right: EnsembleParams, cutoff: int = 3, ov
         state = state.tensor(anc)
         # field 1_R keeps amplitude `overlap`, the rest leaks into orth_R
         state = apply_beamsplitter(state, overlap**2, MODE_1R, MODE_ORTH_R)
-    deficit = left.chi ** (cutoff + 1) + right.chi ** (cutoff + 1)
-    return PureState(state.register, state.amplitudes, truncation_deficit=deficit)
+    return state
 
 
 def _interfere_field1(state: PureState, interferometer: InterferometerParams) -> tuple[PureState, tuple[int, ...], tuple[int, ...]]:
@@ -133,24 +140,18 @@ def _interfere_field1(state: PureState, interferometer: InterferometerParams) ->
 
 
 def herald_probabilities(
-    state: PureState,
-    interferometer: InterferometerParams,
-    d1a_efficiency: float = 1.0,
-    d1b_efficiency: float = 1.0,
+    state: PureState, interferometer: InterferometerParams, choice: HeraldChoice = HeraldChoice()
 ) -> JointProbabilities:
-    """Joint (D1a, D1b) click probabilities for the write-stage state."""
+    """Joint (D1a, D1b) click probabilities for the write-stage state; of
+    ``choice`` only the detector efficiencies enter."""
     mixed, d1a_modes, d1b_modes = _interfere_field1(state, interferometer)
-    weights = click_weights(mixed.register, (d1a_modes, d1b_modes), (d1a_efficiency, d1b_efficiency))
+    weights = click_weights(mixed.register, (d1a_modes, d1b_modes), (choice.d1a_efficiency, choice.d1b_efficiency))
     diag = mixed.probabilities()
-    return JointProbabilities(("D1a", "D1b"), {pattern: float(w @ diag) for pattern, w in zip(np.ndindex(2, 2), weights)})
+    return JointProbabilities(HERALDS, {pattern: float(w @ diag) for pattern, w in zip(np.ndindex(2, 2), weights)})
 
 
 def herald(
-    state: PureState,
-    interferometer: InterferometerParams,
-    choice: HeraldChoice = HeraldChoice(),
-    d1a_efficiency: float = 1.0,
-    d1b_efficiency: float = 1.0,
+    state: PureState, interferometer: InterferometerParams, choice: HeraldChoice = HeraldChoice()
 ) -> tuple[DensityOperator, float]:
     """Condition on the chosen heralding event and return the joint spin state
     on (a_L, a_R) together with the herald probability per trial.
@@ -161,9 +162,9 @@ def herald(
     register = mixed.register
     fields = sorted(d1a_modes + d1b_modes)
     groups = [[fields.index(mode) for mode in modes] for modes in (d1a_modes, d1b_modes)]
-    weights = click_weights(ModeRegister(len(fields), register.cutoff), groups, (d1a_efficiency, d1b_efficiency))
+    weights = click_weights(ModeRegister(len(fields), register.cutoff), groups, (choice.d1a_efficiency, choice.d1b_efficiency))
     # rows where the chosen detector clicks, indexed by the other detector's bit
-    clicked = np.moveaxis(weights.reshape(2, 2, -1), 0 if choice.which == "D1a" else 1, 0)[1]
+    clicked = np.moveaxis(weights.reshape(2, 2, -1), HERALDS.index(choice.which), 0)[1]
     w = clicked[0] if choice.exclusive else clicked[0] + clicked[1]
     amplitudes = mixed.amplitudes.reshape((register.levels,) * register.n_modes)
     t = np.transpose(amplitudes, [MODE_AL, MODE_AR, *fields]).reshape(register.levels**2, -1)
@@ -192,9 +193,7 @@ def read_stage(
     rho = apply_loss(atomic, xi_left, 0)
     rho = apply_loss(rho, xi_right, 1)
     rho = apply_phase(rho, eta2, 0)
-    if phase_jitter_sigma > 0.0:
-        rho = apply_phase_jitter(rho, phase_jitter_sigma, 0)
-    return rho
+    return apply_phase_jitter(rho, phase_jitter_sigma, 0)
 
 
 # ---------------------------------------------------------------------------

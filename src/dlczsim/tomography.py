@@ -37,8 +37,11 @@ Q_CLASSES: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1)
 DIAG_KEYS = ("p00", "p01", "p10", "p11", "p02")
 
 _REGISTER2 = ModeRegister(2, 2)  # the inversion works at the two-photon cutoff
-_DIAG_IDX = [_REGISTER2.index(occ) for occ in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2))]  # DIAG_KEYS order
-_I01, _I10 = _REGISTER2.index((0, 1)), _REGISTER2.index((1, 0))
+# the two-photon block basis: the restricted block, then p02 and p20; its
+# first five are the DIAG_KEYS, and each state's field is p<occupation>
+_BLOCK_OCCS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
+_BLOCK_IDX = [_REGISTER2.index(occ) for occ in _BLOCK_OCCS]
+_DIAG_IDX, (_I01, _I10) = _BLOCK_IDX[:5], _BLOCK_IDX[1:3]
 _PATTERN_CLASS = [Q_CLASSES.index((a, b + c)) for a, b, c in PATTERNS]
 _WITH_P00 = np.vstack([-np.ones(4), np.eye(4)])  # (p01, p10, p11, p02) -> all five, p00 = 1 - the others
 # fringe arms per pattern: clicks at D2a, and clicks summed over the split pair
@@ -221,19 +224,13 @@ def restrict(rho: DensityOperator) -> RestrictedDensity:
     register = rho.register
     if register.n_modes != 2:
         raise ValueError("restrict expects a two-mode state")
-    idx = {occ: register.index(occ) for occ in ((0, 0), (0, 1), (1, 0), (1, 1))}
+    idx = [register.index(occ) for occ in _BLOCK_OCCS[: 6 if register.cutoff >= 2 else 4]]
     mat = rho.matrix
-    p00 = float(mat[idx[(0, 0)], idx[(0, 0)]].real)
-    p01 = float(mat[idx[(0, 1)], idx[(0, 1)]].real)
-    p10 = float(mat[idx[(1, 0)], idx[(1, 0)]].real)
-    p11 = float(mat[idx[(1, 1)], idx[(1, 1)]].real)
-    d = complex(mat[idx[(0, 1)], idx[(1, 0)]])
+    p00, p01, p10, p11, *two_photon = (float(mat[i, i].real) for i in idx)
+    d = complex(mat[idx[1], idx[2]])
     if p00 + p01 + p10 + p11 <= 0.0:
         raise ValueError("state has no weight on the restricted block")
-    extras = {}
-    if register.cutoff >= 2:
-        extras["p02"] = float(mat[register.index((0, 2)), register.index((0, 2))].real)
-        extras["p20"] = float(mat[register.index((2, 0)), register.index((2, 0))].real)
+    extras = dict(zip(("p02", "p20"), two_photon))
     # numerical safety: the block of a positive matrix is positive, but
     # rounding can push |d| over the bound by ~1e-16
     bound = math.sqrt(max(p01 * p10, 0.0))
@@ -654,8 +651,6 @@ class MLEResult:
     history: tuple[float, ...]
 
 
-_BLOCK_OCCS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
-_BLOCK_IDX = [_REGISTER2.index(occ) for occ in _BLOCK_OCCS]
 _BLOCK_NL = np.array([n_l for n_l, _ in _BLOCK_OCCS])
 # the 14 free parameters of the factor G: (row, column, imaginary part?) each;
 # the diagonal is real, and the lower triangle couples only states of equal
@@ -776,15 +771,10 @@ def log_likelihood(
 
 def two_stage_block(restricted: RestrictedDensity) -> np.ndarray:
     """Embed a two-stage estimate in the 6-dim block basis (e, f, g = 0)."""
-    rho = np.zeros((6, 6), dtype=complex)
-    rho[0, 0] = restricted.p00
-    rho[1, 1] = restricted.p01
-    rho[2, 2] = restricted.p10
-    rho[3, 3] = restricted.p11
+    populations = (getattr(restricted, f"p{n_l}{n_r}") for n_l, n_r in _BLOCK_OCCS)
+    rho = np.diag([0.0 if p is None else p for p in populations]).astype(complex)
     rho[1, 2] = restricted.d
     rho[2, 1] = np.conj(restricted.d)
-    rho[4, 4] = restricted.p02 or 0.0
-    rho[5, 5] = restricted.p20 or 0.0
     total = np.trace(rho).real
     if total <= 0:
         raise ValueError("two-stage estimate has no probability weight")

@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from dlczsim.config import ExperimentConfig, config_from_dict, preset_dict
+from dlczsim.config import ChannelBudget, ExperimentConfig, config_from_dict, preset_dict
 from dlczsim.detection import JointProbabilities, substream_rng
 from dlczsim.fock import (
     DensityOperator,
@@ -141,11 +141,11 @@ def condition_on_pattern(state, detectors, pattern) -> tuple[DensityOperator, fl
     return DensityOperator(ModeRegister(len(keep), register.cutoff), reduced / probability, _skip_positivity=True), probability
 
 
-def herald_oracle(state: PureState, interferometer, choice, d1a_efficiency: float = 1.0, d1b_efficiency: float = 1.0):
+def herald_oracle(state: PureState, interferometer, choice):
     """``protocol.herald`` by conditioning on the chosen detectors' pattern and
     tracing out whatever field modes are left."""
     mixed, d1a_modes, d1b_modes = _interfere_field1(state, interferometer)
-    d1a, d1b = Detector("D1a", d1a_efficiency, d1a_modes), Detector("D1b", d1b_efficiency, d1b_modes)
+    d1a, d1b = Detector("D1a", choice.d1a_efficiency, d1a_modes), Detector("D1b", choice.d1b_efficiency, d1b_modes)
     if choice.exclusive:
         detectors, pattern = [d1a, d1b], ((1, 0) if choice.which == "D1a" else (0, 1))
     else:
@@ -171,9 +171,10 @@ def heralded_fields_oracle(config):
     interf = config.interferometer
     state = write_stage(config.left, config.right, config.cutoff, interf.overlap)
     mixed, d1a_modes, d1b_modes = _interfere_field1(state, interf)
-    detectors = [Detector("D1a", config.d1a_efficiency, d1a_modes), Detector("D1b", config.d1b_efficiency, d1b_modes)]
+    choice = config.herald
+    detectors = [Detector("D1a", choice.d1a_efficiency, d1a_modes), Detector("D1b", choice.d1b_efficiency, d1b_modes)]
     patterns = click_probabilities(mixed, detectors)
-    atomic, probability = herald_oracle(state, interf, config.herald, config.d1a_efficiency, config.d1b_efficiency)
+    atomic, probability = herald_oracle(state, interf, choice)
     z2 = read_stage(atomic, config.left.xi, config.right.xi, interf.eta2, interf.phase_jitter_sigma)
     z0 = _propagate(_propagate(z2, config.budget, "z2", "z1"), config.budget, "z1", "z0")
     return patterns, probability, atomic, z0
@@ -453,6 +454,19 @@ def ideal_config_dict(**overrides) -> dict:
 # states, comparisons and local channels that only the tests use
 
 QUBIT_REGISTER = ModeRegister(2, 1)
+TRUNCATION_WARN_LEVEL = 1e-6  # a truncation deficit above this calls for a higher cutoff
+
+
+def truncation_warning(state: PureState) -> bool:
+    return state.truncation_deficit > TRUNCATION_WARN_LEVEL
+
+
+def budget_as_dict(budget: ChannelBudget) -> dict[str, object]:
+    """The ``channel`` config block that ``ChannelBudget.from_dict`` reads."""
+    return {
+        "L": {k: list(v) for k, v in budget.left.items()},
+        "R": {k: list(v) for k, v in budget.right.items()},
+    }
 
 
 def load_preset(name: str) -> ExperimentConfig:

@@ -19,6 +19,9 @@ from dlczsim.config import (
     config_hash,
     preset_dict,
 )
+from dlczsim.layouts import PATTERNS
+from dlczsim.pipeline import full_experiment
+from dlczsim.tomography import arm_clicks
 
 from helpers import ideal_config_dict, load_preset
 
@@ -521,6 +524,7 @@ def test_backprop_unphysical_budget_exit(runner, tmp_path):
 
 _BACKPROP_POPULATIONS = ["--p10", "7.38e-3", "--p01", "7.51e-3", "--p11", "1.7e-5", "-v", "0.70"]
 _PUBLISHED_POPULATIONS = ["--p00", "0.98510", "--p10", "7.38e-3", "--p01", "7.51e-3", "--p11", "1.7e-5"]
+_PUBLISHED_RESULT = {"populations": {"p00": 0.98510, "p01": 7.51e-3, "p10": 7.38e-3, "p11": 1.7e-5}, "coherence": {"d_abs": 5e-3, "sigma": 1e-4}}
 _MALFORMED_BACKPROP = {  # case -> (result file text or None, options, exit code, expected message)
     "invalid_json": ("{not json", [], EXIT_INTEGRITY, "invalid JSON"),
     "no_populations": (json.dumps({"which": "D1a", "probability": 0.17}), [], EXIT_INTEGRITY, "no field populations"),
@@ -536,6 +540,10 @@ _MALFORMED_BACKPROP = {  # case -> (result file text or None, options, exit code
         '{"populations": {"p00": 0.98510, "p01": 1%s, "p10": 7.38e-3, "p11": 1.7e-5}, "coherence": {"d_abs": 1e-3, "sigma": 1e-4}}' % ("0" * 400),
         [], EXIT_INTEGRITY, "field populations.p01 is not a finite number",
     ),
+    "unknown_herald": (json.dumps({**_PUBLISHED_RESULT, "herald": {"x": [1, 2]}}), [], EXIT_INTEGRITY, "field herald is not D1a or D1b"),
+    "null_herald": (json.dumps({**_PUBLISHED_RESULT, "herald": None}), [], EXIT_INTEGRITY, "field herald is not D1a or D1b"),
+    "flags_not_a_list": (json.dumps({**_PUBLISHED_RESULT, "flags": "clamped_p00"}), [], EXIT_INTEGRITY, "field flags is not a list of strings"),
+    "flag_not_a_string": (json.dumps({**_PUBLISHED_RESULT, "flags": [1]}), [], EXIT_INTEGRITY, "field flags is not a list of strings"),
     "negative_p00": (None, ["--p00", "-0.5", *_BACKPROP_POPULATIONS], EXIT_PHYSICS, "p00 = -0.5 is negative"),
     "sum_above_one": (None, ["--p00", "0.99", *_BACKPROP_POPULATIONS], EXIT_PHYSICS, "retained probability"),
     "nan_visibility": (None, [*_PUBLISHED_POPULATIONS, "-v", "nan"], EXIT_PHYSICS, "|d| = nan is negative or not finite"),
@@ -554,6 +562,37 @@ def test_backprop_malformed_input_exits_with_its_code(runner, tmp_path, case):
     assert result.exit_code == code, result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert "error:" in result.output and message in result.output
+
+
+def test_backprop_keeps_the_flags_analyze_raised(runner, tmp_path):
+    # lossless records hold no vacuum event, so analyze clamps p00 and flags it
+    sim_out, ana_out, bp_out = tmp_path / "sim", tmp_path / "ana", tmp_path / "bp"
+    assert _run(runner, ["simulate", "--preset", "ideal", "--layout", "both", "--seed", "3", "--out", str(sim_out)]).exit_code == 0
+    assert _run(runner, ["analyze", "--preset", "ideal", "--records", str(sim_out), "--out", str(ana_out)]).exit_code == 0
+    result = _run(runner, ["backprop", "--preset", "ideal", "--result", str(ana_out / "tomography_result.json"), "--out", str(bp_out)])
+    assert result.exit_code == 0, result.output
+    flags = json.loads((ana_out / "tomography_result.json").read_text())["flags"]
+    assert "clamped_p00" in flags
+    planes = json.loads((bp_out / "backprop.json").read_text())
+    assert set(planes) == {"detectors", "z0", "z1", "z2"}
+    for entry in planes.values():
+        assert set(flags) <= set(entry["state"]["flags"])
+
+
+def test_fringe_scan_without_trials_writes_the_exact_arm_probabilities(runner, tmp_path):
+    out = tmp_path / "scan0"
+    assert _run(runner, ["fringe-scan", "--preset", "paper", "--trials", "0", "--out", str(out)]).exit_code == 0
+    with (out / "fringe_scan.csv").open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    config = load_preset("paper")
+    for which in ("D1a", "D1b"):
+        result = full_experiment(config, which)
+        probs = np.array([[p[pattern] for pattern in PATTERNS] for _, p in result.fringe_probs])
+        expected = [[_csv_cell(phi), *map(_csv_cell, arms)] for phi, arms in zip(config.fringe_phases, arm_clicks(probs))]
+        written = [[row["phase_phi_radians"], row["n2a"], row["n2b_plus_n2c"]] for row in rows if row["herald"] == which]
+        assert written == expected
+    assert {row["trials"] for row in rows} == {"0"}
+    assert not (out / "fringe_fits.json").exists()
 
 
 def test_preset_w120_manifest_hash(runner, tmp_path):

@@ -128,10 +128,10 @@ def test_config_blocks_are_the_dataclass_fields():
     assert set(props["ensembles"]["properties"]["L"]["properties"]) == names(EnsembleParams)
     assert set(props["interferometer"]["properties"]) == names(InterferometerParams)
     assert set(props["detectors"]["properties"]) == names(DetectorBench)
-    assert set(props["herald"]["properties"]) == names(HeraldChoice) | {"d1a_efficiency", "d1b_efficiency"}
+    assert set(props["herald"]["properties"]) == names(HeraldChoice)
     minimal = {key: value for key, value in preset_dict("ideal").items() if key in ("schema_version", "ensembles", "channel")}
     cfg = config_from_dict(minimal)
     assert (cfg.interferometer, cfg.herald, cfg.detectors) == (InterferometerParams(), HeraldChoice(), DetectorBench())
     defaults = ExperimentConfig(cfg.left, cfg.right, cfg.budget)
-    for name in ("d1a_efficiency", "d1b_efficiency", "layout", "cutoff", "trials", "seed", "description"):
+    for name in ("layout", "cutoff", "trials", "seed"):
         assert getattr(cfg, name) == getattr(defaults, name)

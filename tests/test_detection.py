@@ -188,12 +188,12 @@ def test_condition_probability_consistent_with_click_probabilities():
         overlap = float(rng.choice([1.0, rng.uniform(0.3, 0.95)]))
         state = write_stage(EnsembleParams(rng.uniform(0.01, 0.2)), EnsembleParams(rng.uniform(0.01, 0.2)), 2, overlap)
         interf = InterferometerParams(bs1_T=rng.uniform(0.2, 0.8), eta1=rng.uniform(0.0, 6.0))
-        effs = rng.uniform(0.3, 1.0, size=2)
-        patterns = herald_probabilities(state, interf, *effs)
+        d1a, d1b = rng.uniform(0.3, 1.0, size=2)
+        patterns = herald_probabilities(state, interf, HeraldChoice(d1a_efficiency=d1a, d1b_efficiency=d1b))
         for which, pattern in (("D1a", (1, 0)), ("D1b", (0, 1))):
-            _, prob = herald(state, interf, HeraldChoice(which), *effs)
+            _, prob = herald(state, interf, HeraldChoice(which, d1a_efficiency=d1a, d1b_efficiency=d1b))
             assert abs(prob - patterns[pattern]) < 1e-12
-            _, prob = herald(state, interf, HeraldChoice(which, exclusive=False), *effs)
+            _, prob = herald(state, interf, HeraldChoice(which, exclusive=False, d1a_efficiency=d1a, d1b_efficiency=d1b))
             assert abs(prob - patterns[pattern] - patterns[(1, 1)]) < 1e-12
 
 
@@ -201,7 +201,7 @@ def test_condition_zero_probability_raises():
     # a blind heralding detector never clicks
     state = write_stage(EnsembleParams(0.1), EnsembleParams(0.1), cutoff=2)
     with pytest.raises(HeraldError):
-        herald(state, InterferometerParams(), HeraldChoice("D1a"), d1a_efficiency=0.0)
+        herald(state, InterferometerParams(), HeraldChoice("D1a", d1a_efficiency=0.0))
 
 
 # ---------------------------------------------------------------------------

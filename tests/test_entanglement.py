@@ -17,6 +17,7 @@ from dlczsim.pipeline import full_experiment
 from dlczsim.tomography import RestrictedDensity, restrict
 
 from helpers import (
+    budget_as_dict,
     concurrence_mc_sigma_loop,
     ideal_config_dict,
     local_attenuation,
@@ -168,7 +169,7 @@ def test_budget_totals_and_planes():
     assert abs(alpha_z1 - 0.32 * 0.70 * 0.70) < 1e-12
     with pytest.raises(ValueError, match="downstream"):
         BUDGET.segment("L", "z2", "z0")
-    round_trip = ChannelBudget.from_dict(BUDGET.as_dict())
+    round_trip = ChannelBudget.from_dict(budget_as_dict(BUDGET))
     assert round_trip.total("R") == BUDGET.total("R")
 
 

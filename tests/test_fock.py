@@ -18,7 +18,16 @@ from dlczsim.fock import (
     vacuum,
 )
 
-from helpers import expm_beamsplitter, fidelity, fock_state, partial_trace, pi0_series_matrix, random_density_operator, tmss_probabilities_series
+from helpers import (
+    expm_beamsplitter,
+    fidelity,
+    fock_state,
+    partial_trace,
+    pi0_series_matrix,
+    random_density_operator,
+    tmss_probabilities_series,
+    truncation_warning,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +90,8 @@ def test_tmss_truncation_deficit_closed_form():
     assert abs(st.truncation_deficit - chi**5) < 1e-12
     series = [(1.0 - chi) * chi**n for n in range(20)]
     assert abs(st.truncation_deficit - sum(series[cutoff + 1 :]) / sum(series)) < 1e-6
-    assert st.truncation_warning
-    assert not two_mode_squeezed(1e-2, 4).truncation_warning
+    assert truncation_warning(st)
+    assert not truncation_warning(two_mode_squeezed(1e-2, 4))
 
 
 def test_tmss_domain_errors():

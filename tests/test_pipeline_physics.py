@@ -12,7 +12,7 @@ from dlczsim.pipeline import full_experiment
 from dlczsim.protocol import EnsembleParams, HeraldChoice, InterferometerParams, herald, write_stage
 from dlczsim.tomography import restrict
 
-from helpers import fidelity, ideal_config_dict, load_preset, restricted_matrix_for_model, unconditioned_field_state
+from helpers import fidelity, ideal_config_dict, load_preset, restricted_matrix_for_model, truncation_warning, unconditioned_field_state
 
 
 def test_unconditioned_suppression_ratio_near_one():
@@ -82,14 +82,14 @@ def test_herald_detector_inefficiency_leaves_leading_order_state():
     state = write_stage(EnsembleParams(chi), EnsembleParams(chi), cutoff=3)
     interf = InterferometerParams(bs1_T=0.5)
     rho_full, p_full = herald(state, interf, HeraldChoice("D1a"))
-    rho_half, p_half = herald(state, interf, HeraldChoice("D1a"), d1a_efficiency=0.5)
+    rho_half, p_half = herald(state, interf, HeraldChoice("D1a", d1a_efficiency=0.5))
     assert abs(p_half / p_full - 0.5) < 5e-4  # rate scales with the efficiency
     assert fidelity(rho_full, rho_half) > 1.0 - 5 * chi  # state unchanged at leading order
 
 
 def test_high_excitation_truncation_flagged_but_valid():
     state = write_stage(EnsembleParams(0.45), EnsembleParams(0.45), cutoff=3)
-    assert state.truncation_warning
+    assert truncation_warning(state)
     rho, prob = herald(state, InterferometerParams(bs1_T=0.5), HeraldChoice("D1a"))
     rho.assert_positive()
     assert 0.0 < prob <= 1.0

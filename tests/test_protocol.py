@@ -155,7 +155,7 @@ def test_inclusive_vs_exclusive_herald():
 
 def test_herald_pattern_probabilities_sum_to_one():
     st = write_stage(EnsembleParams(0.02), EnsembleParams(0.03), cutoff=3, overlap=0.8)
-    patterns = herald_probabilities(st, InterferometerParams(bs1_T=0.4), 0.7, 0.9)
+    patterns = herald_probabilities(st, InterferometerParams(bs1_T=0.4), HeraldChoice(d1a_efficiency=0.7, d1b_efficiency=0.9))
     total = sum(p for _, p in patterns.items())
     assert abs(total - 1.0) < 1e-10
 
@@ -194,7 +194,7 @@ def test_forward_model_matches_generic_detector_oracle(overlap, cutoff, dark_pro
     cfg = config_from_dict(base)
     for side, stats in g12_report(cfg).items():
         ensemble = cfg.left if side == "L" else cfg.right
-        assert stats == field_pair_statistics_oracle(ensemble, cfg.d1a_efficiency, cfg.budget.total(side), cutoff)
+        assert stats == field_pair_statistics_oracle(ensemble, cfg.herald.d1a_efficiency, cfg.budget.total(side), cutoff)
 
 
 # ---------------------------------------------------------------------------

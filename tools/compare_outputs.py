@@ -7,16 +7,18 @@ simulated JSON records, `analyze` on the same records read from CSV, and
 `backprop --plane z2` on the analysis result with each tree on PYTHONPATH
 per preset and seed, and `backprop --plane z2` on the README's direct values
 once per preset; prints per data file
-"identical" or its largest relative difference (`mle` block apart), and one
+"identical" or what differs: the largest relative difference of its numbers
+(`mle` block apart) and, by key path, each changed text leaf and each leaf
+that only one file has; and a file that only one tree wrote.  Then one
 `mle` line: the MLE concurrence old -> new, |dC| in units of the two-stage
 sigma_C, the change in log L, the iterations old -> new and convergence.
 It also compares the `--help` text of `dlczsim` and of each command:
 
     python3 tools/compare_outputs.py OLD/src src --presets paper,ideal --seeds 3,11
 
-Exits 1 when a data file or a help text differs, an exit code changes, or an
-`mle` line shows a nonzero |dC| or change in log L; 0 when every output is
-the same.
+Exits 1 when a data file or a help text differs, a data file is written by
+one tree only, an exit code changes, or an `mle` line shows a nonzero |dC|
+or change in log L; 0 when every output is the same.
 """
 
 import argparse
@@ -84,9 +86,10 @@ def report(tag, codes, old, new):
             print(f"{tag} {name}: exit {codes[0][name]} -> {codes[1][name]}")
             differs |= codes[0][name] != codes[1][name]
         else:
-            for path in sorted(p for p in (old / name).iterdir() if p.name != "manifest.json"):
-                verdict = compare(path, new / name / path.name)
-                print(f"{tag} {name}/{path.name}: {verdict}")
+            files = {p.name for side in (old, new) for p in (side / name).iterdir()} - {"manifest.json"}
+            for file in sorted(files):
+                verdict = compare(old / name / file, new / name / file)
+                print(f"{tag} {name}/{file}: {verdict}")
                 differs |= verdict != "identical"
     return differs
 
@@ -103,18 +106,28 @@ def values(obj, key=""):
 
 
 def compare(old, new):
+    """"identical", or the largest relative difference of the numbers that
+    both files hold at a key (per block), then by key path each leaf whose
+    text changed and each leaf that only one file has."""
     if not new.exists():
         return "missing in the new tree"
+    if not old.exists():
+        return "only in the new tree"
     if old.read_bytes() == new.read_bytes():
         return "identical"
     with old.open(newline="") as fo, new.open(newline="") as fn:
         a, b = (values(list(csv.reader(fh)) if old.suffix == ".csv" else json.load(fh)) for fh in (fo, fn))
-    worst = {}
-    for key, x in a.items():
-        y, block = b.get(key), "mle" if key.startswith("/mle/") else "rest"  # a missing value counts as inf
-        diff = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y)) if type(x) is type(y) is float else float("inf")
-        worst[block] = max(worst.get(block, 0.0), diff)
-    return ", ".join(f"{block} max rel diff {d:.2e}" for block, d in sorted(worst.items()))
+    worst, changes = {}, []
+    for key in [*a, *(key for key in b if key not in a)]:
+        x, y = a.get(key), b.get(key)
+        if y is None or x is None:
+            changes.append(f"{'removed' if y is None else 'added'} {key}")
+        elif type(x) is type(y) is float:
+            block = "mle" if key.startswith("/mle/") else "rest"
+            worst[block] = max(worst.get(block, 0.0), 0.0 if x == y else abs(x - y) / max(abs(x), abs(y)))
+        elif x != y:
+            changes.append(f"changed {key}")
+    return ", ".join([*(f"{block} max rel diff {d:.2e}" for block, d in sorted(worst.items())), *changes])
 
 
 def mle_line(old, new):
