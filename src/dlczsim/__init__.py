@@ -4,7 +4,8 @@ between two remote atomic ensembles (DLCZ-type write/read protocol).
 The package exports the names of the README's library sketch; everything
 else is imported from its module (``dlczsim.pipeline``, ``dlczsim.tomography``, ...)."""
 
-from .protocol import EnsembleParams, HeraldChoice, InterferometerParams, herald, read_stage, write_stage
+from .config import EnsembleParams, HeraldChoice, InterferometerParams
+from .protocol import herald, read_stage, write_stage
 from .tomography import restrict
 from .entanglement import concurrence_restricted
 

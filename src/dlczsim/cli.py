@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    HERALDS,
     LAYOUTS,
     PLANES,
     PRESETS,
@@ -48,6 +48,7 @@ from .detection import (
     MAX_TRIALS,
     CountRecord,
     RecordIntegrityError,
+    fits_float,
     merge_counts,
     read_count_records_csv,
     read_count_records_json,
@@ -67,8 +68,9 @@ from .pipeline import (
     sample_diagonal_records,
     sample_fringe_records,
 )
-from .protocol import HERALDS, HeraldError
+from .protocol import HeraldError
 from .tomography import (
+    DIAG_KEYS,
     AggregatedCounts,
     DataQualityError,
     EfficiencyModel,
@@ -331,7 +333,7 @@ def fringe_scan(config_path, preset, out_dir, seed, trials):
     click.echo(f"outputs in {out.out_dir}")
 
 
-PLANE_HEADER = ["plane", "herald", "concurrence", "sigma_concurrence", "p00", "p01", "p10", "p11", "d_abs"]
+PLANE_HEADER = ["plane", "herald", "concurrence", "sigma_concurrence", *DIAG_KEYS[:4], "d_abs"]
 
 
 def _plane_table(rd: RestrictedDensity, budget: ChannelBudget, planes, herald: str) -> tuple[dict, list[list]]:
@@ -341,11 +343,13 @@ def _plane_table(rd: RestrictedDensity, budget: ChannelBudget, planes, herald: s
         rd_t = rd if target == "detectors" else backpropagate(rd, budget, target)
         conc = concurrence_restricted(rd_t, herald=herald)
         payload[target] = {"state": rd_t.as_dict(), "concurrence": conc.as_dict()}
-        rows.append([target, herald, conc.concurrence, conc.sigma_concurrence, rd_t.p00, rd_t.p01, rd_t.p10, rd_t.p11, rd_t.d_abs])
+        rows.append([target, herald, conc.concurrence, conc.sigma_concurrence, *(getattr(rd_t, key) for key in DIAG_KEYS[:4]), rd_t.d_abs])
     return payload, rows
 
 
 def _read_records(path: Path) -> list[CountRecord]:
+    if not path.is_file():  # a name under --records; click checks --diag and --fringe
+        raise ConfigError(f"no count record file {path}")
     if path.suffix == ".json":
         return read_count_records_json(path)
     return read_count_records_csv(path, detector_ids=D2_IDS)
@@ -392,7 +396,7 @@ def analyze(config_path, preset, out_dir, seed, herald, records_dir, diag_path, 
     result_payload = {
         "herald": herald_label,
         "reference": "detectors (unit detection efficiency)",
-        "populations": {k: estimate[k] for k in ("p00", "p01", "p10", "p11", "p02")},
+        "populations": {k: estimate[k] for k in DIAG_KEYS},
         "sigmas": dict(estimate.sigmas),
         "bootstrap_sigmas": dict(estimate.bootstrap_sigmas or {}),
         "visibility": fit.as_dict(),
@@ -426,7 +430,7 @@ def analyze(config_path, preset, out_dir, seed, herald, records_dir, diag_path, 
     out.manifest("analyze", data)
 
     click.echo(f"herald {herald_label} | reference: detectors, unit detection efficiency")
-    for key in ("p00", "p01", "p10", "p11", "p02"):
+    for key in DIAG_KEYS:
         click.echo(f"  {key} = {estimate[key]:.5e} +- {estimate.sigmas[key]:.1e}")
     click.echo(f"  V = {fit.visibility:.4f} +- {fit.sigma_visibility:.4f}")
     click.echo(f"  |d| = {coherence.d_abs:.4e} +- {coherence.sigma:.1e} ({coherence.mode})")
@@ -463,11 +467,11 @@ def _read_result(path: Path) -> tuple[dict, str | None]:
             value = value[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise RecordIntegrityError(f"{path}: field {'.'.join(keys)} is not a number")
-        if not abs(value) <= sys.float_info.max:  # NaN, Infinity, or an integer no float holds
+        if not fits_float(value):
             raise RecordIntegrityError(f"{path}: field {'.'.join(keys)} is not a finite number")
         return value
 
-    pops = {key: number("populations", key) for key in ("p00", "p01", "p10", "p11")}
+    pops = {key: number("populations", key) for key in DIAG_KEYS[:4]}
     sig = payload.get("sigmas", {})
     if not isinstance(sig, dict):
         raise RecordIntegrityError(f"{path}: field sigmas is not an object")

@@ -20,12 +20,12 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .detection import MAX_TRIALS
-from .protocol import HERALDS, EnsembleParams, HeraldChoice, InterferometerParams
+from .detection import MAX_TRIALS, fits_float
 
 SCHEMA_VERSION = 1
 PRESETS = ("paper", "paper_w120", "ideal")
 LAYOUTS = ("diagonal", "fringe")
+HERALDS = ("D1a", "D1b")  # the heralding detectors, in pattern order
 
 COMPONENT_KEYS = ("fc", "c", "f", "apd")
 PLANES: dict[str, tuple[str, ...]] = {
@@ -52,6 +52,43 @@ _ENSEMBLE_SCHEMA = {
         "xi": {"type": "number", "minimum": 0, "maximum": 1},
     },
     "required": ["chi", "xi"],
+    "additionalProperties": False,
+}
+
+_INTERFEROMETER_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "bs1_T": {"type": "number", "minimum": 0, "maximum": 1},
+        "eta1": {"type": "number"},
+        "eta2": {"type": "number"},
+        "phi": {"type": "number"},
+        "overlap": {"type": "number", "minimum": 0, "maximum": 1},
+        "phase_jitter_sigma": {"type": "number", "minimum": 0},
+    },
+    "additionalProperties": False,
+}
+
+_HERALD_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "which": {"enum": list(HERALDS)},
+        "exclusive": {"type": "boolean"},
+        "d1a_efficiency": {"type": "number", "minimum": 0, "maximum": 1},
+        "d1b_efficiency": {"type": "number", "minimum": 0, "maximum": 1},
+    },
+    "additionalProperties": False,
+}
+
+_DETECTORS_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "eta_d2a": {"type": "number", "minimum": 0, "maximum": 1},
+        "eta_d2b": {"type": "number", "minimum": 0, "maximum": 1},
+        "eta_d2c": {"type": "number", "minimum": 0, "maximum": 1},
+        "split": {"type": "number", "minimum": 0, "maximum": 1},
+        "bs2_T": {"type": "number", "minimum": 0, "maximum": 1},
+        "dark_prob": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
+    },
     "additionalProperties": False,
 }
 
@@ -97,40 +134,9 @@ CONFIG_SCHEMA: dict[str, Any] = {
             "required": ["L", "R"],
             "additionalProperties": False,
         },
-        "interferometer": {
-            "type": "object",
-            "properties": {
-                "bs1_T": {"type": "number", "minimum": 0, "maximum": 1},
-                "eta1": {"type": "number"},
-                "eta2": {"type": "number"},
-                "phi": {"type": "number"},
-                "overlap": {"type": "number", "minimum": 0, "maximum": 1},
-                "phase_jitter_sigma": {"type": "number", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "herald": {
-            "type": "object",
-            "properties": {
-                "which": {"enum": list(HERALDS)},
-                "exclusive": {"type": "boolean"},
-                "d1a_efficiency": {"type": "number", "minimum": 0, "maximum": 1},
-                "d1b_efficiency": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "detectors": {
-            "type": "object",
-            "properties": {
-                "eta_d2a": {"type": "number", "minimum": 0, "maximum": 1},
-                "eta_d2b": {"type": "number", "minimum": 0, "maximum": 1},
-                "eta_d2c": {"type": "number", "minimum": 0, "maximum": 1},
-                "split": {"type": "number", "minimum": 0, "maximum": 1},
-                "bs2_T": {"type": "number", "minimum": 0, "maximum": 1},
-                "dark_prob": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-            },
-            "additionalProperties": False,
-        },
+        "interferometer": _INTERFEROMETER_SCHEMA,
+        "herald": _HERALD_SCHEMA,
+        "detectors": _DETECTORS_SCHEMA,
         "channel": {
             "type": "object",
             "properties": {"L": _SIDE_SCHEMA, "R": _SIDE_SCHEMA},
@@ -171,7 +177,7 @@ def _equal(a: Any, b: Any) -> bool:
 def _validate(value: Any, schema: Mapping[str, Any], path: tuple = ()) -> None:
     """Check ``value`` against ``schema`` with the JSON Schema (draft 7)
     keywords that ``CONFIG_SCHEMA`` uses; raise ``ConfigError`` naming the
-    JSON path of the first violation.  Numbers must also be finite."""
+    JSON path of the first violation.  A number must also fit a float."""
 
     def fail(message: str):
         raise ConfigError(f"config field {'/'.join(map(str, path)) or '<root>'}: {message}")
@@ -189,7 +195,7 @@ def _validate(value: Any, schema: Mapping[str, Any], path: tuple = ()) -> None:
     if kind is not None and not _TYPES[kind](value):
         fail(f"{value!r} is not of type {kind!r}")
     if kind in ("number", "integer"):
-        if not math.isfinite(value):
+        if kind == "number" and not fits_float(value):  # an integer is compared exactly
             fail(f"{value!r} is not a finite number")
         for keyword, violated, message in _BOUNDS:
             if keyword in schema and violated(value, schema[keyword]):
@@ -215,6 +221,53 @@ def _validate(value: Any, schema: Mapping[str, Any], path: tuple = ()) -> None:
                 _validate(value[key], sub, (*path, key))
 
 
+# each config block is a dataclass that checks itself against its block schema
+@dataclass(frozen=True)
+class EnsembleParams:
+    """Per-ensemble knobs: write excitation probability and read-out efficiency."""
+
+    chi: float
+    xi: float = 1.0
+
+    def __post_init__(self):
+        _validate(vars(self), _ENSEMBLE_SCHEMA)
+
+
+@dataclass(frozen=True)
+class InterferometerParams:
+    """Phases, splitting ratio and mode overlap of the two interferometers.
+
+    ``bs1_T`` is the transmittance of the heralding beam splitter for the
+    right-hand field; ``overlap`` is the amplitude overlap between the two
+    field-1 modes at that splitter; ``phase_jitter_sigma`` is the per-trial
+    Gaussian spread of eta1 + eta2.
+    """
+
+    bs1_T: float = 0.5
+    eta1: float = 0.0
+    eta2: float = 0.0
+    phi: float = 0.0
+    overlap: float = 1.0
+    phase_jitter_sigma: float = 0.0
+
+    def __post_init__(self):
+        _validate(vars(self), _INTERFEROMETER_SCHEMA)
+
+
+@dataclass(frozen=True)
+class HeraldChoice:
+    """The heralding event, a click at ``which`` (alone, if ``exclusive``),
+    and the efficiencies of the two heralding detectors."""
+
+    which: str = "D1a"
+    exclusive: bool = True
+    d1a_efficiency: float = 1.0
+    d1b_efficiency: float = 1.0
+
+    def __post_init__(self):
+        _validate(vars(self), _HERALD_SCHEMA)
+
+
 @dataclass(frozen=True)
 class DetectorBench:
     eta_d2a: float = 1.0
@@ -223,6 +276,9 @@ class DetectorBench:
     split: float = 0.5
     bs2_T: float = 0.5
     dark_prob: float = 0.0
+
+    def __post_init__(self):
+        _validate(vars(self), _DETECTORS_SCHEMA)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -28,6 +28,11 @@ ClickPattern = tuple[int, ...]
 
 class RecordIntegrityError(ValueError):
     """A count record failed an internal consistency check."""
+
+
+def fits_float(value: Real) -> bool:
+    """Whether a float holds the number: NaN, Infinity and integers beyond the float range fail."""
+    return abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ class CountRecord:
         if not 1 <= self.trials <= MAX_TRIALS:
             raise RecordIntegrityError(f"trials must be >= 1 and <= {MAX_TRIALS}, got {self.trials}")
         phase = self.phase
-        if phase is not None and (isinstance(phase, bool) or not isinstance(phase, Real) or not math.isfinite(phase)):
+        if phase is not None and (isinstance(phase, bool) or not isinstance(phase, Real) or not fits_float(phase)):
             raise RecordIntegrityError(f"phase {phase!r} is not a finite real number")
         total = sum(self.tally.values())
         if total != self.trials:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Mapping
 
 import numpy as np
 
 from .config import ChannelBudget
 from .detection import substream_rng
-from .tomography import DataQualityError, RestrictedDensity, coherence_from_visibility
+from .tomography import DIAG_KEYS, DataQualityError, RestrictedDensity, coherence_from_visibility
 
 
 class UnphysicalBudgetError(ValueError):
@@ -65,8 +64,10 @@ class ConcurrenceResult:
         return out
 
 
-def _concurrence_value(p00: float, p11: float, d_abs: float, p_tilde: float) -> float:
-    return max(2.0 * d_abs - 2.0 * math.sqrt(max(p00 * p11, 0.0)), 0.0) / p_tilde
+def _concurrence(p00, p01, p10, p11, d):
+    """C = max(2|d| - 2 sqrt(p00 p11), 0) / P~ of the restricted state with
+    coherence magnitude ``d``, on floats or element-wise on arrays of draws."""
+    return np.maximum(2.0 * d - 2.0 * np.sqrt(np.maximum(p00 * p11, 0.0)), 0.0) / (p00 + p01 + p10 + p11)
 
 
 def concurrence_restricted(
@@ -85,7 +86,8 @@ def concurrence_restricted(
     whether or not an input has a sigma; a seeded ``mc_sigma`` is therefore
     stable.
     """
-    c = _concurrence_value(rd.p00, rd.p11, rd.d_abs, rd.p_tilde)
+    base = {**{key: getattr(rd, key) for key in DIAG_KEYS[:4]}, "d": rd.d_abs}
+    c = float(_concurrence(**base))
     lower = c * rd.p_tilde
 
     sigma_c = 0.0
@@ -93,12 +95,6 @@ def concurrence_restricted(
     if rd.sigmas:
         # first-order propagation with numeric partials
         var = 0.0
-        base = {"p00": rd.p00, "p01": rd.p01, "p10": rd.p10, "p11": rd.p11, "d": rd.d_abs}
-
-        def value(params: Mapping[str, float]) -> float:
-            pt = params["p00"] + params["p01"] + params["p10"] + params["p11"]
-            return _concurrence_value(params["p00"], params["p11"], params["d"], pt)
-
         for key, s in rd.sigmas.items():
             if key not in base or s == 0.0:
                 continue
@@ -107,20 +103,16 @@ def concurrence_restricted(
             hi[key] = base[key] + step
             lo = dict(base)
             lo[key] = max(base[key] - step, 0.0)
-            deriv = (value(hi) - value(lo)) / (hi[key] - lo[key])
+            deriv = float(_concurrence(**hi) - _concurrence(**lo)) / (hi[key] - lo[key])
             var += (deriv * s) ** 2
         sigma_c = math.sqrt(var)
 
         if mc_samples > 0:
-            # element-wise mirror of value() on every row, same operation
-            # order; in place, so the draw block is the only full-size array
+            # the draws clipped in place, so the draw block is the only full-size array
             x = substream_rng(seed, stream=0xC0).standard_normal((mc_samples, len(base)))
             x *= [rd.sigmas.get(key, 0.0) for key in base]
             x += list(base.values())
-            p00, p01, p10, p11, d = np.maximum(x, 0.0, out=x).T
-            pt = p00 + p01 + p10 + p11
-            draws = np.maximum(2.0 * d - 2.0 * np.sqrt(np.maximum(p00 * p11, 0.0)), 0.0) / pt
-            mc_sigma = float(np.std(draws, ddof=1))
+            mc_sigma = float(np.std(_concurrence(*np.maximum(x, 0.0, out=x).T), ddof=1))
 
     return ConcurrenceResult(
         concurrence=float(c),
@@ -175,7 +167,7 @@ def invert_attenuation(
 
     sigmas = {}
     if rd.sigmas or sigma_alpha_l or sigma_alpha_r:
-        inputs = {key: (getattr(rd, key), rd.sigmas.get(key, 0.0)) for key in ("p01", "p10", "p11")}
+        inputs = {key: (getattr(rd, key), rd.sigmas.get(key, 0.0)) for key in DIAG_KEYS[1:4]}
         inputs |= {"d": (rd.d_abs, rd.sigmas.get("d", 0.0)), "al": (alpha_l, sigma_alpha_l), "ar": (alpha_r, sigma_alpha_r)}
         variances = np.zeros(5)
         for key, (v, s) in inputs.items():
@@ -187,7 +179,7 @@ def invert_attenuation(
             hi = transform(args_hi["p01"], args_hi["p10"], args_hi["p11"], args_hi["d"], args_hi["al"], args_hi["ar"])
             derivs = (np.array(hi) - np.array(base)) / step
             variances += (derivs * s) ** 2
-        sigmas = {name: float(math.sqrt(var)) for name, var in zip(("p00", "p01", "p10", "p11", "d"), variances)}
+        sigmas = {name: float(math.sqrt(var)) for name, var in zip((*DIAG_KEYS[:4], "d"), variances)}
 
     extras = {}
     if rd.p02 is not None:
@@ -219,23 +211,14 @@ class WitnessReport:
         return asdict(self)
 
 
-def _h_ratio(p11: float, p10: float, p01: float, sigmas: Mapping[str, float]) -> tuple[float, float]:
-    if p10 <= 0.0 or p01 <= 0.0:
-        raise DataQualityError("h ratio undefined: needs p10, p01 > 0")
-    h = p11 / (p10 * p01)
-    rel = 0.0
-    for key, v in (("p11", p11), ("p10", p10), ("p01", p01)):
-        s = sigmas.get(key, 0.0)
-        if v > 0:
-            rel += (s / v) ** 2
-    return h, h * math.sqrt(rel)
-
-
 def witnesses(rd: RestrictedDensity) -> WitnessReport:
     """Two-photon suppression ratio h = p11 / (p10 p01).
 
     h < 1 is the necessary precondition for a strictly positive concurrence
     bound (factorizable statistics give exactly 1).
     """
-    h, sigma = _h_ratio(rd.p11, rd.p10, rd.p01, rd.sigmas)
-    return WitnessReport(h_c2=float(h), sigma_h_c2=float(sigma), h_below_one=bool(h < 1.0))
+    if rd.p10 <= 0.0 or rd.p01 <= 0.0:
+        raise DataQualityError("h ratio undefined: needs p10, p01 > 0")
+    h = rd.p11 / (rd.p10 * rd.p01)
+    rel = sum((rd.sigmas.get(key, 0.0) / v) ** 2 for key, v in (("p11", rd.p11), ("p10", rd.p10), ("p01", rd.p01)) if v > 0)
+    return WitnessReport(h_c2=float(h), sigma_h_c2=float(h * math.sqrt(rel)), h_below_one=bool(h < 1.0))

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import HERALDS, EnsembleParams, HeraldChoice, InterferometerParams
 from .detection import JointProbabilities
 from .fock import (
     DensityOperator,
@@ -38,64 +39,6 @@ from .fock import (
 
 class HeraldError(RuntimeError):
     """Heralding on the requested pattern is (numerically) impossible."""
-
-
-@dataclass(frozen=True)
-class EnsembleParams:
-    """Per-ensemble knobs: write excitation probability and read-out efficiency."""
-
-    chi: float
-    xi: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.chi < 1.0:
-            raise ValueError(f"chi must lie in [0, 1), got {self.chi}")
-        if not 0.0 <= self.xi <= 1.0:
-            raise ValueError(f"xi must lie in [0, 1], got {self.xi}")
-
-
-@dataclass(frozen=True)
-class InterferometerParams:
-    """Phases, splitting ratio and mode overlap of the two interferometers.
-
-    ``bs1_T`` is the transmittance of the heralding beam splitter for the
-    right-hand field; ``overlap`` is the amplitude overlap between the two
-    field-1 modes at that splitter; ``phase_jitter_sigma`` is the per-trial
-    Gaussian spread of eta1 + eta2.
-    """
-
-    bs1_T: float = 0.5
-    eta1: float = 0.0
-    eta2: float = 0.0
-    phi: float = 0.0
-    overlap: float = 1.0
-    phase_jitter_sigma: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.bs1_T <= 1.0:
-            raise ValueError(f"bs1_T must lie in [0, 1], got {self.bs1_T}")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError(f"overlap must lie in [0, 1], got {self.overlap}")
-        if self.phase_jitter_sigma < 0.0:
-            raise ValueError("phase_jitter_sigma must be nonnegative")
-
-
-HERALDS = ("D1a", "D1b")  # the heralding detectors, in pattern order
-
-
-@dataclass(frozen=True)
-class HeraldChoice:
-    """The heralding event, a click at ``which`` (alone, if ``exclusive``),
-    and the efficiencies of the two heralding detectors."""
-
-    which: str = "D1a"
-    exclusive: bool = True
-    d1a_efficiency: float = 1.0
-    d1b_efficiency: float = 1.0
-
-    def __post_init__(self):
-        if self.which not in HERALDS:
-            raise ValueError(f"herald detector must be {' or '.join(HERALDS)}, got {self.which}")
 
 
 # mode layout of the write-stage register

@@ -7,11 +7,10 @@ the textbook relation |d| = V (p10 + p01) / 2 or by inverting the exact
 fringe-layout forward model.  A joint maximum-likelihood fit over both
 measurement configurations (Newton's method, numpy only) cross-checks it.
 
-Every bench quantity here (class matrix, coherence slope, MLE elements) is
-read off the simulator's own cached POVM, ``layouts.bench_povm``, at the
-two-photon cutoff; the analysis phase enters analytically.  Each is built once
-per bench (and, for the MLE, per record count and phase grid) and kept in a
-bounded cache of read-only arrays keyed on the bench values.
+Every bench quantity here (class matrix, coherence slope, MLE elements) is read
+off the simulator's own cached POVM through ``_bench_block``; the analysis phase
+enters analytically.  Each is built once per bench (and, for the MLE, per record
+count and phase grid) and kept in a bounded cache of read-only arrays.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ _REGISTER2 = ModeRegister(2, 2)  # the inversion works at the two-photon cutoff
 # first five are the DIAG_KEYS, and each state's field is p<occupation>
 _BLOCK_OCCS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
 _BLOCK_IDX = [_REGISTER2.index(occ) for occ in _BLOCK_OCCS]
-_DIAG_IDX, (_I01, _I10) = _BLOCK_IDX[:5], _BLOCK_IDX[1:3]
 _PATTERN_CLASS = [Q_CLASSES.index((a, b + c)) for a, b, c in PATTERNS]
 _WITH_P00 = np.vstack([-np.ones(4), np.eye(4)])  # (p01, p10, p11, p02) -> all five, p00 = 1 - the others
 # fringe arms per pattern: clicks at D2a, and clicks summed over the split pair
@@ -158,7 +156,7 @@ class RestrictedDensity:
     def __post_init__(self):
         if not set(self.sigmas) <= {*DIAG_KEYS, "p20", "d"}:
             raise ValueError(f"sigmas are keyed by field name, got {sorted(self.sigmas)}")
-        for name in ("p00", "p01", "p10", "p11"):
+        for name in DIAG_KEYS[:4]:
             v = getattr(self, name)
             if v < -1e-12:
                 raise UnphysicalStateError(f"{name} = {v} is negative")
@@ -275,20 +273,29 @@ class DiagonalEstimate:
         return self.values[key]
 
 
+def _bench_block(eff: EfficiencyModel, fringe: bool) -> np.ndarray:
+    """The bench's POVM on the two-photon block basis, one element per pattern, of
+    the population layout or (``fringe``) the fringe layout at phase 0: the
+    inverse's one reading of the bench, at cutoff 2 and without dark counts."""
+    povm = bench_povm(2, eff.d2a, eff.d2b, eff.d2c, eff.split, eff.bs2_T if fringe else None, 0.0)
+    return povm[np.ix_(range(len(PATTERNS)), _BLOCK_IDX, _BLOCK_IDX)]
+
+
+def _diagonal(elements: np.ndarray) -> np.ndarray:
+    """The elements' diagonals on the DIAG_KEYS states, copied by a fancy index,
+    not sliced: the copy's C layout fixes how BLAS rounds products with it."""
+    return np.diagonal(elements, axis1=1, axis2=2).real[:, [0, 1, 2, 3, 4]]
+
+
 @lru_cache(maxsize=64)
-def _class_matrix(eta_d2a: float, eta_d2b: float, eta_d2c: float, split: float) -> np.ndarray:
-    diag = np.diagonal(bench_povm(2, eta_d2a, eta_d2b, eta_d2c, split, None, 0.0), axis1=1, axis2=2).real[:, _DIAG_IDX]
-    out = np.zeros((len(Q_CLASSES), len(DIAG_KEYS)))  # shape (6 classes, 5 populations)
-    np.add.at(out, _PATTERN_CLASS, diag)
-    out.setflags(write=False)
-    return out
-
-
 def forward_class_matrix(eff: EfficiencyModel) -> np.ndarray:
     """Read-only map from the diagonal populations (p00, p01, p10, p11, p02)
     to the aggregated class probabilities: the population POVM's diagonal on
     those basis states, summed over the patterns of each class."""
-    return _class_matrix(eff.d2a, eff.d2b, eff.d2c, eff.split)
+    out = np.zeros((len(Q_CLASSES), len(DIAG_KEYS)))  # shape (6 classes, 5 populations)
+    np.add.at(out, _PATTERN_CLASS, _diagonal(_bench_block(eff, fringe=False)))
+    out.setflags(write=False)
+    return out
 
 
 def invert_diagonal(
@@ -520,10 +527,10 @@ class CoherenceEstimate:
 
 
 @lru_cache(maxsize=64)
-def _fringe_arms(eta_d2a: float, eta_d2b: float, eta_d2c: float, split: float, bs2_T: float) -> tuple[np.ndarray, np.ndarray]:
+def _fringe_arms(eff: EfficiencyModel) -> tuple[np.ndarray, np.ndarray]:
     """Per fringe arm at phase 0: the POVM diagonal on the DIAG_KEYS states and |<0,1|E|1,0>|."""
-    arms = np.einsum("ap,pij->aij", _ARM_WEIGHTS, bench_povm(2, eta_d2a, eta_d2b, eta_d2c, split, bs2_T, 0.0))
-    populations, coupling = np.diagonal(arms, axis1=1, axis2=2).real[:, _DIAG_IDX], np.abs(arms[:, _I01, _I10])
+    arms = np.einsum("ap,pij->aij", _ARM_WEIGHTS, _bench_block(eff, fringe=True))
+    populations, coupling = _diagonal(arms), np.abs(arms[:, 1, 2])
     populations.setflags(write=False)
     coupling.setflags(write=False)
     return populations, coupling
@@ -542,7 +549,7 @@ def _model_visibility_slope(diagonals: Mapping[str, float], eff: EfficiencyModel
         raise DataQualityError("model slope undefined: p01 p10 = 0")
     pops = [max(float(diagonals.get(key, 0.0)), 0.0) for key in DIAG_KEYS[1:]]
     pops = np.array([1.0 - sum(pops), *pops])
-    populations, coupling = _fringe_arms(eff.d2a, eff.d2b, eff.d2c, eff.split, eff.bs2_T)
+    populations, coupling = _fringe_arms(eff)
     return float(np.sum(coupling / (populations @ pops)))
 
 
@@ -582,8 +589,8 @@ def estimate_coherence(
         var = (sigma_visibility / slope) ** 2
         if diagonal_sigmas:
             # numeric partials of 1/slope, stepping down where the model's p00 would go negative
-            others = sum(max(float(diagonals.get(k, 0.0)), 0.0) for k in ("p01", "p10", "p11", "p02"))
-            for key in ("p01", "p10", "p11", "p02"):
+            others = sum(max(float(diagonals.get(k, 0.0)), 0.0) for k in DIAG_KEYS[1:])
+            for key in DIAG_KEYS[1:]:
                 s_key = diagonal_sigmas.get(key, 0.0)
                 if s_key == 0.0 or key not in diagonals:
                     continue
@@ -618,7 +625,7 @@ def assemble_restricted(
     """Combine stage-one and stage-two output into a RestrictedDensity,
     the coherence clamped into the positivity cone (``RestrictedDensity.clamped``)."""
     return RestrictedDensity.clamped(
-        *(diag[key] for key in ("p00", "p01", "p10", "p11")),
+        *(diag[key] for key in DIAG_KEYS[:4]),
         coherence.d_abs,
         phase,
         diag.flags + coherence.flags,
@@ -724,17 +731,14 @@ def _block_to_full(rho_block: np.ndarray) -> DensityOperator:
 
 
 @lru_cache(maxsize=4)  # about 0.25 MB an entry at 1 + 13 records
-def _mle_elements(
-    eta_d2a: float, eta_d2b: float, eta_d2c: float, split: float, bs2_T: float, n_diag: int, phis: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
+def _mle_elements(eff: EfficiencyModel, n_diag: int, phis: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """POVM elements E_k on the block basis, one per record and pattern in
     ``PATTERNS`` order (``n_diag`` population records, then one fringe record
     per phase), and the real symmetric A_k with Tr(E_k G G+) = x^T A_k x in
     the factor parameters x."""
-    block = np.ix_(range(len(PATTERNS)), _BLOCK_IDX, _BLOCK_IDX)
-    diag = np.broadcast_to(bench_povm(2, eta_d2a, eta_d2b, eta_d2c, split, None, 0.0)[block], (n_diag, len(PATTERNS), 6, 6))
+    diag = np.broadcast_to(_bench_block(eff, fringe=False), (n_diag, len(PATTERNS), 6, 6))
     rotation = np.exp(-1j * np.array(phis)[:, None, None] * (_BLOCK_NL[:, None] - _BLOCK_NL[None, :]))
-    fringe = bench_povm(2, eta_d2a, eta_d2b, eta_d2c, split, bs2_T, 0.0)[block][None, :, :, :] * rotation[:, None, :, :]
+    fringe = _bench_block(eff, fringe=True)[None, :, :, :] * rotation[:, None, :, :]
     elements = np.concatenate([diag, fringe]).reshape(-1, 6, 6)
     forms = np.ascontiguousarray((elements[:, _FACTOR_ROWS[None, :], _FACTOR_ROWS[:, None]] * _FORM_KERNEL).real)
     elements.setflags(write=False)
@@ -752,7 +756,7 @@ def _collect_mle_data(
     if not diag_records and not fringe_records:
         raise ValueError("maximum-likelihood fit needs at least one record")
     phis = tuple(float(record.phase) for record in fringe_records)
-    elements, forms = _mle_elements(eff.d2a, eff.d2b, eff.d2c, eff.split, eff.bs2_T, len(diag_records), phis)
+    elements, forms = _mle_elements(eff, len(diag_records), phis)
     return elements, forms, pattern_counts([*diag_records, *fringe_records]).reshape(-1)
 
 

@@ -239,7 +239,7 @@ def _corrupt(case: str, diag: list, fringe: list) -> None:
     elif case == "fringe_record_in_diagonal_file":
         diag.append(fringe[0])
     else:
-        fringe[0]["phase_phi_radians"] = {"phase_text": "abc", "phase_infinite": math.inf, "phase_nan": math.nan}[case]
+        fringe[0]["phase_phi_radians"] = {"phase_text": "abc", "phase_infinite": math.inf, "phase_nan": math.nan, "phase_huge_int": 10**400}[case]
 
 
 _CORRUPTED_RECORDS = {  # case -> expected message
@@ -248,6 +248,7 @@ _CORRUPTED_RECORDS = {  # case -> expected message
     "phase_text": "phase 'abc' is not a finite real number",
     "phase_infinite": "phase inf is not a finite real number",
     "phase_nan": "phase nan is not a finite real number",
+    "phase_huge_int": f"phase {10**400} is not a finite real number",  # beyond the float range
     "fringe_record_in_diagonal_file": "records describe different measurement settings",
 }
 
@@ -374,6 +375,17 @@ def test_analyze_requires_records(runner, tmp_path):
     assert result.exit_code == EXIT_CONFIG
 
 
+def test_analyze_records_dir_without_a_count_file_exits_config_code(runner, tmp_path):
+    # the default (diagonal) layout writes no fringe records
+    sim_out = tmp_path / "sim"
+    assert _run(runner, ["simulate", "--preset", "paper", "--trials", "20000", "--out", str(sim_out)]).exit_code == 0
+    assert (sim_out / "counts_diagonal.json").exists()
+    result = runner.invoke(main, ["analyze", "--preset", "paper", "--records", str(sim_out), "--out", str(tmp_path / "a")])
+    assert result.exit_code == EXIT_CONFIG, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert "error:" in result.output and "counts_fringe.json" in result.output
+
+
 def test_analyze_empty_record_file(runner, tmp_path):
     empty = tmp_path / "counts_diagonal.csv"
     empty.write_text("")
@@ -441,6 +453,16 @@ def test_config_trials_beyond_int64_exits_config_code(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)
 
 
+def test_config_seed_beyond_float_range_runs(runner, tmp_path):
+    # integers are compared exactly, so a seed no float holds is valid
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(ideal_config_dict(trials=20000, seed=10**400)))
+    result = runner.invoke(main, ["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert result.exit_code == 0, result.output
+    records = json.loads((tmp_path / "o" / "counts_fringe.json").read_text())
+    assert records and all(record["seed"] == 10**400 for record in records)
+
+
 @pytest.mark.parametrize("field", ["cutoff", "trials", "seed"])
 def test_integer_valued_float_matches_integer(runner, tmp_path, field):
     outputs = {}
@@ -472,6 +494,10 @@ _NON_FINITE_CASES = {  # case -> (path into the preset, value, reported field)
     "fc_nan": (("channel", "L", "fc", 0), float("nan"), "channel/L/fc/0"),
     "eta1_infinity": (("interferometer", "eta1"), float("inf"), "interferometer/eta1"),
     "fringe_phase_nan": (("fringe_phases", 2), float("nan"), "fringe_phases/2"),
+    # integers that no float holds
+    "chi_huge_int": (("ensembles", "L", "chi"), 10**400, "ensembles/L/chi"),
+    "eta1_huge_int": (("interferometer", "eta1"), -(10**400), "interferometer/eta1"),
+    "fringe_phase_huge_int": (("fringe_phases", 0), 10**400, "fringe_phases/0"),
 }
 
 

@@ -1,7 +1,8 @@
 """The direct config validator against ``jsonschema`` as the oracle."""
 
 import math
-from dataclasses import fields
+import sys
+from dataclasses import fields, replace
 
 import jsonschema
 import pytest
@@ -10,7 +11,7 @@ from dlczsim.config import CONFIG_SCHEMA, ConfigError, DetectorBench, Experiment
 from dlczsim.protocol import EnsembleParams, HeraldChoice, InterferometerParams
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]
-_SCALARS = [None, "x", True, False, [], {}, 0, 1, -1, 0.5, 2.5, 5, 1e300, *_NON_FINITE]
+_SCALARS = [None, "x", True, False, [], {}, 0, 1, -1, 0.5, 2.5, 5, 1e300, 10**400, -(10**400), *_NON_FINITE]
 _BOUNDS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
 
 
@@ -62,14 +63,6 @@ def _replace(container, path, probe):
     return {**container, head: _replace(container[head], rest, probe)}
 
 
-def _has_non_finite(value):
-    if isinstance(value, float):
-        return not math.isfinite(value)
-    if isinstance(value, (list, dict)):
-        return any(_has_non_finite(v) for v in (value.values() if isinstance(value, dict) else value))
-    return False
-
-
 def _base_config():
     return {
         **preset_dict("paper"),
@@ -88,8 +81,20 @@ def _keyword_mutations():
     yield from ((ranged, path, probe) for path, probe in _variants(schema, ranged) if path)
 
 
+def _float_number_type(validator, types, instance, schema):
+    """Draft 7's ``type`` with the one intended difference: a ``number`` must fit
+    a float, so NaN, Infinity and integers beyond the float range are not numbers
+    here (an ``integer`` may be any size)."""
+    yield from jsonschema.Draft7Validator.VALIDATORS["type"](validator, types, instance, schema)
+    if types == "number" and validator.is_type(instance, "number") and not abs(instance) <= sys.float_info.max:
+        yield jsonschema.ValidationError(f"{instance!r} does not fit a float")
+
+
+_ORACLE = jsonschema.validators.extend(jsonschema.Draft7Validator, validators={"type": _float_number_type})
+
+
 def test_validator_agrees_with_jsonschema_on_keyword_mutations():
-    oracle = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+    oracle = _ORACLE(CONFIG_SCHEMA)
     checked = 0
     for base, path, probe in _keyword_mutations():
         instance = _replace(base, path, probe)
@@ -98,12 +103,7 @@ def test_validator_agrees_with_jsonschema_on_keyword_mutations():
             accepted, where = True, None
         except ConfigError as exc:
             accepted, where = False, str(exc).split(":")[0].removeprefix("config field ")
-        expected = oracle.is_valid(instance)
-        if expected and _has_non_finite(instance):
-            # the one intended difference: NaN and Infinity are not numbers here
-            assert not accepted, (path, probe)
-        else:
-            assert accepted == expected, (path, probe)
+        assert accepted == oracle.is_valid(instance), (path, probe)
         if not accepted and path:
             # the reported field lies at or below the mutated one
             assert (where + "/").startswith("/".join(map(str, path)) + "/"), (path, probe, where)
@@ -135,3 +135,34 @@ def test_config_blocks_are_the_dataclass_fields():
     defaults = ExperimentConfig(cfg.left, cfg.right, cfg.budget)
     for name in ("layout", "cutoff", "trials", "seed"):
         assert getattr(cfg, name) == getattr(defaults, name)
+
+
+_BLOCKS = {  # block -> (a dataclass instance of it, its schema)
+    "ensemble": (EnsembleParams(chi=0.1), CONFIG_SCHEMA["properties"]["ensembles"]["properties"]["L"]),
+    "interferometer": (InterferometerParams(), CONFIG_SCHEMA["properties"]["interferometer"]),
+    "herald": (HeraldChoice(), CONFIG_SCHEMA["properties"]["herald"]),
+    "detectors": (DetectorBench(), CONFIG_SCHEMA["properties"]["detectors"]),
+}
+
+
+def _invalid_values(schema):
+    """A mistyped value; for a number NaN, the infinities and integers no float
+    holds; and a value beyond each bound."""
+    yield "0.5"
+    if schema.get("type") == "number":
+        yield from (*_NON_FINITE, 10**400, -(10**400))
+    for keyword, beyond in (("minimum", -0.5), ("maximum", 0.5), ("exclusiveMinimum", 0), ("exclusiveMaximum", 0)):
+        if keyword in schema:
+            yield schema[keyword] + beyond
+
+
+@pytest.mark.parametrize("block", list(_BLOCKS))
+def test_config_dataclasses_check_their_fields_against_the_block_schema(block):
+    instance, schema = _BLOCKS[block]
+    checked = 0
+    for name, sub in schema["properties"].items():
+        for value in _invalid_values(sub):
+            with pytest.raises(ConfigError, match=f"^config field {name}: "):
+                replace(instance, **{name: value})
+            checked += 1
+    assert checked >= 2 * len(schema["properties"])

@@ -136,14 +136,13 @@ def test_bench_quantities_share_the_bench_povm_cache():
     assert bench_povm.cache_info().misses == simulated.misses
 
 
-BENCH_CACHES = (bench_povm, tom._class_matrix, tom._fringe_arms, tom._mle_elements)
+BENCH_CACHES = (bench_povm, forward_class_matrix, tom._fringe_arms, tom._mle_elements)
 
 
 def test_cached_bench_quantities_are_read_only_and_bounded():
     diag_rec, fringe_recs = _records_from_restricted(random_restricted(np.random.default_rng(5)), EFF_BENCH, 10**5, 10**4, seed=6)
     elements, forms, _ = tom._collect_mle_data([diag_rec], fringe_recs, EFF_BENCH)
-    bench = (EFF_BENCH.d2a, EFF_BENCH.d2b, EFF_BENCH.d2c, EFF_BENCH.split)
-    for cached in (forward_class_matrix(EFF_BENCH), *tom._fringe_arms(*bench, EFF_BENCH.bs2_T), elements, forms):
+    for cached in (forward_class_matrix(EFF_BENCH), *tom._fringe_arms(EFF_BENCH), elements, forms):
         with pytest.raises(ValueError, match="read-only"):
             cached[(0,) * cached.ndim] = 1.0
     for cache in BENCH_CACHES:
