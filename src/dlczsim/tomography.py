@@ -283,7 +283,7 @@ def _bench_block(eff: EfficiencyModel, fringe: bool) -> np.ndarray:
 
 def _diagonal(elements: np.ndarray) -> np.ndarray:
     """The elements' diagonals on the DIAG_KEYS states, copied by a fancy index,
-    not sliced: the copy's C layout fixes how BLAS rounds products with it."""
+    not sliced: the copy's layout fixes how BLAS rounds products with it."""
     return np.diagonal(elements, axis1=1, axis2=2).real[:, [0, 1, 2, 3, 4]]
 
 
