@@ -296,15 +296,8 @@ class ChannelBudget:
     right: Mapping[str, tuple[float, float]]
 
     def __post_init__(self):
-        for side in (self.left, self.right):
-            for key in COMPONENT_KEYS:
-                if key not in side:
-                    raise ValueError(f"budget is missing component {key!r}")
-                value, err = side[key]
-                if not 0.0 < value <= 1.0:
-                    raise ValueError(f"component {key} transmission {value} outside (0, 1]")
-                if err < 0.0:
-                    raise ValueError("component uncertainty must be nonnegative")
+        for name, side in (("L", self.left), ("R", self.right)):  # a component is a tuple, the schema's array a list
+            _validate({key: list(v) if isinstance(v, tuple) else v for key, v in side.items()}, _SIDE_SCHEMA, (name,))
 
     def segment(self, side: str, from_plane: str, to_plane: str) -> tuple[float, float]:
         """Product transmission (and uncertainty) between two planes."""

@@ -79,12 +79,16 @@ def concurrence_restricted(
     """Closed-form concurrence of the restricted state.
 
     Uncertainties combine the stored sigmas in quadrature by first-order
-    propagation; ``mc_samples`` > 0 adds a Gaussian-resampling cross-check
-    (inputs clipped to their physical ranges before each evaluation).  Its
-    normal deviates are one row-major ``(mc_samples, 5)`` block from
-    substream ``0xC0`` of ``seed``, columns (p00, p01, p10, p11, d), drawn
-    whether or not an input has a sigma; a seeded ``mc_sigma`` is therefore
-    stable.
+    propagation with the analysis's only numeric partials: central secants
+    of max(1e-9, 1e-4 |x|, 0.1 sigma), the lower point clipped at 0.  The
+    closed-form partials would diverge where p00 p11 = 0 (lossless records
+    clamp p00 to 0) and jump at the C = 0 clamp; a secant across a tenth of
+    a sigma stays finite at both.  ``mc_samples`` > 0 adds a
+    Gaussian-resampling cross-check (inputs clipped to their physical
+    ranges before each evaluation).  Its normal deviates are one row-major
+    ``(mc_samples, 5)`` block from substream ``0xC0`` of ``seed``, columns
+    (p00, p01, p10, p11, d), drawn whether or not an input has a sigma; a
+    seeded ``mc_sigma`` is therefore stable.
     """
     base = {**{key: getattr(rd, key) for key in DIAG_KEYS[:4]}, "d": rd.d_abs}
     c = float(_concurrence(**base))
@@ -93,7 +97,6 @@ def concurrence_restricted(
     sigma_c = 0.0
     mc_sigma = None
     if rd.sigmas:
-        # first-order propagation with numeric partials
         var = 0.0
         for key, s in rd.sigmas.items():
             if key not in base or s == 0.0:
@@ -145,20 +148,13 @@ def invert_attenuation(
     does.
     """
 
-    total = rd.p_tilde
-
-    def transform(p01, p10, p11, d_abs, al, ar):
-        out01 = p01 / ar
-        out10 = p10 / al
-        out11 = p11 / (al * ar)
-        # vacuum absorbs the rescaling; keeping the input's total weight makes
-        # the all-ones budget an exact identity
-        out00 = total - out01 - out10 - out11
-        vis = 2.0 * d_abs / (p10 + p01) if (p10 + p01) > 0 else 0.0
-        return out00, out01, out10, out11, coherence_from_visibility(vis, out10, out01)
-
-    base = transform(rd.p01, rd.p10, rd.p11, rd.d_abs, alpha_l, alpha_r)
-    p00, p01, p10, p11, d_abs = base
+    p01, p10, p11 = rd.p01 / alpha_r, rd.p10 / alpha_l, rd.p11 / (alpha_l * alpha_r)
+    # vacuum absorbs the rescaling; keeping the input's total weight makes
+    # the all-ones budget an exact identity
+    p00 = rd.p_tilde - p01 - p10 - p11
+    spread = rd.p10 + rd.p01
+    vis = 2.0 * rd.d_abs / spread if spread > 0 else 0.0
+    d_abs = coherence_from_visibility(vis, p10, p01)
     if p00 < 0.0 or max(p01, p10, p11) > 1.0:
         raise UnphysicalBudgetError(
             f"back-propagated populations unphysical: p00={p00:.4f}, p01={p01:.4f}, "
@@ -167,19 +163,20 @@ def invert_attenuation(
 
     sigmas = {}
     if rd.sigmas or sigma_alpha_l or sigma_alpha_r:
-        inputs = {key: (getattr(rd, key), rd.sigmas.get(key, 0.0)) for key in DIAG_KEYS[1:4]}
-        inputs |= {"d": (rd.d_abs, rd.sigmas.get("d", 0.0)), "al": (alpha_l, sigma_alpha_l), "ar": (alpha_r, sigma_alpha_r)}
-        variances = np.zeros(5)
-        for key, (v, s) in inputs.items():
-            if s == 0.0:
-                continue
-            step = max(1e-9, 1e-5 * abs(v))
-            args_hi = {k: val for k, (val, _) in inputs.items()}
-            args_hi[key] = v + step
-            hi = transform(args_hi["p01"], args_hi["p10"], args_hi["p11"], args_hi["d"], args_hi["al"], args_hi["ar"])
-            derivs = (np.array(hi) - np.array(base)) / step
-            variances += (derivs * s) ** 2
-        sigmas = {name: float(math.sqrt(var)) for name, var in zip((*DIAG_KEYS[:4], "d"), variances)}
+        # the map's Jacobian in (p01, p10, p11, |d|, alpha_l, alpha_r), one row
+        # per output: p01, p10, p11, then |d| = V (p10 + p01) / 2 at constant V;
+        # p00, the held total less the populations, takes minus their rows
+        half_vis, ratio = vis / 2.0, (p10 + p01) / spread if spread > 0 else 0.0
+        rows = [
+            [1.0 / alpha_r, 0.0, 0.0, 0.0, 0.0, -p01 / alpha_r],
+            [0.0, 1.0 / alpha_l, 0.0, 0.0, -p10 / alpha_l, 0.0],
+            [0.0, 0.0, 1.0 / (alpha_l * alpha_r), 0.0, -p11 / alpha_l, -p11 / alpha_r],
+            [half_vis * (1.0 / alpha_r - ratio), half_vis * (1.0 / alpha_l - ratio), 0.0, ratio, -half_vis * p10 / alpha_l, -half_vis * p01 / alpha_r],
+        ]
+        rows.insert(0, [-(a + b + c) for a, b, c in zip(*rows[:3])])
+        inputs = [rd.sigmas.get(key, 0.0) for key in (*DIAG_KEYS[1:4], "d")] + [sigma_alpha_l, sigma_alpha_r]
+        for name, row in zip((*DIAG_KEYS[:4], "d"), rows):
+            sigmas[name] = math.sqrt(sum((partial * s) ** 2 for partial, s in zip(row, inputs) if s != 0.0))
 
     extras = {}
     if rd.p02 is not None:
@@ -220,5 +217,6 @@ def witnesses(rd: RestrictedDensity) -> WitnessReport:
     if rd.p10 <= 0.0 or rd.p01 <= 0.0:
         raise DataQualityError("h ratio undefined: needs p10, p01 > 0")
     h = rd.p11 / (rd.p10 * rd.p01)
-    rel = sum((rd.sigmas.get(key, 0.0) / v) ** 2 for key, v in (("p11", rd.p11), ("p10", rd.p10), ("p01", rd.p01)) if v > 0)
-    return WitnessReport(h_c2=float(h), sigma_h_c2=float(h * math.sqrt(rel)), h_below_one=bool(h < 1.0))
+    partials = {"p11": 1.0 / (rd.p10 * rd.p01), "p10": -h / rd.p10, "p01": -h / rd.p01}
+    var = sum((partial * rd.sigmas.get(key, 0.0)) ** 2 for key, partial in partials.items())
+    return WitnessReport(h_c2=float(h), sigma_h_c2=float(math.sqrt(var)), h_below_one=bool(h < 1.0))

@@ -536,21 +536,27 @@ def _fringe_arms(eff: EfficiencyModel) -> tuple[np.ndarray, np.ndarray]:
     return populations, coupling
 
 
-def _model_visibility_slope(diagonals: Mapping[str, float], eff: EfficiencyModel) -> float:
-    """d(V_avg)/d(|d|) of the exact fringe forward model at fixed diagonals.
+def _model_visibility_slope(diagonals: Mapping[str, float], eff: EfficiencyModel) -> tuple[float, list[float]]:
+    """s = d(V_avg)/d(|d|) of the exact fringe forward model at fixed
+    diagonals, and its partials in the populations ``DIAG_KEYS[1:]``.
 
     For a real coherence d between |0,1> and |1,0> each arm reads
     base + 2 d |e| cos(phi + arg e), where base contracts the arm's POVM
-    diagonal with the populations (p00 = 1 - the others) and e is the arm's
+    diagonal P with the populations (p00 = 1 - the others) and e is the arm's
     <0,1|E|1,0> at phase 0; so V_arm = 2 d |e| / base, and V_avg / d is the
-    sum over arms of |e| / base.
+    sum over arms of |e| / base.  Hence ds/dp_k = -sum over arms of
+    |e| (P_k - P_00) / base^2, and 0 for a population clamped at 0.
     """
     if not diagonals.get("p01", 0.0) * diagonals.get("p10", 0.0) > 0.0:
         raise DataQualityError("model slope undefined: p01 p10 = 0")
-    pops = [max(float(diagonals.get(key, 0.0)), 0.0) for key in DIAG_KEYS[1:]]
+    raw = [float(diagonals.get(key, 0.0)) for key in DIAG_KEYS[1:]]
+    pops = [max(v, 0.0) for v in raw]
     pops = np.array([1.0 - sum(pops), *pops])
     populations, coupling = _fringe_arms(eff)
-    return float(np.sum(coupling / (populations @ pops)))
+    base = populations @ pops
+    arms = [(c / (b * b), row) for c, b, row in zip(coupling.tolist(), base.tolist(), populations.tolist())]
+    partials = [0.0 if v < 0.0 else -sum(w * (row[k] - row[0]) for w, row in arms) for k, v in enumerate(raw, start=1)]
+    return float(np.sum(coupling / base)), partials
 
 
 def estimate_coherence(
@@ -584,24 +590,15 @@ def estimate_coherence(
             )
         sigma = math.sqrt(var)
     elif mode == "full":
-        slope = _model_visibility_slope(diagonals, eff)
+        slope, slope_partials = _model_visibility_slope(diagonals, eff)
         d_abs = visibility / slope
         var = (sigma_visibility / slope) ** 2
         if diagonal_sigmas:
-            # numeric partials of 1/slope, stepping down where the model's p00 would go negative
-            others = sum(max(float(diagonals.get(k, 0.0)), 0.0) for k in DIAG_KEYS[1:])
-            for key in DIAG_KEYS[1:]:
+            # |d| = V / s, so d|d|/dp_k = -(|d| / s) ds/dp_k
+            for key, partial in zip(DIAG_KEYS[1:], slope_partials):
                 s_key = diagonal_sigmas.get(key, 0.0)
-                if s_key == 0.0 or key not in diagonals:
-                    continue
-                step = max(1e-6, 0.01 * abs(float(diagonals[key])))
-                if others + step > 1.0:
-                    step = -step
-                bumped = dict(diagonals)
-                bumped[key] = float(diagonals[key]) + step
-                slope_b = _model_visibility_slope(bumped, eff)
-                deriv = (visibility / slope_b - d_abs) / step
-                var += (deriv * s_key) ** 2
+                if s_key != 0.0 and key in diagonals:
+                    var += (d_abs / slope * partial * s_key) ** 2
         sigma = math.sqrt(var)
     else:
         raise ValueError(f"unknown coherence mode {mode!r}")

@@ -398,6 +398,50 @@ def random_restricted(rng: np.random.Generator, d_fraction: float | None = None)
     return RestrictedDensity(p00=p00, p01=p01, p10=p10, p11=p11, d=d)
 
 
+def central_difference(f, x: float, step: float):
+    """df/dx by a central difference."""
+    return (np.asarray(f(x + step)) - np.asarray(f(x - step))) / (2.0 * step)
+
+
+def _visibility_slope(diagonals: dict, eff: EfficiencyModel) -> float:
+    """V_avg / |d| of the fringe model, written as the coherence inversion
+    wrote it: populations clamped at 0, p00 the rest of the unit trace."""
+    pops = [max(float(diagonals.get(key, 0.0)), 0.0) for key in tom.DIAG_KEYS[1:]]
+    pops = np.array([1.0 - sum(pops), *pops])
+    populations, coupling = tom._fringe_arms(eff)
+    return float(np.sum(coupling / (populations @ pops)))
+
+
+def coherence_partials_oracle(visibility: float, diagonals: dict, eff: EfficiencyModel) -> tuple[float, dict[str, float]]:
+    """|d| = V / slope of ``estimate_coherence(mode="full")`` and, by central
+    differences, its partial in each population of ``diagonals`` but p00."""
+    partials = {}
+    for key in tom.DIAG_KEYS[1:]:
+        if key in diagonals:
+            at = float(diagonals[key])
+            partials[key] = float(central_difference(lambda v: visibility / _visibility_slope({**diagonals, key: v}, eff), at, 1e-7))
+    return visibility / _visibility_slope(diagonals, eff), partials
+
+
+def attenuation_partials_oracle(rd: RestrictedDensity, alpha_l: float, alpha_r: float) -> tuple[tuple[float, ...], np.ndarray]:
+    """The map of ``invert_attenuation`` before its clamp, (p01, p10, p11, |d|,
+    alpha_l, alpha_r) -> (p00, p01, p10, p11, |d|) with the input's total weight
+    held fixed, at ``rd``, and by central differences its 5 x 6 Jacobian."""
+    total = rd.p_tilde
+
+    def transform(p01, p10, p11, d_abs, al, ar):
+        out01 = p01 / ar
+        out10 = p10 / al
+        out11 = p11 / (al * ar)
+        out00 = total - out01 - out10 - out11
+        vis = 2.0 * d_abs / (p10 + p01) if (p10 + p01) > 0 else 0.0
+        return out00, out01, out10, out11, tom.coherence_from_visibility(vis, out10, out01)
+
+    x = [rd.p01, rd.p10, rd.p11, rd.d_abs, alpha_l, alpha_r]
+    columns = [central_difference(lambda v: transform(*x[:j], v, *x[j + 1 :]), at, 1e-4 * at) for j, at in enumerate(x)]
+    return transform(*x), np.column_stack(columns)
+
+
 def lbfgs_mle_log_likelihood(diag_records, fringe_records, eff: EfficiencyModel, initial: RestrictedDensity) -> float:
     """Maximum log likelihood found by scipy's L-BFGS-B from the two-stage
     start, with the gradient 2 (M G) of -L in the factor entries, where

@@ -55,3 +55,16 @@ def test_file_only_in_the_new_tree_differs(tmp_path, capsys):
     (new / "sim" / "extra.json").write_text("{}\n")
     assert _compare_module().report("tag", ({"sim": 0}, {"sim": 0}), old, new)
     assert capsys.readouterr().out.splitlines() == ["tag sim/extra.json: only in the new tree", "tag sim/herald.json: identical"]
+
+
+def test_uncertainties_move_in_their_own_block(tmp_path):
+    old = {"p00": 0.5, "sigmas": {"p00": 0.1}, "concurrence": {"c": 0.2, "mc_sigma": 0.3}, "mle": {"sigma_c": 1.0}}
+    new = {"p00": 0.5, "sigmas": {"p00": 0.1}, "concurrence": {"c": 0.2, "mc_sigma": 0.33}, "mle": {"sigma_c": 1.0}}
+    assert _verdict(tmp_path, old, new) == "rest max rel diff 0.00e+00, sigma max rel diff 9.09e-02"
+
+
+def test_csv_uncertainty_columns_move_in_the_sigma_block(tmp_path):
+    (tmp_path / "old.csv").write_text("plane,concurrence,sigma_concurrence\nz2,0.5,0.1\n")
+    (tmp_path / "new.csv").write_text("plane,concurrence,sigma_concurrence\nz2,0.5,0.11\n")
+    verdict = _compare_module().compare(tmp_path / "old.csv", tmp_path / "new.csv")
+    assert verdict == "rest max rel diff 0.00e+00, sigma max rel diff 9.09e-02"

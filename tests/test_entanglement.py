@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dlczsim.config import ChannelBudget, config_from_dict
+from dlczsim.config import ChannelBudget, ConfigError, config_from_dict
 from dlczsim.entanglement import (
     UnphysicalBudgetError,
     backpropagate,
@@ -13,13 +13,27 @@ from dlczsim.entanglement import (
     invert_attenuation,
     witnesses,
 )
-from dlczsim.pipeline import full_experiment
-from dlczsim.tomography import RestrictedDensity, restrict
+from dlczsim.pipeline import full_experiment, sample_diagonal_records, sample_fringe_records
+from dlczsim.tomography import (
+    DIAG_KEYS,
+    AggregatedCounts,
+    EfficiencyModel,
+    FringeScan,
+    RestrictedDensity,
+    estimate_coherence,
+    fit_fringe,
+    in_bench_order,
+    invert_diagonal,
+    restrict,
+)
 
 from helpers import (
+    attenuation_partials_oracle,
     budget_as_dict,
+    coherence_partials_oracle,
     concurrence_mc_sigma_loop,
     ideal_config_dict,
+    load_preset,
     local_attenuation,
     local_phase,
     locc_bound_check,
@@ -174,12 +188,20 @@ def test_budget_totals_and_planes():
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError, match="missing"):
-        ChannelBudget(left={"fc": (0.8, 0.02)}, right=BUDGET.right)
-    bad = dict(BUDGET.left)
-    bad["apd"] = (0.0, 0.02)
-    with pytest.raises(ValueError, match="transmission"):
-        ChannelBudget(left=bad, right=BUDGET.right)
+    # each side is checked against the channel side's schema block, so a
+    # non-finite uncertainty cannot reach ``segment``
+    for component, field in (
+        ((0.8, math.nan), "L/fc/1"),
+        ((0.8, math.inf), "L/fc/1"),
+        ((0.8, -math.inf), "L/fc/1"),
+        ((0.8, -0.02), "L/fc/1"),
+        ((0.0, 0.02), "L/fc/0"),
+        ((1.2, 0.02), "L/fc/0"),
+    ):
+        with pytest.raises(ConfigError, match=f"^config field {field}: "):
+            ChannelBudget(left={**BUDGET.left, "fc": component}, right=BUDGET.right)
+    with pytest.raises(ConfigError, match="^config field R: 'apd' is a required property"):
+        ChannelBudget(left=BUDGET.left, right={k: v for k, v in BUDGET.right.items() if k != "apd"})
 
 
 def test_backpropagate_identity_with_unit_budget():
@@ -263,6 +285,71 @@ def test_backpropagate_lists_coherence_clamped_once():
     assert out.flags == ("coherence_clamped",)
 
 
+def _random_chain_state(seed):
+    """A random restricted state read through a random bench, with random
+    sigmas and unequal attenuations."""
+    rng = np.random.default_rng(seed)
+    rd = random_restricted(rng)
+    diagonals = {key: getattr(rd, key) for key in DIAG_KEYS[:4]} | {"p02": rng.uniform(0.0, 1e-3)}
+    sigmas = {key: rng.uniform(0.01, 0.1) * v for key, v in diagonals.items()}
+    eff = EfficiencyModel(*rng.uniform(0.3, 1.0, 5), split=rng.uniform(0.4, 0.6), bs2_T=rng.uniform(0.4, 0.6))
+    alphas = (*rng.uniform(0.1, 0.9, 2), *rng.uniform(0.005, 0.02, 2))
+    return rng.uniform(0.2, 0.9), 0.01, diagonals, sigmas, eff, alphas
+
+
+def _analyze_state(preset):
+    """What ``analyze`` reads from the preset's seed-3 records, and the
+    preset budget's attenuations to z2."""
+    config = load_preset(preset)
+    result = full_experiment(config)
+    diag = in_bench_order(sample_diagonal_records(result, config.trials, 3))
+    fit = fit_fringe(FringeScan(sample_fringe_records(result, config.trials // len(config.fringe_phases), 3)))
+    eff = EfficiencyModel(split=config.detectors.split, bs2_T=config.detectors.bs2_T)
+    est = invert_diagonal(AggregatedCounts.from_record(diag), eff)
+    (alpha_l, sigma_l), (alpha_r, sigma_r) = (config.budget.segment(side, "detectors", "z2") for side in "LR")
+    return fit.visibility, fit.sigma_visibility, dict(est.values), dict(est.sigmas), eff, (alpha_l, alpha_r, sigma_l, sigma_r)
+
+
+def _no_vacuum_state():
+    """Lossless records without a (0,0) event: p00 is clamped to 0, so the
+    model's p00 = 1 - the others sits at about 0."""
+    counts = {(0, 0): 0, (0, 1): 49724, (0, 2): 15, (1, 0): 50210, (1, 1): 51, (1, 2): 0}
+    est = invert_diagonal(AggregatedCounts(counts=counts, trials=sum(counts.values())), EfficiencyModel())
+    return 0.97, 0.01, dict(est.values), dict(est.sigmas), EfficiencyModel(), (1.0, 1.0, 0.01, 0.02)
+
+
+_CHAIN_STATES = {
+    **{f"random{seed}": lambda seed=seed: _random_chain_state(seed) for seed in range(4)},
+    **{preset: lambda preset=preset: _analyze_state(preset) for preset in ("paper", "paper_w120", "ideal")},
+    "no_vacuum": _no_vacuum_state,
+}
+
+
+@pytest.mark.parametrize("case", list(_CHAIN_STATES))
+def test_closed_form_partials_match_the_difference_oracles(case):
+    visibility, sigma_v, diagonals, sigmas, eff, (alpha_l, alpha_r, sigma_l, sigma_r) = _CHAIN_STATES[case]()
+
+    # the coherence inversion: each sigma_|d| of a unit population sigma is |d|d|/dp_k|
+    d_abs, oracle = coherence_partials_oracle(visibility, diagonals, eff)
+    coherence = estimate_coherence(visibility, diagonals, eff, "full", sigma_v, sigmas)
+    assert coherence.d_abs == d_abs
+    closed = [estimate_coherence(visibility, diagonals, eff, "full", 0.0, {key: 1.0}).sigma for key in oracle]
+    partials = np.abs(list(oracle.values()))
+    np.testing.assert_allclose(closed, partials, rtol=1e-6, atol=1e-6 * partials.max())
+
+    # the back-propagation: each sigma of a unit input sigma is a Jacobian column
+    rd = RestrictedDensity.clamped(*(diagonals[key] for key in DIAG_KEYS[:4]), coherence.d_abs, 0.7, sigmas={**sigmas, "d": coherence.sigma})
+    values, jacobian = attenuation_partials_oracle(rd, alpha_l, alpha_r)
+    back = invert_attenuation(rd, alpha_l, alpha_r, sigma_l, sigma_r)
+    expected = RestrictedDensity.clamped(*values, np.angle(rd.d), rd.flags)
+    assert (back.p00, back.p01, back.p10, back.p11, back.d, back.flags) == (expected.p00, expected.p01, expected.p10, expected.p11, expected.d, expected.flags)
+    unit_inputs = [({key: 1.0}, 0.0, 0.0) for key in (*DIAG_KEYS[1:4], "d")] + [({}, 1.0, 0.0), ({}, 0.0, 1.0)]
+    for column, (unit, s_l, s_r) in zip(jacobian.T, unit_inputs):
+        unit_rd = RestrictedDensity.clamped(rd.p00, rd.p01, rd.p10, rd.p11, rd.d_abs, sigmas=unit)
+        closed = [invert_attenuation(unit_rd, alpha_l, alpha_r, s_l, s_r).sigmas[key] for key in (*DIAG_KEYS[:4], "d")]
+        np.testing.assert_allclose(closed, np.abs(column), rtol=1e-6, atol=1e-6 * np.abs(column).max())
+
+
 def test_backprop_rejects_unphysical_budget():
     rd = RestrictedDensity(p00=0.5, p01=0.25, p10=0.25, p11=0.0, d=0.0)
     with pytest.raises(UnphysicalBudgetError):
@@ -291,6 +378,16 @@ def test_witness_factorizable_statistics():
     )
     w = witnesses(rd)
     assert abs(w.h_c2 - 1.0) < 1e-12
+
+
+def test_witness_sigma_does_not_vanish_at_p11_zero():
+    # h = p11 / (p10 p01) is linear in p11, so a p11 clamped to 0 keeps its
+    # share of sigma_h: dh/dp11 = 1 / (p10 p01)
+    sigmas = {"p11": 3e-6, "p10": 5e-5, "p01": 5e-5}
+    at_zero, above = (witnesses(RestrictedDensity(p00=0.985, p01=7.51e-3, p10=7.38e-3, p11=p11, sigmas=sigmas)) for p11 in (0.0, 1e-9))
+    assert at_zero.h_c2 == 0.0
+    assert at_zero.sigma_h_c2 == pytest.approx(3e-6 / (7.38e-3 * 7.51e-3), rel=1e-12)
+    assert at_zero.sigma_h_c2 == pytest.approx(above.sigma_h_c2, rel=1e-6)
 
 
 def test_witness_zero_denominator():

@@ -111,7 +111,7 @@ def test_visibility_slope_matches_nine_phase_oracle(eff):
         {"p00": 0.0, "p01": 0.5, "p10": 0.5},
     ):
         oracle = visibility_slope_oracle(diagonals, eff)
-        assert abs(tom._model_visibility_slope(diagonals, eff) - oracle) < 1e-12 * oracle
+        assert abs(tom._model_visibility_slope(diagonals, eff)[0] - oracle) < 1e-12 * oracle
     with pytest.raises(DataQualityError):
         tom._model_visibility_slope({"p01": 0.1, "p10": 0.0}, eff)
 

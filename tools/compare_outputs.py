@@ -8,10 +8,11 @@ simulated JSON records, `analyze` on the same records read from CSV, and
 per preset and seed, and `backprop --plane z2` on the README's direct values
 once per preset; prints per data file
 "identical" or what differs: the largest relative difference of its numbers
-(`mle` block apart) and, by key path, each changed text leaf and each leaf
-that only one file has; and a file that only one tree wrote.  Then one
-`mle` line: the MLE concurrence old -> new, |dC| in units of the two-stage
-sigma_C, the change in log L, the iterations old -> new and convergence.
+per block (`mle`, the uncertainties in `sigma`, and the `rest`) and, by key
+path, each changed text leaf and each leaf that only one file has; and a
+file that only one tree wrote.  Then one `mle` line: the MLE concurrence
+old -> new, |dC| in units of the two-stage sigma_C, the change in log L,
+the iterations old -> new and convergence.
 It also compares the `--help` text of `dlczsim` and of each command:
 
     python3 tools/compare_outputs.py OLD/src src --presets paper,ideal --seeds 3,11
@@ -105,10 +106,24 @@ def values(obj, key=""):
         return {key: str(obj)}
 
 
+def number_block(key, header=None):
+    """The block a number at ``key`` is reported in: ``sigma`` where a name
+    on its key path holds "sigma" (``sigmas/p00``, ``sigma_concurrence``, the
+    Monte Carlo ``mc_sigma``; a CSV cell by its column's name in ``header``),
+    else ``mle`` under /mle/, else ``rest``."""
+    names = key.split("/")
+    if header is not None:  # a CSV cell's key is /row/column
+        column = int(names[-1])
+        names = [header[column] if column < len(header) else ""]
+    if any("sigma" in name for name in names):
+        return "sigma"
+    return "mle" if key.startswith("/mle/") else "rest"
+
+
 def compare(old, new):
     """"identical", or the largest relative difference of the numbers that
-    both files hold at a key (per block), then by key path each leaf whose
-    text changed and each leaf that only one file has."""
+    both files hold at a key (per ``number_block``), then by key path each
+    leaf whose text changed and each leaf that only one file has."""
     if not new.exists():
         return "missing in the new tree"
     if not old.exists():
@@ -116,14 +131,16 @@ def compare(old, new):
     if old.read_bytes() == new.read_bytes():
         return "identical"
     with old.open(newline="") as fo, new.open(newline="") as fn:
-        a, b = (values(list(csv.reader(fh)) if old.suffix == ".csv" else json.load(fh)) for fh in (fo, fn))
+        a, b = (list(csv.reader(fh)) if old.suffix == ".csv" else json.load(fh) for fh in (fo, fn))
+    header = a[0] if old.suffix == ".csv" and a else None
+    a, b = values(a), values(b)
     worst, changes = {}, []
     for key in [*a, *(key for key in b if key not in a)]:
         x, y = a.get(key), b.get(key)
         if y is None or x is None:
             changes.append(f"{'removed' if y is None else 'added'} {key}")
         elif type(x) is type(y) is float:
-            block = "mle" if key.startswith("/mle/") else "rest"
+            block = number_block(key, header)
             worst[block] = max(worst.get(block, 0.0), 0.0 if x == y else abs(x - y) / max(abs(x), abs(y)))
         elif x != y:
             changes.append(f"changed {key}")
