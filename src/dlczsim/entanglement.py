@@ -157,8 +157,8 @@ def invert_attenuation(
     d_abs = coherence_from_visibility(vis, p10, p01)
     if p00 < 0.0 or max(p01, p10, p11) > 1.0:
         raise UnphysicalBudgetError(
-            f"back-propagated populations unphysical: p00={p00:.4f}, p01={p01:.4f}, "
-            f"p10={p10:.4f}, p11={p11:.4f}"
+            f"back-propagated populations unphysical: p00={p00:.4g}, p01={p01:.4g}, "
+            f"p10={p10:.4g}, p11={p11:.4g}"
         )
 
     sigmas = {}

@@ -150,10 +150,10 @@ class DensityOperator:
         if not _skip_positivity and register.dim <= EIGEN_CHECK_MAX_DIM:
             self.assert_positive()
 
-    def assert_positive(self, tol: float = POSITIVITY_TOL) -> None:
+    def assert_positive(self) -> None:
         lowest = np.linalg.eigvalsh(self.matrix)[0]
-        if lowest < -tol:
-            raise ValueError(f"matrix not positive: min eigenvalue {lowest:.3e} < -{tol}")
+        if lowest < -POSITIVITY_TOL:
+            raise ValueError(f"matrix not positive: min eigenvalue {lowest:.3e} < -{POSITIVITY_TOL}")
 
     def probabilities(self) -> np.ndarray:
         return np.real(np.diagonal(self.matrix))

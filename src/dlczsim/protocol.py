@@ -152,8 +152,9 @@ class FieldPairStats:
     p12: float
 
     @property
-    def g12(self) -> float:
-        return self.p12 / (self.p1 * self.p2)
+    def g12(self) -> float | None:
+        """p12 / (p1 p2); None where a field never clicks (p1 p2 = 0)."""
+        return self.p12 / (self.p1 * self.p2) if self.p1 * self.p2 > 0.0 else None
 
 
 def field_pair_statistics(

@@ -223,18 +223,21 @@ def restrict(rho: DensityOperator) -> RestrictedDensity:
     if register.n_modes != 2:
         raise ValueError("restrict expects a two-mode state")
     idx = [register.index(occ) for occ in _BLOCK_OCCS[: 6 if register.cutoff >= 2 else 4]]
-    mat = rho.matrix
-    p00, p01, p10, p11, *two_photon = (float(mat[i, i].real) for i in idx)
-    d = complex(mat[idx[1], idx[2]])
+    return _read_block(rho.matrix[np.ix_(idx, idx)])
+
+
+def _read_block(block: np.ndarray) -> RestrictedDensity:
+    """The restricted state of a matrix on the first 4 or all 6 ``_BLOCK_OCCS`` states."""
+    p00, p01, p10, p11, *two_photon = np.diagonal(block).real.tolist()
+    d = complex(block[1, 2])
     if p00 + p01 + p10 + p11 <= 0.0:
         raise ValueError("state has no weight on the restricted block")
-    extras = dict(zip(("p02", "p20"), two_photon))
     # numerical safety: the block of a positive matrix is positive, but
     # rounding can push |d| over the bound by ~1e-16
     bound = math.sqrt(max(p01 * p10, 0.0))
     if abs(d) > bound:
         d = d * (bound / abs(d))
-    return RestrictedDensity(p00=p00, p01=p01, p10=p10, p11=p11, d=d, **extras)
+    return RestrictedDensity(p00=p00, p01=p01, p10=p10, p11=p11, d=d, **dict(zip(("p02", "p20"), two_photon)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +335,10 @@ def invert_diagonal(
     cov_q = (np.diag(q_floor) - np.outer(q_floor, q_floor)) / n
     w = np.linalg.inv(cov_q)
     normal = a.T @ w @ a
-    cov_x = np.linalg.inv(normal)
+    try:
+        cov_x = np.linalg.inv(normal)
+    except np.linalg.LinAlgError as exc:
+        raise DataQualityError(f"degenerate population design at split = {eff.split:g}: the classes do not fix every diagonal") from exc
     x = cov_x @ (a.T @ w @ b)
     resid = b - a @ x
     chi2 = float(resid @ w @ resid)
@@ -554,18 +560,20 @@ def _model_visibility_slope(diagonals: Mapping[str, float], eff: EfficiencyModel
     pops = np.array([1.0 - sum(pops), *pops])
     populations, coupling = _fringe_arms(eff)
     base = populations @ pops
+    slope = float(np.sum(coupling / base))
+    if not slope > 0.0:
+        raise DataQualityError(f"model slope undefined: the fringe arms do not interfere at bs2_T = {eff.bs2_T:g}")
     arms = [(c / (b * b), row) for c, b, row in zip(coupling.tolist(), base.tolist(), populations.tolist())]
     partials = [0.0 if v < 0.0 else -sum(w * (row[k] - row[0]) for w, row in arms) for k, v in enumerate(raw, start=1)]
-    return float(np.sum(coupling / base)), partials
+    return slope, partials
 
 
 def estimate_coherence(
     visibility: float,
-    diagonals: Mapping[str, float] | DiagonalEstimate,
+    diagonals: DiagonalEstimate,
     eff: EfficiencyModel,
     mode: str = "simplified",
     sigma_visibility: float = 0.0,
-    diagonal_sigmas: Mapping[str, float] | None = None,
 ) -> CoherenceEstimate:
     """Convert a fringe visibility into the coherence magnitude |d|.
 
@@ -575,30 +583,19 @@ def estimate_coherence(
     exceeding the positivity bound sqrt(p01 p10) by more than 3 sigma is
     flagged.
     """
-    if isinstance(diagonals, DiagonalEstimate):
-        diagonal_sigmas = diagonal_sigmas or diagonals.sigmas
-        diagonals = diagonals.values
-    p01 = float(diagonals["p01"])
-    p10 = float(diagonals["p10"])
+    p01, p10, sigmas = diagonals["p01"], diagonals["p10"], diagonals.sigmas
 
     if mode == "simplified":
         d_abs = coherence_from_visibility(visibility, p10, p01)
-        var = ((p10 + p01) / 2.0 * sigma_visibility) ** 2
-        if diagonal_sigmas:
-            var += (visibility / 2.0) ** 2 * (
-                diagonal_sigmas.get("p01", 0.0) ** 2 + diagonal_sigmas.get("p10", 0.0) ** 2
-            )
+        var = ((p10 + p01) / 2.0 * sigma_visibility) ** 2 + (visibility / 2.0) ** 2 * (sigmas["p01"] ** 2 + sigmas["p10"] ** 2)
         sigma = math.sqrt(var)
     elif mode == "full":
-        slope, slope_partials = _model_visibility_slope(diagonals, eff)
+        slope, slope_partials = _model_visibility_slope(diagonals.values, eff)
         d_abs = visibility / slope
         var = (sigma_visibility / slope) ** 2
-        if diagonal_sigmas:
-            # |d| = V / s, so d|d|/dp_k = -(|d| / s) ds/dp_k
-            for key, partial in zip(DIAG_KEYS[1:], slope_partials):
-                s_key = diagonal_sigmas.get(key, 0.0)
-                if s_key != 0.0 and key in diagonals:
-                    var += (d_abs / slope * partial * s_key) ** 2
+        # |d| = V / s, so d|d|/dp_k = -(|d| / s) ds/dp_k
+        for key, partial in zip(DIAG_KEYS[1:], slope_partials):
+            var += (d_abs / slope * partial * sigmas[key]) ** 2
         sigma = math.sqrt(var)
     else:
         raise ValueError(f"unknown coherence mode {mode!r}")
@@ -647,7 +644,7 @@ class MLEOptions:
 
 @dataclass(frozen=True)
 class MLEResult:
-    rho: DensityOperator
+    block: np.ndarray
     restricted: RestrictedDensity
     log_likelihood: float
     n_iterations: int
@@ -721,12 +718,6 @@ def _tangent_basis(x: np.ndarray) -> np.ndarray:
     return (_EYE - 2.0 * np.outer(v, v) / (v @ v))[:, 1:]
 
 
-def _block_to_full(rho_block: np.ndarray) -> DensityOperator:
-    mat = np.zeros((9, 9), dtype=complex)
-    mat[np.ix_(_BLOCK_IDX, _BLOCK_IDX)] = rho_block
-    return DensityOperator(_REGISTER2, mat, _skip_positivity=True)
-
-
 @lru_cache(maxsize=4)  # about 0.25 MB an entry at 1 + 13 records
 def _mle_elements(eff: EfficiencyModel, n_diag: int, phis: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """POVM elements E_k on the block basis, one per record and pattern in
@@ -787,16 +778,19 @@ def mle_fit(
     fringe_records: Sequence[CountRecord],
     eff: EfficiencyModel,
     options: MLEOptions = MLEOptions(),
-    initial: RestrictedDensity | None = None,
+    *,
+    initial: RestrictedDensity,
 ) -> MLEResult:
     """Joint maximum-likelihood fit of the two-photon block form.
 
     Positivity and unit trace are enforced through the factorization
     rho = G G+ / Tr(G G+).  Log L, a ratio of quadratic forms in the entries
-    x of G, is maximised by Newton ascent on the sphere |x| = 1 with its
-    closed-form gradient and Hessian; a tangent Hessian that is not negative
-    definite is shifted until it is, and each step is halved until log L does
-    not fall.  ``history`` holds log L at the start and at each accepted iterate.
+    x of G, is maximised from the two-stage estimate ``initial`` by Newton
+    ascent on the sphere |x| = 1 with its closed-form gradient and Hessian; a
+    tangent Hessian that is not negative definite is shifted until it is, and
+    each step is halved until log L does not fall.  ``history`` holds log L at
+    the start and at each accepted iterate; ``block`` is the fitted state on
+    the ``_BLOCK_OCCS`` basis.
     """
     _, forms, counts = _collect_mle_data(diag_records, fringe_records, eff)
     mask = counts > 0
@@ -806,12 +800,8 @@ def mle_fit(
     # contiguous forms BLAS sums forms @ x in another order and moves the endpoint's last bits
     forms, counts = forms[mask].astype(complex).real, counts[mask].astype(float)
 
-    if initial is not None:
-        seed_block = two_stage_block(initial)
-    else:
-        seed_block = np.diag([0.9, 0.04, 0.04, 0.01, 0.005, 0.005]).astype(complex)
     # Cholesky of a strictly positive seed gives a well-conditioned start
-    seed_block = seed_block + 1e-6 * np.eye(6)
+    seed_block = two_stage_block(initial) + 1e-6 * np.eye(6)
     seed_block /= np.trace(seed_block).real
     x = _factor_to_params(np.linalg.cholesky(seed_block))
     x /= np.linalg.norm(x)
@@ -841,10 +831,10 @@ def mle_fit(
         if converged:
             break
 
-    rho = _block_to_full(_factor_to_rho(x))
+    block = _factor_to_rho(x)
     mle = MLEResult(
-        rho=rho,
-        restricted=restrict(rho),
+        block=block,
+        restricted=_read_block(block),
         log_likelihood=ll,
         n_iterations=len(history) - 1,
         converged=converged,

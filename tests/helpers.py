@@ -513,6 +513,31 @@ def budget_as_dict(budget: ChannelBudget) -> dict[str, object]:
     }
 
 
+# an MLE start for records without a two-stage estimate: mostly vacuum, no coherence
+DEFAULT_MLE_START = RestrictedDensity(p00=0.9, p01=0.04, p10=0.04, p11=0.01, p02=0.005, p20=0.005)
+
+
+def block_to_full(block: np.ndarray) -> DensityOperator:
+    """The cutoff-2 two-mode state whose block on ``tom._BLOCK_OCCS`` is
+    ``block`` (as ``MLEResult.block``), zero elsewhere."""
+    mat = np.zeros((9, 9), dtype=complex)
+    mat[np.ix_(_BLOCK_IDX, _BLOCK_IDX)] = block
+    return DensityOperator(ModeRegister(2, 2), mat, _skip_positivity=True)
+
+
+def diagonal_estimate(values: dict, sigmas: dict | None = None) -> tom.DiagonalEstimate:
+    """The ``DiagonalEstimate`` that ``estimate_coherence`` reads: ``values``
+    and ``sigmas`` on ``DIAG_KEYS``, 0 for a key not given."""
+    return tom.DiagonalEstimate(
+        values={key: values.get(key, 0.0) for key in tom.DIAG_KEYS},
+        sigmas={key: (sigmas or {}).get(key, 0.0) for key in tom.DIAG_KEYS},
+        covariance=np.zeros((5, 5)),
+        flags=(),
+        trials=0,
+        chi2=0.0,
+    )
+
+
 def load_preset(name: str) -> ExperimentConfig:
     return config_from_dict(preset_dict(name))
 

@@ -40,6 +40,7 @@ from dlczsim.tomography import (
 from helpers import (
     Detector,
     brute_force_pattern_probs,
+    diagonal_estimate,
     ideal_config_dict,
     local_attenuation,
     local_phase,
@@ -72,11 +73,10 @@ def _passline(number: int, message: str) -> None:
 def _coherence_simplified(table, visibility, sigmas):
     est = estimate_coherence(
         visibility,
-        {"p01": table["p01"], "p10": table["p10"], "p11": table["p11"], "p02": 0.0},
+        diagonal_estimate({"p01": table["p01"], "p10": table["p10"], "p11": table["p11"], "p02": 0.0}, sigmas),
         UNIT_EFF,
         "simplified",
         sigma_visibility=0.02,
-        diagonal_sigmas=sigmas,
     )
     return RestrictedDensity(
         d=min(est.d_abs, math.sqrt(table["p01"] * table["p10"])),

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 import dlczsim
 from dlczsim.cli import EXIT_CONFIG, EXIT_FIT, EXIT_INTEGRITY, EXIT_PHYSICS, _csv_cell, _round_floats, main
 from dlczsim.config import (
+    CONFIG_SCHEMA,
     ConfigError,
     config_from_dict,
     config_hash,
@@ -156,8 +157,9 @@ def test_analyze_round_trip_and_exit_codes(runner, tmp_path):
 
 
 def test_analyze_ideal_preset_records(runner, tmp_path):
-    # the lossless heralded state has p00 ~ 0, so the numeric partials of the
-    # full coherence inversion must not step the model's implicit p00 below 0
+    # the lossless heralded state has p00 ~ 0, at the edge of the model's
+    # range: the full coherence inversion must still quote a finite, positive
+    # sigma_|d| from its closed-form slope partials
     sim_out = tmp_path / "sim"
     assert _run(runner, ["simulate", "--preset", "ideal", "--layout", "both", "--seed", "11", "--out", str(sim_out)]).exit_code == 0
     ana_out = tmp_path / "ana"
@@ -518,6 +520,50 @@ def test_non_finite_config_number_exits_config_code(runner, tmp_path, case):
     assert not (tmp_path / "o" / "probs_fringe.csv").exists()
 
 
+def _schema_bounds():
+    """(path, value) for each numeric bound of the ensembles, interferometer,
+    herald and detectors schema blocks, an exclusive bound nudged 1e-9 inward."""
+    blocks = CONFIG_SCHEMA["properties"]
+    for path, block in [*((("ensembles", side), blocks["ensembles"]["properties"][side]) for side in ("L", "R")),
+                        *(((name,), blocks[name]) for name in ("interferometer", "herald", "detectors"))]:
+        for field, spec in block["properties"].items():
+            for keyword, nudge in (("minimum", 0.0), ("maximum", 0.0), ("exclusiveMinimum", 1e-9), ("exclusiveMaximum", -1e-9)):
+                if keyword in spec:
+                    yield (*path, field), spec[keyword] + nudge
+
+
+_SCHEMA_BOUNDS = list(_schema_bounds())
+# bounds whose bench cannot be inverted: analyze's exit code and the setting its message names
+_DEGENERATE_BENCHES = {("detectors", name): name for name in ("split", "bs2_T")}
+
+
+@pytest.mark.parametrize("path, value", _SCHEMA_BOUNDS, ids=[f"{'/'.join(path)}={value:g}" for path, value in _SCHEMA_BOUNDS])
+def test_schema_bounds_end_with_an_exit_code(runner, tmp_path, path, value):
+    # every value the schema accepts ends simulate and analyze with a
+    # documented exit code and a message, never a traceback (exit 1)
+    assert len(_SCHEMA_BOUNDS) >= 29
+    data = preset_dict("paper")
+    target = data
+    for key in path[:-1]:
+        target = target.setdefault(key, {})
+    target[path[-1]] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    sim, ana = tmp_path / "sim", tmp_path / "ana"
+    for args, out in ((["simulate", "--layout", "both"], sim), (["analyze", "--records", str(sim), "--mle", "--plane", "z2"], ana)):
+        result = runner.invoke(main, [*args, "--config", str(config), "--out", str(out)])
+        assert result.exit_code in (0, EXIT_CONFIG, EXIT_INTEGRITY, EXIT_FIT, EXIT_PHYSICS), repr(result.exception)
+        if result.exit_code:
+            assert result.output.startswith("error: ")
+            break
+        assert (out / "manifest.json").exists()
+    if path[0] == "ensembles" and value == 0.0:
+        assert json.loads((sim / "g12.json").read_text())[path[1]]["g12"] is None
+    if path in _DEGENERATE_BENCHES:
+        assert result.exit_code == EXIT_FIT
+        assert f"{_DEGENERATE_BENCHES[path]} = {value:g}" in result.output
+
+
 def test_backprop_direct_values_reproduces_published(runner, tmp_path):
     out = tmp_path / "bp"
     result = _run(
@@ -546,6 +592,16 @@ def test_backprop_unphysical_budget_exit(runner, tmp_path):
         ],
     )
     assert result.exit_code == EXIT_PHYSICS
+    # a transmission the schema accepts but no population survives: the
+    # message quotes the populations in a few digits, not in hundreds
+    data = preset_dict("paper")
+    data["channel"]["L"]["fc"] = [1e-300, 0.0]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    result = runner.invoke(main, ["backprop", "--config", str(config), *_PUBLISHED_POPULATIONS, "-v", "0.70", "--out", str(tmp_path / "bp3")])
+    assert result.exit_code == EXIT_PHYSICS, result.output
+    assert result.output.startswith("error: back-propagated populations unphysical")
+    assert len(result.output) < 200, result.output
 
 
 _BACKPROP_POPULATIONS = ["--p10", "7.38e-3", "--p01", "7.51e-3", "--p11", "1.7e-5", "-v", "0.70"]

@@ -32,6 +32,7 @@ from helpers import (
     budget_as_dict,
     coherence_partials_oracle,
     concurrence_mc_sigma_loop,
+    diagonal_estimate,
     ideal_config_dict,
     load_preset,
     local_attenuation,
@@ -331,9 +332,9 @@ def test_closed_form_partials_match_the_difference_oracles(case):
 
     # the coherence inversion: each sigma_|d| of a unit population sigma is |d|d|/dp_k|
     d_abs, oracle = coherence_partials_oracle(visibility, diagonals, eff)
-    coherence = estimate_coherence(visibility, diagonals, eff, "full", sigma_v, sigmas)
+    coherence = estimate_coherence(visibility, diagonal_estimate(diagonals, sigmas), eff, "full", sigma_v)
     assert coherence.d_abs == d_abs
-    closed = [estimate_coherence(visibility, diagonals, eff, "full", 0.0, {key: 1.0}).sigma for key in oracle]
+    closed = [estimate_coherence(visibility, diagonal_estimate(diagonals, {key: 1.0}), eff, "full", 0.0).sigma for key in oracle]
     partials = np.abs(list(oracle.values()))
     np.testing.assert_allclose(closed, partials, rtol=1e-6, atol=1e-6 * partials.max())
 

@@ -12,7 +12,7 @@ from dlczsim.pipeline import full_experiment
 from dlczsim.protocol import EnsembleParams, HeraldChoice, InterferometerParams, herald, write_stage
 from dlczsim.tomography import restrict
 
-from helpers import fidelity, ideal_config_dict, load_preset, restricted_matrix_for_model, truncation_warning, unconditioned_field_state
+from helpers import DEFAULT_MLE_START, fidelity, ideal_config_dict, load_preset, restricted_matrix_for_model, truncation_warning, unconditioned_field_state
 
 
 def test_unconditioned_suppression_ratio_near_one():
@@ -108,5 +108,5 @@ def test_mle_fringe_only_records():
     for k, phi in enumerate(np.linspace(0.0, 2.0 * math.pi, 13)):
         probs = fringe_layout_probabilities(rho, float(phi), 1.0, 1.0, 1.0)
         records.append(sample_counts(probs, 10**5, seed=3, stream=k, phase=float(phi)))
-    result = mle_fit([], records, eff)
+    result = mle_fit([], records, eff, initial=DEFAULT_MLE_START)
     assert abs(result.restricted.d_abs - 0.02) < 5e-3

@@ -37,6 +37,9 @@ from dlczsim.tomography import (
 )
 
 from helpers import (
+    DEFAULT_MLE_START,
+    block_to_full,
+    diagonal_estimate,
     fidelity,
     fringe_arms_loop,
     ideal_config_dict,
@@ -128,7 +131,7 @@ def test_bench_quantities_share_the_bench_povm_cache():
     for read in (
         lambda: forward_class_matrix(eff),
         lambda: estimate_coherence(0.5, invert_diagonal(AggregatedCounts.from_record(diag_rec), eff), eff, "full", 0.01),
-        lambda: mle_fit([diag_rec], fringe_recs, eff),
+        lambda: mle_fit([diag_rec], fringe_recs, eff, initial=DEFAULT_MLE_START),
     ):
         hits = bench_povm.cache_info().hits
         read()
@@ -159,7 +162,7 @@ def test_cold_bench_caches_give_the_warm_bits():
         rd = assemble_restricted(est, coherence, fit.phase0)
         mle = mle_fit([diag_rec], fringe_recs, EFF_UNBALANCED, initial=rd)
         ll = log_likelihood(two_stage_block(rd), [diag_rec], fringe_recs, EFF_UNBALANCED)
-        return [est.values, est.sigmas, est.bootstrap_sigmas, coherence, mle.history, mle.rho.matrix.tobytes(), ll]
+        return [est.values, est.sigmas, est.bootstrap_sigmas, coherence, mle.history, mle.block.tobytes(), ll]
 
     chain()  # fills the caches
     warm = chain()
@@ -372,11 +375,11 @@ def test_overmodulated_fringe_rejected():
 
 def test_simplified_coherence_arithmetic():
     est = estimate_coherence(
-        0.70, {"p01": 7.51e-3, "p10": 7.38e-3, "p11": 0.0, "p02": 0.0},
+        0.70, diagonal_estimate({"p01": 7.51e-3, "p10": 7.38e-3, "p11": 0.0, "p02": 0.0}),
         EfficiencyModel(), "simplified",
     )
     assert abs(est.d_abs - 5.2115e-3) < 1e-7
-    zero = estimate_coherence(0.0, {"p01": 7.51e-3, "p10": 7.38e-3}, EfficiencyModel(), "simplified")
+    zero = estimate_coherence(0.0, diagonal_estimate({"p01": 7.51e-3, "p10": 7.38e-3}), EfficiencyModel(), "simplified")
     assert zero.d_abs == 0.0
 
 
@@ -390,9 +393,9 @@ def test_full_inversion_recovers_exact_coherence():
         probs = fringe_layout_probabilities(rho, phi, EFF_BENCH.d2a, EFF_BENCH.d2b, EFF_BENCH.d2c)
         records.append(_exact_record(probs, 10**9, phase=float(phi)))
     fit = fit_fringe(FringeScan(records))
-    full = estimate_coherence(fit.visibility, diagonals, EFF_BENCH, "full")
+    full = estimate_coherence(fit.visibility, diagonal_estimate(diagonals), EFF_BENCH, "full")
     assert abs(full.d_abs - d_true) < 1e-6
-    simple = estimate_coherence(fit.visibility, diagonals, EFF_BENCH, "simplified")
+    simple = estimate_coherence(fit.visibility, diagonal_estimate(diagonals), EFF_BENCH, "simplified")
     # the textbook relation is biased at relative order p11/p10
     bound = 3.0 * (diagonals["p11"] / diagonals["p10"] + diagonals["p02"] / diagonals["p01"])
     assert abs(simple.d_abs - d_true) / d_true < bound
@@ -411,17 +414,17 @@ def test_full_inversion_handles_unbalanced_splitters():
         probs = fringe_layout_probabilities(rho, phi, eff.d2a, eff.d2b, eff.d2c, eff.split, eff.bs2_T)
         records.append(_exact_record(probs, 10**9, phase=float(phi)))
     fit = fit_fringe(FringeScan(records))
-    full = estimate_coherence(fit.visibility, diagonals, eff, "full")
+    full = estimate_coherence(fit.visibility, diagonal_estimate(diagonals), eff, "full")
     assert abs(full.d_abs - d_true) < 1e-6
     # the 50/50 shortcut is visibly biased here; the exact inversion is not
-    simple = estimate_coherence(fit.visibility, diagonals, eff, "simplified")
+    simple = estimate_coherence(fit.visibility, diagonal_estimate(diagonals), eff, "simplified")
     assert abs(simple.d_abs - d_true) > 10.0 * abs(full.d_abs - d_true)
 
 
 def test_positivity_violation_flagged():
     # asymmetric populations make V (p01+p10)/2 exceed sqrt(p01 p10)
     est = estimate_coherence(
-        0.9, {"p01": 4e-3, "p10": 0.25e-3, "p11": 0.0, "p02": 0.0}, EfficiencyModel(), "simplified"
+        0.9, diagonal_estimate({"p01": 4e-3, "p10": 0.25e-3, "p11": 0.0, "p02": 0.0}), EfficiencyModel(), "simplified"
     )
     assert est.d_abs > math.sqrt(4e-3 * 0.25e-3)
     assert "positivity_violation" in est.flags
@@ -505,7 +508,7 @@ def test_mle_on_vacuum_data():
         restricted_matrix_for_model({"p00": 1.0}, 0.0), 1.0, 1.0, 1.0
     )
     rec = _exact_record(probs, 10**6)
-    result = mle_fit([rec], [], EfficiencyModel())
+    result = mle_fit([rec], [], EfficiencyModel(), initial=DEFAULT_MLE_START)
     assert result.restricted.p00 > 1.0 - 1e-4
     assert result.restricted.d_abs < 1e-6
 
@@ -524,7 +527,8 @@ def test_mle_round_trip_and_likelihood_dominance():
     truth = restricted_matrix_for_model(
         {"p00": rd.p00, "p01": rd.p01, "p10": rd.p10, "p11": rd.p11}, rd.d_abs
     )
-    assert fidelity(result.rho, DensityOperator(truth.register, truth.matrix)) >= 0.999
+    assert fidelity(block_to_full(result.block), DensityOperator(truth.register, truth.matrix)) >= 0.999
+    assert result.restricted == restrict(block_to_full(result.block))
 
     history = np.array(result.history)
     assert np.all(np.diff(history) >= -1e-6)
@@ -726,8 +730,8 @@ def test_mle_nonconvergence_carries_best_iterate():
     rd = random_restricted(rng)
     diag_rec, fringe_recs = _records_from_restricted(rd, EFF_BENCH, 10**5, 10**4, seed=22)
     with pytest.raises(MLEConvergenceError) as err:
-        mle_fit([diag_rec], fringe_recs, EFF_BENCH, MLEOptions(max_iterations=1, tol=1e-16))
-    assert err.value.best.rho is not None
+        mle_fit([diag_rec], fringe_recs, EFF_BENCH, MLEOptions(max_iterations=1, tol=1e-16), initial=DEFAULT_MLE_START)
+    assert err.value.best.block.shape == (6, 6)
 
 
 # ---------------------------------------------------------------------------
