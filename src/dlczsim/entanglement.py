@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ChannelBudget
 from .detection import substream_rng
-from .tomography import DIAG_KEYS, DataQualityError, RestrictedDensity, coherence_from_visibility
+from .tomography import CLAMP_SIGMA, DIAG_KEYS, DataQualityError, RestrictedDensity, coherence_from_visibility
 
 
 class UnphysicalBudgetError(ValueError):
@@ -212,10 +212,12 @@ def witnesses(rd: RestrictedDensity) -> WitnessReport:
     """Two-photon suppression ratio h = p11 / (p10 p01).
 
     h < 1 is the necessary precondition for a strictly positive concurrence
-    bound (factorizable statistics give exactly 1).
+    bound (factorizable statistics give exactly 1).  It is undefined where p10
+    or p01 lies within ``CLAMP_SIGMA`` sigma of zero, the band the inversion clamps.
     """
-    if rd.p10 <= 0.0 or rd.p01 <= 0.0:
-        raise DataQualityError("h ratio undefined: needs p10, p01 > 0")
+    for key, value in (("p10", rd.p10), ("p01", rd.p01)):
+        if not value > CLAMP_SIGMA * rd.sigmas.get(key, 0.0):
+            raise DataQualityError(f"h ratio undefined: {key} = {value:.3e} is not above {CLAMP_SIGMA:g} sigma ({rd.sigmas.get(key, 0.0):.3e})")
     h = rd.p11 / (rd.p10 * rd.p01)
     partials = {"p11": 1.0 / (rd.p10 * rd.p01), "p10": -h / rd.p10, "p01": -h / rd.p01}
     var = sum((partial * rd.sigmas.get(key, 0.0)) ** 2 for key, partial in partials.items())

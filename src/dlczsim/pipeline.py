@@ -54,7 +54,7 @@ def full_experiment(config: ExperimentConfig, which: str | None = None) -> Exper
     fringe scans).
     """
     choice = config.herald if which is None else replace(config.herald, which=which)
-    state = write_stage(config.left, config.right, config.cutoff, config.interferometer.overlap)
+    state = write_stage(config.left, config.right, config.cutoff)
     patterns = herald_probabilities(state, config.interferometer, choice)
     atomic, p_herald = herald(state, config.interferometer, choice)
     z2 = read_stage(

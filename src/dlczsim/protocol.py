@@ -8,11 +8,12 @@ to field 2 with retrieval efficiency xi, propagates through the lossy
 channel, and is analyzed either directly (diagonal layout) or behind a
 relative phase shifter and a 50/50 beam splitter (fringe layout).
 
-Mode overlap below one at the heralding beam splitter is modeled by splitting
-the right-hand field-1 mode into a matched and an orthogonal component; the
-orthogonal component still reaches the heralding detectors (through its own
-beam-splitter port pair) but carries which-path information, so it heralds
-without creating coherence.
+The herald owns the heralding optics: it reads the phase, the splitter and
+the mode overlap from ``InterferometerParams``.  Overlap below one is modeled
+by splitting the right-hand field-1 mode into a matched and an orthogonal
+component; the orthogonal component still reaches the heralding detectors
+(through its own beam-splitter port pair) but carries which-path
+information, so it heralds without creating coherence.
 """
 
 from __future__ import annotations
@@ -41,45 +42,44 @@ class HeraldError(RuntimeError):
     """Heralding on the requested pattern is (numerically) impossible."""
 
 
-# mode layout of the write-stage register
+# mode layout of the write-stage register, and of the herald's orthogonal pair
 MODE_1L, MODE_AL, MODE_1R, MODE_AR, MODE_ORTH_R, MODE_ORTH_L = range(6)
 
 
-def write_stage(left: EnsembleParams, right: EnsembleParams, cutoff: int = 3, overlap: float = 1.0) -> PureState:
-    """Joint state after the write pulses.
-
-    Mode order is (1_L, a_L, 1_R, a_R) and, when overlap < 1, two extra
-    orthogonal-polarization modes (orth_R carrying sqrt(1-overlap^2) of the
-    right field, plus the vacuum port orth_L feeding the other side of the
-    heralding splitter).  It carries the truncation deficit of both sources.
-    """
+def write_stage(left: EnsembleParams, right: EnsembleParams, cutoff: int = 3) -> PureState:
+    """Joint state of the two sources after the write pulses, mode order
+    (1_L, a_L, 1_R, a_R); it carries the truncation deficit of both sources."""
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2 for the write stage")
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError(f"overlap must lie in [0, 1], got {overlap}")
-    state = two_mode_squeezed(left.chi, cutoff).tensor(two_mode_squeezed(right.chi, cutoff))
-    if overlap < 1.0:
-        anc = vacuum(ModeRegister(2, cutoff))
-        state = state.tensor(anc)
-        # field 1_R keeps amplitude `overlap`, the rest leaks into orth_R
-        state = apply_beamsplitter(state, overlap**2, MODE_1R, MODE_ORTH_R)
-    return state
+    return two_mode_squeezed(left.chi, cutoff).tensor(two_mode_squeezed(right.chi, cutoff))
 
 
-def _interfere_field1(state: PureState, interferometer: InterferometerParams) -> tuple[PureState, tuple[int, ...], tuple[int, ...]]:
-    """Apply eta1 and the heralding beam splitter; return the transformed
-    state plus the mode groups monitored by D1a and D1b.
+def _field1_view(state: PureState, interferometer: InterferometerParams, choice: HeraldChoice) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the heralding optics to the write-stage state and return its
+    (spin, field-1) amplitude matrix with the (D1a, D1b) click weights on the
+    field-1 index, rows in ``np.ndindex(2, 2)`` order.
 
-    D1a sits on the output port that transmits the right-hand field with
-    amplitude sqrt(bs1_T).
+    For overlap < 1 a vacuum pair (orth_R, orth_L) joins the register, orth_R
+    takes sqrt(1 - overlap^2) of the right field and meets orth_L on its own
+    copy of the heralding splitter.  D1a sits on the ports that transmit the
+    right-hand fields with amplitude sqrt(bs1_T).
     """
-    has_ancilla = state.register.n_modes == 6
-    out = apply_phase(state, interferometer.eta1, MODE_1L)
-    out = apply_beamsplitter(out, interferometer.bs1_T, MODE_1R, MODE_1L)
-    if has_ancilla:
-        out = apply_beamsplitter(out, interferometer.bs1_T, MODE_ORTH_R, MODE_ORTH_L)
-        return out, (MODE_1R, MODE_ORTH_R), (MODE_1L, MODE_ORTH_L)
-    return out, (MODE_1R,), (MODE_1L,)
+    cutoff = state.register.cutoff
+    d1a, d1b = (MODE_1R,), (MODE_1L,)
+    orthogonal = interferometer.overlap < 1.0
+    if orthogonal:
+        state = state.tensor(vacuum(ModeRegister(2, cutoff)))
+        state = apply_beamsplitter(state, interferometer.overlap**2, MODE_1R, MODE_ORTH_R)
+        d1a, d1b = (MODE_1R, MODE_ORTH_R), (MODE_1L, MODE_ORTH_L)
+    state = apply_phase(state, interferometer.eta1, MODE_1L)
+    state = apply_beamsplitter(state, interferometer.bs1_T, MODE_1R, MODE_1L)
+    if orthogonal:
+        state = apply_beamsplitter(state, interferometer.bs1_T, MODE_ORTH_R, MODE_ORTH_L)
+    fields = sorted(d1a + d1b)
+    groups = [[fields.index(mode) for mode in modes] for modes in (d1a, d1b)]
+    weights = click_weights(ModeRegister(len(fields), cutoff), groups, (choice.d1a_efficiency, choice.d1b_efficiency))
+    amplitudes = state.amplitudes.reshape((cutoff + 1,) * state.register.n_modes)
+    return np.transpose(amplitudes, [MODE_AL, MODE_AR, *fields]).reshape((cutoff + 1) ** 2, -1), weights
 
 
 def herald_probabilities(
@@ -87,10 +87,9 @@ def herald_probabilities(
 ) -> JointProbabilities:
     """Joint (D1a, D1b) click probabilities for the write-stage state; of
     ``choice`` only the detector efficiencies enter."""
-    mixed, d1a_modes, d1b_modes = _interfere_field1(state, interferometer)
-    weights = click_weights(mixed.register, (d1a_modes, d1b_modes), (choice.d1a_efficiency, choice.d1b_efficiency))
-    diag = mixed.probabilities()
-    return JointProbabilities(HERALDS, {pattern: float(w @ diag) for pattern, w in zip(np.ndindex(2, 2), weights)})
+    t, weights = _field1_view(state, interferometer, choice)
+    populations = np.sum(np.abs(t) ** 2, axis=0)
+    return JointProbabilities(HERALDS, {pattern: float(w @ populations) for pattern, w in zip(np.ndindex(2, 2), weights)})
 
 
 def herald(
@@ -101,21 +100,15 @@ def herald(
 
     The two heralding detectors cover every field-1 mode, so the spin state is
     the trace over those modes weighted by the event's click weights."""
-    mixed, d1a_modes, d1b_modes = _interfere_field1(state, interferometer)
-    register = mixed.register
-    fields = sorted(d1a_modes + d1b_modes)
-    groups = [[fields.index(mode) for mode in modes] for modes in (d1a_modes, d1b_modes)]
-    weights = click_weights(ModeRegister(len(fields), register.cutoff), groups, (choice.d1a_efficiency, choice.d1b_efficiency))
+    t, weights = _field1_view(state, interferometer, choice)
     # rows where the chosen detector clicks, indexed by the other detector's bit
     clicked = np.moveaxis(weights.reshape(2, 2, -1), HERALDS.index(choice.which), 0)[1]
     w = clicked[0] if choice.exclusive else clicked[0] + clicked[1]
-    amplitudes = mixed.amplitudes.reshape((register.levels,) * register.n_modes)
-    t = np.transpose(amplitudes, [MODE_AL, MODE_AR, *fields]).reshape(register.levels**2, -1)
     reduced = np.einsum("bt,t,ct->bc", t, w, t.conj())
     probability = float(np.trace(reduced).real)
     if probability < 1e-15:
         raise HeraldError(f"herald probability {probability:.3e} below 1e-15")
-    return DensityOperator(ModeRegister(2, register.cutoff), reduced / probability, _skip_positivity=True), probability
+    return DensityOperator(ModeRegister(2, state.register.cutoff), reduced / probability, _skip_positivity=True), probability
 
 
 def read_stage(

@@ -30,7 +30,7 @@ from dlczsim.fock import (
     two_mode_squeezed,
 )
 from dlczsim.pipeline import _propagate
-from dlczsim.protocol import MODE_AL, MODE_AR, FieldPairStats, _interfere_field1, read_stage, write_stage
+from dlczsim.protocol import MODE_AL, MODE_AR, FieldPairStats, read_stage, write_stage
 import dlczsim.tomography as tom
 from dlczsim.tomography import _BLOCK_IDX, EfficiencyModel, RestrictedDensity
 
@@ -141,17 +141,43 @@ def condition_on_pattern(state, detectors, pattern) -> tuple[DensityOperator, fl
     return DensityOperator(ModeRegister(len(keep), register.cutoff), reduced / probability, _skip_positivity=True), probability
 
 
+def heralding_optics(state: PureState, interferometer) -> tuple[PureState, tuple[int, ...], tuple[int, ...]]:
+    """The heralding optics on the write-stage state (1_L, a_L, 1_R, a_R),
+    stated apart from ``protocol``: the eta1 phase on 1_L and the bs1_T
+    splitter from 1_R onto 1_L and, for overlap < 1, a vacuum pair
+    (orth_R, orth_L) as modes 4 and 5 whose orth_R takes sqrt(1 - overlap^2)
+    of 1_R and meets orth_L on a second bs1_T splitter.  Returns the state and
+    the modes of D1a and D1b."""
+    one_l, one_r, orth_r, orth_l = 0, 2, 4, 5
+    overlap, bs1_T = interferometer.overlap, interferometer.bs1_T
+    if overlap < 1.0:
+        pair = np.zeros((state.register.cutoff + 1) ** 2)
+        pair[0] = 1.0
+        state = PureState(ModeRegister(6, state.register.cutoff), np.kron(state.amplitudes, pair))
+        state = apply_beamsplitter(state, overlap**2, one_r, orth_r)
+    out = apply_beamsplitter(apply_phase(state, interferometer.eta1, one_l), bs1_T, one_r, one_l)
+    if overlap < 1.0:
+        return apply_beamsplitter(out, bs1_T, orth_r, orth_l), (one_r, orth_r), (one_l, orth_l)
+    return out, (one_r,), (one_l,)
+
+
+def herald_probabilities_oracle(state: PureState, interferometer, choice) -> JointProbabilities:
+    """``protocol.herald_probabilities`` one pattern at a time over the whole register."""
+    mixed, d1a_modes, d1b_modes = heralding_optics(state, interferometer)
+    return click_probabilities(mixed, [Detector("D1a", choice.d1a_efficiency, d1a_modes), Detector("D1b", choice.d1b_efficiency, d1b_modes)])
+
+
 def herald_oracle(state: PureState, interferometer, choice):
     """``protocol.herald`` by conditioning on the chosen detectors' pattern and
     tracing out whatever field modes are left."""
-    mixed, d1a_modes, d1b_modes = _interfere_field1(state, interferometer)
+    mixed, d1a_modes, d1b_modes = heralding_optics(state, interferometer)
     d1a, d1b = Detector("D1a", choice.d1a_efficiency, d1a_modes), Detector("D1b", choice.d1b_efficiency, d1b_modes)
     if choice.exclusive:
         detectors, pattern = [d1a, d1b], ((1, 0) if choice.which == "D1a" else (0, 1))
     else:
         detectors, pattern = [d1a if choice.which == "D1a" else d1b], (1,)
     conditioned, probability = condition_on_pattern(mixed, detectors, pattern)
-    kept = [m for m in range(state.register.n_modes) if all(m not in det.modes for det in detectors)]
+    kept = [m for m in range(mixed.register.n_modes) if all(m not in det.modes for det in detectors)]
     atoms = [kept.index(MODE_AL), kept.index(MODE_AR)]
     if atoms != list(range(len(kept))):
         conditioned = partial_trace(conditioned, atoms)
@@ -169,12 +195,9 @@ def heralded_fields_oracle(config):
     """Herald patterns, herald probability, spin state and bench-plane state
     of ``full_experiment`` through the generic detector model."""
     interf = config.interferometer
-    state = write_stage(config.left, config.right, config.cutoff, interf.overlap)
-    mixed, d1a_modes, d1b_modes = _interfere_field1(state, interf)
-    choice = config.herald
-    detectors = [Detector("D1a", choice.d1a_efficiency, d1a_modes), Detector("D1b", choice.d1b_efficiency, d1b_modes)]
-    patterns = click_probabilities(mixed, detectors)
-    atomic, probability = herald_oracle(state, interf, choice)
+    state = write_stage(config.left, config.right, config.cutoff)
+    patterns = herald_probabilities_oracle(state, interf, config.herald)
+    atomic, probability = herald_oracle(state, interf, config.herald)
     z2 = read_stage(atomic, config.left.xi, config.right.xi, interf.eta2, interf.phase_jitter_sigma)
     z0 = _propagate(_propagate(z2, config.budget, "z2", "z1"), config.budget, "z1", "z0")
     return patterns, probability, atomic, z0
@@ -184,7 +207,7 @@ def unconditioned_field_state(config) -> DensityOperator:
     """Field state at the measurement bench without heralding: the write-stage
     field-1 modes are discarded, the spins read out and attenuate as in the
     heralded run."""
-    state = write_stage(config.left, config.right, config.cutoff, config.interferometer.overlap)
+    state = write_stage(config.left, config.right, config.cutoff)
     spins = partial_trace(state, [MODE_AL, MODE_AR])
     fields = read_stage(spins, config.left.xi, config.right.xi, eta2=config.interferometer.eta2)
     return _propagate(fields, config.budget, "z2", "z0")

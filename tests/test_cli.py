@@ -535,6 +535,8 @@ def _schema_bounds():
 _SCHEMA_BOUNDS = list(_schema_bounds())
 # bounds whose bench cannot be inverted: analyze's exit code and the setting its message names
 _DEGENERATE_BENCHES = {("detectors", name): name for name in ("split", "bs2_T")}
+# a dark source leaves p10 (L) or p01 (R) within noise of zero: the coherence or the witness is undefined
+_DARK_SOURCES = {("ensembles", side, "chi") for side in "LR"}
 
 
 @pytest.mark.parametrize("path, value", _SCHEMA_BOUNDS, ids=[f"{'/'.join(path)}={value:g}" for path, value in _SCHEMA_BOUNDS])
@@ -562,6 +564,9 @@ def test_schema_bounds_end_with_an_exit_code(runner, tmp_path, path, value):
     if path in _DEGENERATE_BENCHES:
         assert result.exit_code == EXIT_FIT
         assert f"{_DEGENERATE_BENCHES[path]} = {value:g}" in result.output
+    if path in _DARK_SOURCES and value == 0.0:
+        assert result.exit_code == EXIT_FIT
+        assert "p01" in result.output or "p10" in result.output
 
 
 def test_backprop_direct_values_reproduces_published(runner, tmp_path):

@@ -186,8 +186,8 @@ def test_condition_probability_consistent_with_click_probabilities():
     rng = np.random.default_rng(20)
     for _ in range(6):
         overlap = float(rng.choice([1.0, rng.uniform(0.3, 0.95)]))
-        state = write_stage(EnsembleParams(rng.uniform(0.01, 0.2)), EnsembleParams(rng.uniform(0.01, 0.2)), 2, overlap)
-        interf = InterferometerParams(bs1_T=rng.uniform(0.2, 0.8), eta1=rng.uniform(0.0, 6.0))
+        state = write_stage(EnsembleParams(rng.uniform(0.01, 0.2)), EnsembleParams(rng.uniform(0.01, 0.2)), 2)
+        interf = InterferometerParams(bs1_T=rng.uniform(0.2, 0.8), eta1=rng.uniform(0.0, 6.0), overlap=overlap)
         d1a, d1b = rng.uniform(0.3, 1.0, size=2)
         patterns = herald_probabilities(state, interf, HeraldChoice(d1a_efficiency=d1a, d1b_efficiency=d1b))
         for which, pattern in (("D1a", (1, 0)), ("D1b", (0, 1))):

@@ -15,8 +15,10 @@ from dlczsim.entanglement import (
 )
 from dlczsim.pipeline import full_experiment, sample_diagonal_records, sample_fringe_records
 from dlczsim.tomography import (
+    CLAMP_SIGMA,
     DIAG_KEYS,
     AggregatedCounts,
+    DataQualityError,
     EfficiencyModel,
     FringeScan,
     RestrictedDensity,
@@ -395,6 +397,23 @@ def test_witness_zero_denominator():
     rd = RestrictedDensity(p00=1.0, p01=0.0, p10=0.0, p11=0.0, d=0.0)
     with pytest.raises(ValueError):
         witnesses(rd)
+
+
+@pytest.mark.parametrize("key", ["p01", "p10"])
+def test_witness_undefined_within_the_clamp_band(key):
+    # a population within CLAMP_SIGMA of zero is zero to the inversion, so h
+    # = p11 / (p10 p01) is undefined there (a dark R source reads p01 ~ 1e-24
+    # with sigma 5e-7); just above the band it is defined
+    values = {"p01": 7.51e-3, "p10": 7.38e-3}
+    sigmas = {"p01": 5e-7, "p10": 5e-7, "p11": 3e-6}
+    for value, defined in ((8.27e-25, False), (CLAMP_SIGMA * 5e-7, False), (1.001 * CLAMP_SIGMA * 5e-7, True)):
+        state = {**values, key: value}
+        rd = RestrictedDensity(p00=1.0 - sum(state.values()) - 1e-5, p11=1e-5, d=0.0, sigmas=sigmas, **state)
+        if defined:
+            assert witnesses(rd).h_c2 > 0.0
+        else:
+            with pytest.raises(DataQualityError, match=f"h ratio undefined: {key} = "):
+                witnesses(rd)
 
 
 # ---------------------------------------------------------------------------

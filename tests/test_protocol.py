@@ -24,6 +24,9 @@ from helpers import (
     fidelity,
     field_pair_statistics_oracle,
     first_order_heralded_state,
+    fock_state,
+    herald_oracle,
+    herald_probabilities_oracle,
     heralded_fields_oracle,
     ideal_config_dict,
     overlap_from_extinction_db,
@@ -62,16 +65,14 @@ def test_write_stage_single_excitation_probability():
     assert abs(p_one - 2e-3) < 0.02 * 2e-3
 
 
-def test_write_stage_overlap_modes():
-    st = write_stage(EnsembleParams(1e-2), EnsembleParams(1e-2), cutoff=2, overlap=1.0)
-    assert st.register.n_modes == 4
-    lam = 0.8
-    st = write_stage(EnsembleParams(0.0), EnsembleParams(1e-2), cutoff=2, overlap=lam)
-    assert st.register.n_modes == 6
-    reg = st.register
-    matched = abs(st.amplitudes[reg.index((0, 0, 1, 1, 0, 0))]) ** 2
-    orth = abs(st.amplitudes[reg.index((0, 0, 0, 1, 1, 0))]) ** 2
-    assert abs(matched / (matched + orth) - lam**2) < 1e-10
+def test_herald_overlap_sets_the_two_photon_dip():
+    # one field-1 photon from each side on a balanced heralding splitter: the
+    # coincidence probability is (1 - overlap^2) / 2, the Hong-Ou-Mandel dip
+    st = fock_state(ModeRegister(4, 2), (1, 0, 1, 0))
+    for lam in (1.0, 0.8, 0.0):
+        patterns = herald_probabilities(st, InterferometerParams(bs1_T=0.5, overlap=lam))
+        assert abs(patterns[(1, 1)] - (1.0 - lam**2) / 2.0) < 1e-12
+        assert abs(patterns[(1, 0)] - patterns[(0, 1)]) < 1e-12
 
 
 def test_overlap_from_extinction():
@@ -114,8 +115,8 @@ def test_herald_with_phase_matches_oracle():
 
 
 def test_orthogonal_overlap_kills_coherence():
-    st = write_stage(EnsembleParams(1e-3), EnsembleParams(1e-3), cutoff=3, overlap=0.0)
-    rho, prob = herald(st, InterferometerParams(bs1_T=0.5), HeraldChoice("D1a"))
+    st = write_stage(EnsembleParams(1e-3), EnsembleParams(1e-3), cutoff=3)
+    rho, prob = herald(st, InterferometerParams(bs1_T=0.5, overlap=0.0), HeraldChoice("D1a"))
     reg = ModeRegister(2, 3)
     coh = abs(rho.matrix[reg.index((0, 1)), reg.index((1, 0))])
     assert coh < 1e-12
@@ -154,10 +155,29 @@ def test_inclusive_vs_exclusive_herald():
 
 
 def test_herald_pattern_probabilities_sum_to_one():
-    st = write_stage(EnsembleParams(0.02), EnsembleParams(0.03), cutoff=3, overlap=0.8)
-    patterns = herald_probabilities(st, InterferometerParams(bs1_T=0.4), HeraldChoice(d1a_efficiency=0.7, d1b_efficiency=0.9))
+    st = write_stage(EnsembleParams(0.02), EnsembleParams(0.03), cutoff=3)
+    patterns = herald_probabilities(st, InterferometerParams(bs1_T=0.4, overlap=0.8), HeraldChoice(d1a_efficiency=0.7, d1b_efficiency=0.9))
     total = sum(p for _, p in patterns.items())
     assert abs(total - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+@pytest.mark.parametrize("overlap", [0.0, 0.4, 1.0])
+def test_herald_reads_the_overlap_from_the_interferometer(overlap, cutoff):
+    # the write stage states no overlap: both herald outputs take it from
+    # InterferometerParams and match the oracle's own heralding optics
+    state = write_stage(EnsembleParams(0.05), EnsembleParams(0.08), cutoff)
+    interf = InterferometerParams(bs1_T=0.45, eta1=0.4, overlap=overlap)
+    for which in ("D1a", "D1b"):
+        for exclusive in (True, False):
+            choice = HeraldChoice(which, exclusive=exclusive, d1a_efficiency=0.6, d1b_efficiency=0.8)
+            rho, probability = herald(state, interf, choice)
+            oracle_rho, oracle_probability = herald_oracle(state, interf, choice)
+            assert abs(probability - oracle_probability) < 1e-14
+            assert np.max(np.abs(rho.matrix - oracle_rho.matrix)) < 1e-14
+    patterns = herald_probabilities(state, interf, choice)
+    for pattern, p in herald_probabilities_oracle(state, interf, choice).items():
+        assert abs(patterns[pattern] - p) < 1e-14
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.3])
@@ -169,6 +189,7 @@ def test_forward_model_matches_generic_detector_oracle(overlap, cutoff, dark_pro
     # per-detector model of tests/helpers.py must give the same bytes for an
     # exclusive herald (same arithmetic), and agree to rounding for an
     # inclusive one (one weighted trace instead of a trace and a partial trace)
+    # and for the herald patterns (the herald sums the spins out first)
     base = ideal_config_dict(
         cutoff=cutoff,
         fringe_phases={"num": 5},
@@ -182,7 +203,8 @@ def test_forward_model_matches_generic_detector_oracle(overlap, cutoff, dark_pro
             cfg = config_from_dict({**base, "herald": herald_block})
             result = full_experiment(cfg)
             patterns, probability, atomic, z0 = heralded_fields_oracle(cfg)
-            assert dict(result.herald_patterns.items()) == dict(patterns.items())
+            for pattern, p in patterns.items():
+                assert abs(result.herald_patterns[pattern] - p) <= 4e-16 * p
             if exclusive:
                 assert result.herald_probability == probability
                 assert result.atomic.matrix.tobytes() == atomic.matrix.tobytes()

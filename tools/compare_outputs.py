@@ -6,7 +6,9 @@ exact probabilities (`--trials 0`), `analyze --mle --plane z2` on the
 simulated JSON records, `analyze` on the same records read from CSV, and
 `backprop --plane z2` on the analysis result with each tree on PYTHONPATH
 per preset and seed, and `backprop --plane z2` on the README's direct values
-once per preset; prints per data file
+once per preset.  One more case, `knobs`, runs the same for every seed on a
+config built from the reference tree's `paper` preset with each knob that the
+presets leave at its default turned on (KNOBS).  Prints per data file
 "identical" or what differs: the largest relative difference of its numbers
 per block (`mle`, the uncertainties in `sigma`, and the `rest`) and, by key
 path, each changed text leaf and each leaf that only one file has; and a
@@ -42,6 +44,12 @@ COMMANDS = {
 # the README's direct-values example: it reads no records, so it runs once per preset
 DIRECT = {"bpv": ["backprop", "--plane", "z2", "--p00", "0.98510", "--p10", "7.38e-3", "--p01", "7.51e-3", "--p11", "1.7e-5", "-v", "0.70"]}
 HELP = ["", "simulate", "fringe-scan", "analyze", "backprop"]  # "" is the group itself
+# every preset keeps these at their defaults, so without this case no bytes are compared with them on
+KNOBS = {
+    "herald": {"d1a_efficiency": 0.6, "d1b_efficiency": 0.8, "exclusive": False},
+    "interferometer": {"eta1": 0.4, "eta2": 0.3, "phase_jitter_sigma": 0.15},
+    "detectors": {"dark_prob": 1e-4, "eta_d2b": 0.35},
+}
 
 
 def tree_env(src):
@@ -68,12 +76,21 @@ def seeded_commands(seed, out):
     return {name: [*args, *inputs[name]] for name, args in COMMANDS.items()}
 
 
-def run(src, preset, commands, out):
-    """Runs each named command with ``src`` on PYTHONPATH, writing to ``out/<name>``; returns the exit codes."""
+def knobs_config(src, path):
+    """Writes the `paper` preset of the tree ``src`` with KNOBS set to ``path``."""
+    data = json.loads(Path(src, "dlczsim", "presets", "paper.json").read_text())
+    for block, knobs in KNOBS.items():
+        data[block] = {**data[block], **knobs}
+    path.write_text(json.dumps(data))
+
+
+def run(src, source, commands, out):
+    """Runs each named command with ``src`` on PYTHONPATH and the config
+    arguments ``source``, writing to ``out/<name>``; returns the exit codes."""
     env = tree_env(src)
     codes = {}
     for name, args in commands.items():
-        cmd = [sys.executable, "-m", "dlczsim.cli", *args, "--preset", preset, "--out", str(out / name)]
+        cmd = [sys.executable, "-m", "dlczsim.cli", *args, *source, "--out", str(out / name)]
         codes[name] = subprocess.run(cmd, env=env, capture_output=True).returncode
     return codes
 
@@ -173,13 +190,16 @@ def main():
         print(f"help {command or 'dlczsim'}: {'identical' if old_text == new_text else 'differs'}")
         differs |= old_text != new_text
     with tempfile.TemporaryDirectory() as work:
-        for preset in args.presets.split(","):
+        knobs = Path(work, "knobs.json")
+        knobs_config(args.old_src, knobs)
+        cases = [(preset, ["--preset", preset]) for preset in args.presets.split(",")]
+        for preset, source in [*cases, ("knobs", ["--config", str(knobs)])]:
             for seed in args.seeds.split(","):
                 tag = f"{preset} seed {seed}"
                 old, new = Path(work, "old", tag), Path(work, "new", tag)
                 codes = (
-                    run(args.old_src, preset, seeded_commands(seed, old), old),
-                    run(args.new_src, preset, seeded_commands(seed, new), new),
+                    run(args.old_src, source, seeded_commands(seed, old), old),
+                    run(args.new_src, source, seeded_commands(seed, new), new),
                 )
                 differs |= report(tag, codes, old, new)
                 if not (codes[0]["ana"] or codes[1]["ana"]):
@@ -187,7 +207,7 @@ def main():
                     print(f"{tag} mle: {text}")
                     differs |= moved
             old, new = Path(work, "old", preset), Path(work, "new", preset)
-            codes = run(args.old_src, preset, DIRECT, old), run(args.new_src, preset, DIRECT, new)
+            codes = run(args.old_src, source, DIRECT, old), run(args.new_src, source, DIRECT, new)
             differs |= report(f"{preset} direct", codes, old, new)
     return 1 if differs else 0
 
