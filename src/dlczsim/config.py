@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
@@ -45,107 +45,10 @@ _COMPONENT_SCHEMA = {
     "maxItems": 2,
 }
 
-_ENSEMBLE_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "chi": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-        "xi": {"type": "number", "minimum": 0, "maximum": 1},
-    },
-    "required": ["chi", "xi"],
-    "additionalProperties": False,
-}
-
-_INTERFEROMETER_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "bs1_T": {"type": "number", "minimum": 0, "maximum": 1},
-        "eta1": {"type": "number"},
-        "eta2": {"type": "number"},
-        "phi": {"type": "number"},
-        "overlap": {"type": "number", "minimum": 0, "maximum": 1},
-        "phase_jitter_sigma": {"type": "number", "minimum": 0},
-    },
-    "additionalProperties": False,
-}
-
-_HERALD_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "which": {"enum": list(HERALDS)},
-        "exclusive": {"type": "boolean"},
-        "d1a_efficiency": {"type": "number", "minimum": 0, "maximum": 1},
-        "d1b_efficiency": {"type": "number", "minimum": 0, "maximum": 1},
-    },
-    "additionalProperties": False,
-}
-
-_DETECTORS_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "eta_d2a": {"type": "number", "minimum": 0, "maximum": 1},
-        "eta_d2b": {"type": "number", "minimum": 0, "maximum": 1},
-        "eta_d2c": {"type": "number", "minimum": 0, "maximum": 1},
-        "split": {"type": "number", "minimum": 0, "maximum": 1},
-        "bs2_T": {"type": "number", "minimum": 0, "maximum": 1},
-        "dark_prob": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-    },
-    "additionalProperties": False,
-}
-
 _SIDE_SCHEMA = {
     "type": "object",
     "properties": dict.fromkeys(COMPONENT_KEYS, _COMPONENT_SCHEMA),
     "required": list(COMPONENT_KEYS),
-    "additionalProperties": False,
-}
-
-CONFIG_SCHEMA: dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "description": {"type": "string"},  # like provenance, validated and hashed but not read
-        "cutoff": {"type": "integer", "minimum": 2, "maximum": 5},
-        "trials": {"type": "integer", "minimum": 0, "maximum": MAX_TRIALS},
-        "seed": {"type": "integer", "minimum": 0},
-        "layout": {"enum": list(LAYOUTS)},
-        "fringe_phases": {
-            "oneOf": [
-                {"type": "array", "items": {"type": "number"}, "minItems": 5},
-                {
-                    "type": "object",
-                    "properties": {
-                        # the published scans have about a dozen phases
-                        "num": {"type": "integer", "minimum": 5, "maximum": 1000},
-                        "start": {"type": "number"},
-                        "stop": {"type": "number"},
-                    },
-                    "required": ["num"],
-                    "additionalProperties": False,
-                },
-            ]
-        },
-        "ensembles": {
-            "type": "object",
-            "properties": {
-                "L": _ENSEMBLE_SCHEMA,
-                "R": _ENSEMBLE_SCHEMA,
-            },
-            "required": ["L", "R"],
-            "additionalProperties": False,
-        },
-        "interferometer": _INTERFEROMETER_SCHEMA,
-        "herald": _HERALD_SCHEMA,
-        "detectors": _DETECTORS_SCHEMA,
-        "channel": {
-            "type": "object",
-            "properties": {"L": _SIDE_SCHEMA, "R": _SIDE_SCHEMA},
-            "required": ["L", "R"],
-            "additionalProperties": False,
-        },
-        "provenance": {"type": "object"},
-    },
-    "required": ["schema_version", "ensembles", "channel"],
     "additionalProperties": False,
 }
 
@@ -221,19 +124,42 @@ def _validate(value: Any, schema: Mapping[str, Any], path: tuple = ()) -> None:
                 _validate(value[key], sub, (*path, key))
 
 
-# each config block is a dataclass that checks itself against its block schema
-@dataclass(frozen=True)
+def param(default: Any = MISSING, **schema: Any) -> Any:
+    """A config block field: its default (none if omitted) and its JSON Schema."""
+    return field(default=default, metadata=schema)
+
+
+UNIT_INTERVAL = {"type": "number", "minimum": 0, "maximum": 1}
+
+
+def config_block(*required: str):
+    """Make a class a config block: a frozen dataclass whose fields state their
+    schema with ``param``.  The block's ``SCHEMA`` is built once from them,
+    with the ``required`` keys, and each instance checks itself against it."""
+
+    def make(cls):
+        cls.__post_init__ = lambda self: _validate(vars(self), self.SCHEMA)
+        cls = dataclass(frozen=True)(cls)
+        cls.SCHEMA = {
+            "type": "object",
+            "properties": {f.name: dict(f.metadata) for f in fields(cls)},
+            **({"required": list(required)} if required else {}),
+            "additionalProperties": False,
+        }
+        return cls
+
+    return make
+
+
+@config_block("chi", "xi")  # xi has a default in code, not in a file
 class EnsembleParams:
     """Per-ensemble knobs: write excitation probability and read-out efficiency."""
 
-    chi: float
-    xi: float = 1.0
-
-    def __post_init__(self):
-        _validate(vars(self), _ENSEMBLE_SCHEMA)
+    chi: float = param(type="number", minimum=0, exclusiveMaximum=1)
+    xi: float = param(1.0, **UNIT_INTERVAL)
 
 
-@dataclass(frozen=True)
+@config_block()
 class InterferometerParams:
     """Phases, splitting ratio and mode overlap of the two interferometers.
 
@@ -243,42 +169,82 @@ class InterferometerParams:
     Gaussian spread of eta1 + eta2.
     """
 
-    bs1_T: float = 0.5
-    eta1: float = 0.0
-    eta2: float = 0.0
-    phi: float = 0.0
-    overlap: float = 1.0
-    phase_jitter_sigma: float = 0.0
-
-    def __post_init__(self):
-        _validate(vars(self), _INTERFEROMETER_SCHEMA)
+    bs1_T: float = param(0.5, **UNIT_INTERVAL)
+    eta1: float = param(0.0, type="number")
+    eta2: float = param(0.0, type="number")
+    phi: float = param(0.0, type="number")
+    overlap: float = param(1.0, **UNIT_INTERVAL)
+    phase_jitter_sigma: float = param(0.0, type="number", minimum=0)
 
 
-@dataclass(frozen=True)
+@config_block()
 class HeraldChoice:
     """The heralding event, a click at ``which`` (alone, if ``exclusive``),
     and the efficiencies of the two heralding detectors."""
 
-    which: str = "D1a"
-    exclusive: bool = True
-    d1a_efficiency: float = 1.0
-    d1b_efficiency: float = 1.0
-
-    def __post_init__(self):
-        _validate(vars(self), _HERALD_SCHEMA)
+    which: str = param("D1a", enum=list(HERALDS))
+    exclusive: bool = param(True, type="boolean")
+    d1a_efficiency: float = param(1.0, **UNIT_INTERVAL)
+    d1b_efficiency: float = param(1.0, **UNIT_INTERVAL)
 
 
-@dataclass(frozen=True)
+@config_block()
 class DetectorBench:
-    eta_d2a: float = 1.0
-    eta_d2b: float = 1.0
-    eta_d2c: float = 1.0
-    split: float = 0.5
-    bs2_T: float = 0.5
-    dark_prob: float = 0.0
+    eta_d2a: float = param(1.0, **UNIT_INTERVAL)
+    eta_d2b: float = param(1.0, **UNIT_INTERVAL)
+    eta_d2c: float = param(1.0, **UNIT_INTERVAL)
+    split: float = param(0.5, **UNIT_INTERVAL)
+    bs2_T: float = param(0.5, **UNIT_INTERVAL)
+    dark_prob: float = param(0.0, type="number", minimum=0, exclusiveMaximum=1)
 
-    def __post_init__(self):
-        _validate(vars(self), _DETECTORS_SCHEMA)
+
+CONFIG_SCHEMA: dict[str, Any] = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "type": "object",
+    "properties": {
+        "schema_version": {"const": SCHEMA_VERSION},
+        "description": {"type": "string"},  # like provenance, validated and hashed but not read
+        "cutoff": {"type": "integer", "minimum": 2, "maximum": 5},
+        "trials": {"type": "integer", "minimum": 0, "maximum": MAX_TRIALS},
+        "seed": {"type": "integer", "minimum": 0},
+        "layout": {"enum": list(LAYOUTS)},
+        "fringe_phases": {
+            "oneOf": [
+                {"type": "array", "items": {"type": "number"}, "minItems": 5},
+                {
+                    "type": "object",
+                    "properties": {
+                        # the published scans have about a dozen phases
+                        "num": {"type": "integer", "minimum": 5, "maximum": 1000},
+                        "start": {"type": "number"},
+                        "stop": {"type": "number"},
+                    },
+                    "required": ["num"],
+                    "additionalProperties": False,
+                },
+            ]
+        },
+        "ensembles": {
+            "type": "object",
+            "properties": {"L": EnsembleParams.SCHEMA, "R": EnsembleParams.SCHEMA},
+            "required": ["L", "R"],
+            "additionalProperties": False,
+        },
+        "interferometer": InterferometerParams.SCHEMA,
+        "herald": HeraldChoice.SCHEMA,
+        "detectors": DetectorBench.SCHEMA,
+        "channel": {
+            "type": "object",
+            "properties": {"L": _SIDE_SCHEMA, "R": _SIDE_SCHEMA},
+            "required": ["L", "R"],
+            "additionalProperties": False,
+        },
+        "provenance": {"type": "object"},
+    },
+    "required": ["schema_version", "ensembles", "channel"],
+    "additionalProperties": False,
+}
+
 
 
 @dataclass(frozen=True)

@@ -91,23 +91,24 @@ def concurrence_restricted(
     seeded ``mc_sigma`` is therefore stable.
     """
     base = {**{key: getattr(rd, key) for key in DIAG_KEYS[:4]}, "d": rd.d_abs}
-    c = float(_concurrence(**base))
+    points = [base]  # the base point, then each secant's upper and lower point
+    secants = []  # (sigma, upper, lower value of the stepped input), in the order of the sigmas
+    for key, s in rd.sigmas.items():
+        if key in base and s != 0.0:
+            step = max(1e-9, 1e-4 * abs(base[key]), 0.1 * s)
+            hi, lo = base[key] + step, max(base[key] - step, 0.0)
+            secants.append((s, hi, lo))
+            points += [{**base, key: hi}, {**base, key: lo}]
+    values = _concurrence(*np.array([list(point.values()) for point in points]).T).tolist()  # one element-wise call
+    c = values[0]
     lower = c * rd.p_tilde
 
     sigma_c = 0.0
     mc_sigma = None
     if rd.sigmas:
         var = 0.0
-        for key, s in rd.sigmas.items():
-            if key not in base or s == 0.0:
-                continue
-            step = max(1e-9, 1e-4 * abs(base[key]), 0.1 * s)
-            hi = dict(base)
-            hi[key] = base[key] + step
-            lo = dict(base)
-            lo[key] = max(base[key] - step, 0.0)
-            deriv = float(_concurrence(**hi) - _concurrence(**lo)) / (hi[key] - lo[key])
-            var += (deriv * s) ** 2
+        for (s, hi, lo), c_hi, c_lo in zip(secants, values[1::2], values[2::2]):
+            var += ((c_hi - c_lo) / (hi - lo) * s) ** 2
         sigma_c = math.sqrt(var)
 
         if mc_samples > 0:

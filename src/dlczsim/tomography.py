@@ -22,9 +22,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .detection import CountRecord, RecordIntegrityError, substream_rng
+from .config import UNIT_INTERVAL, config_block, param
+from .detection import CountRecord, RecordIntegrityError, aggregate_split_detector, substream_rng
 from .fock import DensityOperator, ModeRegister
-from .layouts import D2_IDS, PATTERNS, bench_povm
+from .layouts import D2_IDS, PATTERNS, SPLIT_PAIR, bench_povm
 from .layouts import diagonal_layout_probabilities, fringe_layout_probabilities  # noqa: F401 - bound here for the benchmark's layer tracer
 
 TWO_PI = 2.0 * math.pi
@@ -98,23 +99,18 @@ def arm_clicks(per_pattern: np.ndarray) -> np.ndarray:
 # core result types
 
 
-@dataclass(frozen=True)
+@config_block()
 class EfficiencyModel:
     """Path efficiencies to the detectors, detector efficiencies, and the
     splitting ratios of the analysis optics."""
 
-    eta_l: float = 1.0
-    eta_r: float = 1.0
-    eta_1: float = 1.0
-    eta_2: float = 1.0
-    eta_3: float = 1.0
-    split: float = 0.5
-    bs2_T: float = 0.5
-
-    def __post_init__(self):
-        for name, v in self.as_dict().items():
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+    eta_l: float = param(1.0, **UNIT_INTERVAL)
+    eta_r: float = param(1.0, **UNIT_INTERVAL)
+    eta_1: float = param(1.0, **UNIT_INTERVAL)
+    eta_2: float = param(1.0, **UNIT_INTERVAL)
+    eta_3: float = param(1.0, **UNIT_INTERVAL)
+    split: float = param(0.5, **UNIT_INTERVAL)
+    bs2_T: float = param(0.5, **UNIT_INTERVAL)
 
     @property
     def d2a(self) -> float:
@@ -254,9 +250,8 @@ class AggregatedCounts:
 
     @classmethod
     def from_record(cls, record: CountRecord) -> "AggregatedCounts":
-        counts = np.zeros(len(Q_CLASSES), dtype=np.int64)
-        np.add.at(counts, _PATTERN_CLASS, pattern_counts([record])[0])
-        return cls(counts=dict(zip(Q_CLASSES, counts.tolist())), trials=record.trials)
+        classes = aggregate_split_detector(in_bench_order(record), SPLIT_PAIR)
+        return cls(counts={cls_: classes.get(cls_, 0) for cls_ in Q_CLASSES}, trials=record.trials)
 
     def frequencies(self) -> np.ndarray:
         return np.array([self.counts.get(cls_, 0) / self.trials for cls_ in Q_CLASSES])

@@ -8,9 +8,12 @@ the states, comparisons and local channels that only the tests use.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -331,6 +334,24 @@ def setting_povm_oracle(eff: EfficiencyModel, phi: float | None) -> dict:
         e2 = e_full[np.ix_(pullback_rows, pullback_rows)]
         out[pattern] = e2[np.ix_(_BLOCK_IDX, _BLOCK_IDX)]
     return out
+
+
+def concurrence_sigma_loop(rd: RestrictedDensity) -> float:
+    """First-order sigma of the restricted-state concurrence, one central
+    secant at a time in the order of the sigmas, in scalar arithmetic."""
+    base = {"p00": rd.p00, "p01": rd.p01, "p10": rd.p10, "p11": rd.p11, "d": rd.d_abs}
+
+    def concurrence(x):
+        c = max(2.0 * x["d"] - 2.0 * math.sqrt(max(x["p00"] * x["p11"], 0.0)), 0.0)
+        return c / (x["p00"] + x["p01"] + x["p10"] + x["p11"])
+
+    var = 0.0
+    for key, s in rd.sigmas.items():
+        if key in base and s != 0.0:
+            step = max(1e-9, 1e-4 * abs(base[key]), 0.1 * s)
+            hi, lo = {**base, key: base[key] + step}, {**base, key: max(base[key] - step, 0.0)}
+            var += ((concurrence(hi) - concurrence(lo)) / (hi[key] - lo[key]) * s) ** 2
+    return math.sqrt(var)
 
 
 def concurrence_mc_sigma_loop(rd: RestrictedDensity, mc_samples: int, seed: int) -> float:
@@ -670,3 +691,16 @@ def local_phase(rho4: np.ndarray, theta: float, side: str) -> np.ndarray:
     """Local phase rotation on one side (a local unitary)."""
     mode = 0 if side == "L" else 1
     return apply_phase(DensityOperator(QUBIT_REGISTER, rho4), theta, mode).matrix
+
+
+def load_script(path: Path, name: str):
+    """Import the script at ``path`` as module ``name``, writing no bytecode beside it."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module

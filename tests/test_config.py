@@ -2,13 +2,14 @@
 
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import jsonschema
 import pytest
 
 from dlczsim.config import CONFIG_SCHEMA, ConfigError, DetectorBench, ExperimentConfig, _validate, config_from_dict, preset_dict
 from dlczsim.protocol import EnsembleParams, HeraldChoice, InterferometerParams
+from dlczsim.tomography import EfficiencyModel
 
 _NON_FINITE = [math.nan, math.inf, -math.inf]
 _SCALARS = [None, "x", True, False, [], {}, 0, 1, -1, 0.5, 2.5, 5, 1e300, 10**400, -(10**400), *_NON_FINITE]
@@ -118,17 +119,14 @@ def test_validator_names_the_fringe_phase_field(phases):
 
 
 def test_config_blocks_are_the_dataclass_fields():
-    # config_from_dict passes each block's keys on as they are, so the schema
-    # keys of a block are exactly its dataclass fields and the dataclass
+    # config_from_dict passes each block's keys on as they are, so each schema
+    # block is the one its dataclass builds from its fields, and the dataclass
     # defaults are the only defaults
-    def names(cls):
-        return {f.name for f in fields(cls)}
-
     props = CONFIG_SCHEMA["properties"]
-    assert set(props["ensembles"]["properties"]["L"]["properties"]) == names(EnsembleParams)
-    assert set(props["interferometer"]["properties"]) == names(InterferometerParams)
-    assert set(props["detectors"]["properties"]) == names(DetectorBench)
-    assert set(props["herald"]["properties"]) == names(HeraldChoice)
+    assert props["ensembles"]["properties"]["L"] is props["ensembles"]["properties"]["R"] is EnsembleParams.SCHEMA
+    assert props["interferometer"] is InterferometerParams.SCHEMA
+    assert props["detectors"] is DetectorBench.SCHEMA
+    assert props["herald"] is HeraldChoice.SCHEMA
     minimal = {key: value for key, value in preset_dict("ideal").items() if key in ("schema_version", "ensembles", "channel")}
     cfg = config_from_dict(minimal)
     assert (cfg.interferometer, cfg.herald, cfg.detectors) == (InterferometerParams(), HeraldChoice(), DetectorBench())
@@ -142,15 +140,16 @@ _BLOCKS = {  # block -> (a dataclass instance of it, its schema)
     "interferometer": (InterferometerParams(), CONFIG_SCHEMA["properties"]["interferometer"]),
     "herald": (HeraldChoice(), CONFIG_SCHEMA["properties"]["herald"]),
     "detectors": (DetectorBench(), CONFIG_SCHEMA["properties"]["detectors"]),
+    "efficiency_model": (EfficiencyModel(), EfficiencyModel.SCHEMA),
 }
 
 
 def _invalid_values(schema):
-    """A mistyped value; for a number NaN, the infinities and integers no float
-    holds; and a value beyond each bound."""
+    """A mistyped value; for a number a bool, NaN, the infinities and integers
+    no float holds; and a value beyond each bound."""
     yield "0.5"
     if schema.get("type") == "number":
-        yield from (*_NON_FINITE, 10**400, -(10**400))
+        yield from (True, *_NON_FINITE, 10**400, -(10**400))
     for keyword, beyond in (("minimum", -0.5), ("maximum", 0.5), ("exclusiveMinimum", 0), ("exclusiveMaximum", 0)):
         if keyword in schema:
             yield schema[keyword] + beyond

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from helpers import (
     budget_as_dict,
     coherence_partials_oracle,
     concurrence_mc_sigma_loop,
+    concurrence_sigma_loop,
     diagonal_estimate,
     ideal_config_dict,
     load_preset,
@@ -100,6 +102,20 @@ def test_concurrence_mc_sigma_matches_scalar_loop(rd):
     res = concurrence_restricted(rd, mc_samples=3000, seed=7)
     assert res.mc_sigma > 0.0
     assert res.mc_sigma == concurrence_mc_sigma_loop(rd, 3000, seed=7)
+
+
+def test_concurrence_sigma_matches_secant_loop():
+    # the secants are evaluated in one array call; element-wise arithmetic keeps every bit
+    rng = np.random.default_rng(11)
+    keys = ["p00", "p01", "p10", "p11", "d", "p02"]
+    for k in range(400):
+        rd = random_restricted(rng)
+        rd = replace(rd, p00=0.0 if k % 7 == 0 else rd.p00, p11=0.0 if k % 5 == 0 else rd.p11)
+        chosen = [keys[j] for j in rng.permutation(len(keys))[: rng.integers(0, len(keys) + 1)]]
+        rd = replace(rd, sigmas={key: 0.0 if rng.uniform() < 0.15 else float(rng.uniform(0, 0.01)) for key in chosen})
+        res = concurrence_restricted(rd)
+        assert res.sigma_concurrence == concurrence_sigma_loop(rd)
+        assert res.sigma_lower_bound == res.sigma_concurrence * rd.p_tilde
 
 
 def test_concurrence_zero_coherence():

@@ -1,17 +1,17 @@
-#!/usr/bin/env python3
 """Calibrate the unpublished source parameters of the bundled `paper` preset.
 
-The channel efficiencies, detector efficiencies and the heralding-splitter
-asymmetry are measured quantities and enter the preset as-is.  The write
-excitation probabilities (chi_L, chi_R), the retrieval efficiencies
-(xi_L, xi_R) and the effective mode overlap are not published; this script
-fits them so that the forward model, analyzed at unit detection efficiency
-exactly like the experiment's records, reproduces the published conditional
-populations (p10, p01, p11 for the D1a herald) and fringe visibility.
+The preset's channel efficiencies, detector efficiencies and heralding-splitter
+asymmetry are measured quantities; this script reads them, with the cutoff and
+the fringe phases, from the preset itself.  The write excitation probabilities
+(chi_L, chi_R), the retrieval efficiencies (xi_L, xi_R) and the effective mode
+overlap are not published; this script fits them so that the forward model,
+analyzed at unit detection efficiency exactly like the experiment's records,
+reproduces the published conditional populations (p10, p01, p11 for the D1a
+herald) and fringe visibility.
 
-Writes src/dlczsim/presets/paper.json.  Needs scipy (``least_squares``),
-which the package itself does not; install the ``test`` extra or scipy
-alone.  Run from the repository root:
+Rewrites those five values of src/dlczsim/presets/paper.json and nothing else.
+Needs scipy (``least_squares``), which the package itself does not; install the
+``test`` extra or scipy alone.  Run from the repository root:
 
     python3 tools/calibrate_preset.py
 """
@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from scipy.optimize import least_squares
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dlczsim.config import config_from_dict
+from dlczsim.config import EnsembleParams, config_from_dict, load_config_dict
 from dlczsim.detection import aggregate_split_detector
 from dlczsim.layouts import PATTERNS, SPLIT_PAIR
 from dlczsim.pipeline import full_experiment
@@ -38,32 +40,24 @@ TARGET_P01 = 7.51e-3
 TARGET_P11 = 1.7e-5
 TARGET_V = 0.70
 
-BS1_T = 0.85 / 1.85  # measured transmission/reflection ratio 0.85
-
 EXPECTED_TRIALS = 10**9  # the diagonal is inverted from the expected counts of this many trials
 
-CHANNEL = {
-    "L": {"fc": [0.80, 0.02], "c": [0.70, 0.02], "f": [0.70, 0.02], "apd": [0.32, 0.02]},
-    "R": {"fc": [0.80, 0.02], "c": [0.65, 0.02], "f": [0.70, 0.02], "apd": [0.40, 0.02]},
-}
+PRESET = Path(__file__).resolve().parents[1] / "src" / "dlczsim" / "presets" / "paper.json"
 
-DETECTORS = {"eta_d2a": 0.32, "eta_d2b": 0.40, "eta_d2c": 0.40, "split": 0.5, "bs2_T": 0.5}
+
+@lru_cache(maxsize=1)
+def preset_config():
+    return config_from_dict(load_config_dict(PRESET))
 
 
 def build_config(chi_l, chi_r, xi_l, xi_r, overlap):
-    return config_from_dict(
-        {
-            "schema_version": 1,
-            "cutoff": 3,
-            "ensembles": {
-                "L": {"chi": float(chi_l), "xi": float(xi_l)},
-                "R": {"chi": float(chi_r), "xi": float(xi_r)},
-            },
-            "interferometer": {"bs1_T": BS1_T, "overlap": float(overlap)},
-            "detectors": DETECTORS,
-            "channel": CHANNEL,
-            "fringe_phases": {"num": 13},
-        }
+    """The preset with its source parameters replaced."""
+    base = preset_config()
+    return replace(
+        base,
+        left=EnsembleParams(chi=float(chi_l), xi=float(xi_l)),
+        right=EnsembleParams(chi=float(chi_r), xi=float(xi_r)),
+        interferometer=replace(base.interferometer, overlap=float(overlap)),
     )
 
 
@@ -110,48 +104,12 @@ def main():
     print(f"p11={p11:.5e} (target {TARGET_P11:.5e})")
     print(f"V={v:.5f} (target {TARGET_V})")
 
-    preset = {
-        "schema_version": 1,
-        "description": (
-            "Parameters of the modeled cesium-ensemble experiment: measured channel "
-            "and detector efficiencies and heralding-splitter asymmetry; source "
-            "parameters (chi, xi, overlap) calibrated to reproduce the published "
-            "conditional populations and fringe visibility (D1a herald, 190 ns window)."
-        ),
-        "cutoff": 3,
-        "trials": 2000000,
-        "seed": 7130441,
-        "layout": "diagonal",
-        "fringe_phases": {"num": 13},
-        "ensembles": {
-            "L": {"chi": round(chi_l, 6), "xi": round(xi_l, 6)},
-            "R": {"chi": round(chi_r, 6), "xi": round(xi_r, 6)},
-        },
-        "interferometer": {
-            "bs1_T": BS1_T,
-            "eta1": 0.0,
-            "eta2": 0.0,
-            "phi": 0.0,
-            "overlap": round(overlap, 6),
-            "phase_jitter_sigma": 0.0,
-        },
-        "herald": {"which": "D1a", "exclusive": True, "d1a_efficiency": 1.0, "d1b_efficiency": 1.0},
-        "detectors": {**DETECTORS, "dark_prob": 0.0},
-        "channel": CHANNEL,
-        "provenance": {
-            "channel": "measured",
-            "detectors": "measured",
-            "interferometer.bs1_T": "measured (T/R = 0.85)",
-            "ensembles.chi": "fitted to conditional populations",
-            "ensembles.xi": "fitted to conditional populations (published inference 0.10 +- 0.05)",
-            "interferometer.overlap": "fitted to fringe visibility",
-            "herald.d1_efficiencies": "not published; set to 1 (scales rates only)",
-        },
-    }
-    out = Path(__file__).resolve().parents[1] / "src" / "dlczsim" / "presets" / "paper.json"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(preset, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
+    data = load_config_dict(PRESET)
+    for side, chi, xi in (("L", chi_l, xi_l), ("R", chi_r, xi_r)):
+        data["ensembles"][side] |= {"chi": round(float(chi), 6), "xi": round(float(xi), 6)}
+    data["interferometer"]["overlap"] = round(float(overlap), 6)
+    PRESET.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {PRESET}")
 
 
 if __name__ == "__main__":
