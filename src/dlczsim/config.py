@@ -4,7 +4,10 @@ A configuration fully determines a simulation run together with one seed;
 unknown keys are rejected so that a config file can be trusted to reproduce
 byte-identical outputs.  A direct validator of the JSON Schema keywords that
 ``CONFIG_SCHEMA`` uses checks it, and also rejects NaN and Infinity, which
-Python's ``json`` accepts.  The bundled ``paper`` preset carries the measured
+Python's ``json`` accepts.  Each parameter states its default, type and
+bounds once, on its dataclass field (``param``): the blocks, the channel
+sides and the top-level keys of ``ExperimentConfig``; ``CONFIG_SCHEMA`` is
+built from those fields.  The bundled ``paper`` preset carries the measured
 channel efficiencies and splitter asymmetry of the modeled experiment; values
 calibrated against its published count statistics (not measured directly)
 are marked in the preset's provenance map.
@@ -15,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
@@ -27,7 +31,6 @@ PRESETS = ("paper", "paper_w120", "ideal")
 LAYOUTS = ("diagonal", "fringe")
 HERALDS = ("D1a", "D1b")  # the heralding detectors, in pattern order
 
-COMPONENT_KEYS = ("fc", "c", "f", "apd")
 PLANES: dict[str, tuple[str, ...]] = {
     "detectors": (),
     "z0": ("apd",),
@@ -35,35 +38,17 @@ PLANES: dict[str, tuple[str, ...]] = {
     "z2": ("apd", "f", "c", "fc"),
 }
 
-_COMPONENT_SCHEMA = {
-    "type": "array",
-    "items": [
-        {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        {"type": "number", "minimum": 0},
-    ],
-    "minItems": 2,
-    "maxItems": 2,
-}
-
-_SIDE_SCHEMA = {
-    "type": "object",
-    "properties": dict.fromkeys(COMPONENT_KEYS, _COMPONENT_SCHEMA),
-    "required": list(COMPONENT_KEYS),
-    "additionalProperties": False,
-}
-
-
 class ConfigError(ValueError):
     """Configuration failed schema validation."""
 
 
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
+    "array": lambda v: isinstance(v, (list, tuple)),
     "string": lambda v: isinstance(v, str),
     "boolean": lambda v: isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer()),
+    "number": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, numbers.Integral) and not isinstance(v, bool)) or (isinstance(v, float) and v.is_integer()),
 }
 _BOUNDS = (  # keyword, violated by, message
     ("minimum", lambda v, b: v < b, "less than the minimum of"),
@@ -198,72 +183,34 @@ class DetectorBench:
     dark_prob: float = param(0.0, type="number", minimum=0, exclusiveMaximum=1)
 
 
-CONFIG_SCHEMA: dict[str, Any] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "description": {"type": "string"},  # like provenance, validated and hashed but not read
-        "cutoff": {"type": "integer", "minimum": 2, "maximum": 5},
-        "trials": {"type": "integer", "minimum": 0, "maximum": MAX_TRIALS},
-        "seed": {"type": "integer", "minimum": 0},
-        "layout": {"enum": list(LAYOUTS)},
-        "fringe_phases": {
-            "oneOf": [
-                {"type": "array", "items": {"type": "number"}, "minItems": 5},
-                {
-                    "type": "object",
-                    "properties": {
-                        # the published scans have about a dozen phases
-                        "num": {"type": "integer", "minimum": 5, "maximum": 1000},
-                        "start": {"type": "number"},
-                        "stop": {"type": "number"},
-                    },
-                    "required": ["num"],
-                    "additionalProperties": False,
-                },
-            ]
-        },
-        "ensembles": {
-            "type": "object",
-            "properties": {"L": EnsembleParams.SCHEMA, "R": EnsembleParams.SCHEMA},
-            "required": ["L", "R"],
-            "additionalProperties": False,
-        },
-        "interferometer": InterferometerParams.SCHEMA,
-        "herald": HeraldChoice.SCHEMA,
-        "detectors": DetectorBench.SCHEMA,
-        "channel": {
-            "type": "object",
-            "properties": {"L": _SIDE_SCHEMA, "R": _SIDE_SCHEMA},
-            "required": ["L", "R"],
-            "additionalProperties": False,
-        },
-        "provenance": {"type": "object"},
-    },
-    "required": ["schema_version", "ensembles", "channel"],
-    "additionalProperties": False,
+_COMPONENT = {  # (transmission, uncertainty)
+    "type": "array",
+    "items": [{"type": "number", "exclusiveMinimum": 0, "maximum": 1}, {"type": "number", "minimum": 0}],
+    "minItems": 2,
+    "maxItems": 2,
 }
 
+
+@config_block("fc", "c", "f", "apd")
+class ChannelSide:
+    """One path's components, ordered from the ensemble toward the detectors:
+    ``fc`` (filter cell), ``c`` (fiber coupling), ``f`` (auxiliary-light
+    filter), ``apd`` (detector quantum efficiency)."""
+
+    fc: tuple[float, float] = param(**_COMPONENT)
+    c: tuple[float, float] = param(**_COMPONENT)
+    f: tuple[float, float] = param(**_COMPONENT)
+    apd: tuple[float, float] = param(**_COMPONENT)
 
 
 @dataclass(frozen=True)
 class ChannelBudget:
-    """Per-path transmissions with uncertainties, keyed by component.
+    """The two paths' components.  Planes are cumulative component sets
+    counted backward from the raw detector record: z0 undoes only apd, z1
+    additionally f and c, z2 additionally fc (ensemble output edge)."""
 
-    Components, ordered from the ensembles toward the detectors: ``fc``
-    (filter cell), ``c`` (fiber coupling), ``f`` (auxiliary-light filter),
-    ``apd`` (detector quantum efficiency).  Planes are cumulative component
-    sets counted backward from the raw detector record: z0 undoes only apd,
-    z1 additionally f and c, z2 additionally fc (ensemble output edge).
-    """
-
-    left: Mapping[str, tuple[float, float]]
-    right: Mapping[str, tuple[float, float]]
-
-    def __post_init__(self):
-        for name, side in (("L", self.left), ("R", self.right)):  # a component is a tuple, the schema's array a list
-            _validate({key: list(v) if isinstance(v, tuple) else v for key, v in side.items()}, _SIDE_SCHEMA, (name,))
+    left: ChannelSide
+    right: ChannelSide
 
     def segment(self, side: str, from_plane: str, to_plane: str) -> tuple[float, float]:
         """Product transmission (and uncertainty) between two planes."""
@@ -272,14 +219,14 @@ class ChannelBudget:
                 raise ValueError(f"unknown plane {plane!r}")
         if set(PLANES[from_plane]) - set(PLANES[to_plane]):
             raise ValueError(f"target plane {to_plane} is downstream of {from_plane}")
-        # a fixed multiplication order keeps the product independent of
-        # string hashing (PYTHONHASHSEED)
-        keys = [key for key in COMPONENT_KEYS if key in PLANES[to_plane] and key not in PLANES[from_plane]]
+        # a fixed multiplication order, the components' own, keeps the
+        # product independent of string hashing (PYTHONHASHSEED)
+        keys = [f.name for f in fields(ChannelSide) if f.name in PLANES[to_plane] and f.name not in PLANES[from_plane]]
         comps = self.left if side == "L" else self.right
         alpha = 1.0
         rel_var = 0.0
         for key in keys:
-            value, err = comps[key]
+            value, err = getattr(comps, key)
             alpha *= value
             rel_var += (err / value) ** 2
         return alpha, alpha * math.sqrt(rel_var)
@@ -287,27 +234,71 @@ class ChannelBudget:
     def total(self, side: str) -> float:
         return self.segment(side, "detectors", "z2")[0]
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Mapping[str, object]]) -> "ChannelBudget":
-        def side(entries):
-            return {k: (float(v[0]), float(v[1])) for k, v in entries.items()}
 
-        return cls(left=side(data["L"]), right=side(data["R"]))
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    step = (stop - start) / (num - 1)
+    return [start + k * step for k in range(num)]
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The typed configuration: one field a block, and the top-level keys of
+    a file, which state their default and schema with ``param``."""
+
     left: EnsembleParams
     right: EnsembleParams
     budget: ChannelBudget
     interferometer: InterferometerParams = InterferometerParams()
     herald: HeraldChoice = HeraldChoice()
     detectors: DetectorBench = DetectorBench()
-    layout: str = "diagonal"
-    fringe_phases: tuple[float, ...] = ()
-    cutoff: int = 3
-    trials: int = 0
-    seed: int = 0
+    cutoff: int = param(3, type="integer", minimum=2, maximum=5)
+    trials: int = param(0, type="integer", minimum=0, maximum=MAX_TRIALS)
+    seed: int = param(0, type="integer", minimum=0)
+    layout: str = param("diagonal", enum=list(LAYOUTS))
+    # a file gives the phases, or num of them from start to stop (one turn by default)
+    fringe_phases: tuple[float, ...] = param(
+        tuple(_linspace(0.0, 2.0 * math.pi, 13)),
+        oneOf=[
+            {"type": "array", "items": {"type": "number"}, "minItems": 5},
+            {
+                "type": "object",
+                "properties": {
+                    # the published scans have about a dozen phases
+                    "num": {"type": "integer", "minimum": 5, "maximum": 1000},
+                    "start": {"type": "number"},
+                    "stop": {"type": "number"},
+                },
+                "required": ["num"],
+                "additionalProperties": False,
+            },
+        ],
+    )
+
+
+def _pair(block) -> dict[str, Any]:
+    """The schema of an L/R pair of config blocks."""
+    return {"type": "object", "properties": {"L": block.SCHEMA, "R": block.SCHEMA}, "required": ["L", "R"], "additionalProperties": False}
+
+
+_TOP_LEVEL = [f for f in fields(ExperimentConfig) if f.metadata]  # the keys that are one field each
+
+CONFIG_SCHEMA: dict[str, Any] = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "type": "object",
+    "properties": {
+        "schema_version": {"const": SCHEMA_VERSION},
+        "description": {"type": "string"},  # like provenance, validated and hashed but not read
+        **{f.name: dict(f.metadata) for f in _TOP_LEVEL},
+        "ensembles": _pair(EnsembleParams),
+        "interferometer": InterferometerParams.SCHEMA,
+        "herald": HeraldChoice.SCHEMA,
+        "detectors": DetectorBench.SCHEMA,
+        "channel": _pair(ChannelSide),
+        "provenance": {"type": "object"},
+    },
+    "required": ["schema_version", "ensembles", "channel"],
+    "additionalProperties": False,
+}
 
 
 def _phases_from_entry(entry: Any) -> tuple[float, ...]:
@@ -319,11 +310,6 @@ def _phases_from_entry(entry: Any) -> tuple[float, ...]:
     return tuple(_linspace(start, stop, num))
 
 
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    step = (stop - start) / (num - 1)
-    return [start + k * step for k in range(num)]
-
-
 def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
     """Validate against the schema and build the typed configuration.
 
@@ -332,17 +318,18 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
     """
     _validate(data, CONFIG_SCHEMA)
 
-    # only the keys present are passed on, so the dataclass defaults are the only ones
-    top = {key: data[key] for key in ("layout",) if key in data}
-    top |= {key: int(data[key]) for key in ("cutoff", "trials", "seed") if key in data}
+    # only the keys present are passed on, so the field defaults are the only ones
+    top = {f.name: data[f.name] for f in _TOP_LEVEL if f.name in data}
+    top |= {name: int(value) for name, value in top.items() if CONFIG_SCHEMA["properties"][name].get("type") == "integer"}
+    if "fringe_phases" in top:
+        top["fringe_phases"] = _phases_from_entry(top["fringe_phases"])
     return ExperimentConfig(
         left=EnsembleParams(**data["ensembles"]["L"]),
         right=EnsembleParams(**data["ensembles"]["R"]),
         interferometer=InterferometerParams(**data.get("interferometer", {})),
         herald=HeraldChoice(**data.get("herald", {})),
         detectors=DetectorBench(**data.get("detectors", {})),
-        budget=ChannelBudget.from_dict(data["channel"]),
-        fringe_phases=_phases_from_entry(data.get("fringe_phases", {"num": 13})),
+        budget=ChannelBudget(ChannelSide(**data["channel"]["L"]), ChannelSide(**data["channel"]["R"])),
         **top,
     )
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -31,8 +32,9 @@ class RecordIntegrityError(ValueError):
 
 
 def fits_float(value: Real) -> bool:
-    """Whether a float holds the number: NaN, Infinity and integers beyond the float range fail."""
-    return abs(value) <= sys.float_info.max
+    """Whether a float holds the number: NaN, Infinity and integers beyond the
+    float range fail.  A Python integer is compared exactly, numpy scalars by value."""
+    return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
 
 
 @dataclass(frozen=True)

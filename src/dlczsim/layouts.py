@@ -26,13 +26,20 @@ def bench_povm(
 ) -> np.ndarray:
     """Read-only POVM on the two-mode input (2_L, 2_R), one element per pattern
     of ``PATTERNS``, with the auxiliary splitter port in vacuum.  ``bs2_T=None``
-    is the population layout; otherwise the recombiner is included at phase 0."""
+    is the population layout; otherwise the recombiner is included at phase 0.
+    The recombiner can send every input photon to one output, so its outputs
+    and the split pair live on modes of cutoff 2 * ``cutoff``, where no
+    splitter sector the inputs reach is clipped."""
     levels = cutoff + 1
-    u = np.kron(np.eye(levels), beamsplitter_unitary(cutoff, split))
-    if bs2_T is not None:
-        u = u @ np.kron(beamsplitter_unitary(cutoff, bs2_T), np.eye(levels))
-    u = u[:, ::levels]  # input columns |n_L, n_R, 0>
-    weights = click_weights(ModeRegister(3, cutoff), ((0,), (1,), (2,)), (eta_d2a, eta_d2b, eta_d2c), dark_prob)
+    if bs2_T is None:  # no mode holds more than cutoff photons
+        reach, u = cutoff, np.kron(np.eye(levels), beamsplitter_unitary(cutoff, split))[:, ::levels]  # columns |n_L, n_R, 0>
+    else:
+        reach = 2 * cutoff
+        inputs = ((reach + 1) * np.arange(levels)[:, None] + np.arange(levels)).ravel()  # |n_L, n_R> with n <= cutoff
+        recombined = beamsplitter_unitary(reach, bs2_T)[:, inputs].reshape(reach + 1, reach + 1, -1)
+        # the split pair takes the second output and the auxiliary port in vacuum
+        u = (beamsplitter_unitary(reach, split)[:, :: reach + 1] @ recombined).reshape((reach + 1) ** 3, -1)
+    weights = click_weights(ModeRegister(3, reach), ((0,), (1,), (2,)), (eta_d2a, eta_d2b, eta_d2c), dark_prob)
     povm = np.einsum("pk,ki,kj->pij", weights, u.conj(), u)
     povm.setflags(write=False)
     return povm

@@ -8,6 +8,7 @@ the states, comparisons and local channels that only the tests use.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import itertools
 import math
@@ -106,9 +107,12 @@ def _pattern_weights(register: ModeRegister, detectors, pattern) -> np.ndarray:
 
 
 def click_probabilities(state, detectors) -> JointProbabilities:
-    diag = state.probabilities()
+    return _pattern_probabilities(state.register, state.probabilities(), detectors)
+
+
+def _pattern_probabilities(register: ModeRegister, populations: np.ndarray, detectors) -> JointProbabilities:
     patterns = itertools.product((0, 1), repeat=len(detectors))
-    probs = {pattern: float(_pattern_weights(state.register, detectors, pattern) @ diag) for pattern in patterns}
+    probs = {pattern: float(_pattern_weights(register, detectors, pattern) @ populations) for pattern in patterns}
     return JointProbabilities(tuple(det.id for det in detectors), probs)
 
 
@@ -187,6 +191,26 @@ def herald_oracle(state: PureState, interferometer, choice):
     return conditioned, probability
 
 
+def padded(state: PureState, cutoff: int) -> PureState:
+    """``state`` on a register of the same modes at the higher ``cutoff``."""
+    n, levels = state.register.n_modes, state.register.levels
+    amplitudes = np.zeros((cutoff + 1,) * n, dtype=complex)
+    amplitudes[(slice(levels),) * n] = state.amplitudes.reshape((levels,) * n)
+    return PureState(ModeRegister(n, cutoff), amplitudes.ravel(), state.truncation_deficit)
+
+
+def padded_herald_oracle(state: PureState, interferometer, choice) -> tuple[DensityOperator, float]:
+    """``herald_oracle`` with the write-stage state of cutoff c on a register
+    of cutoff 2c, where no splitter sector the two field-1 modes reach is
+    clipped.  The spin modes hold at most c excitations, so the spin state is
+    returned on cutoff c."""
+    cutoff = state.register.cutoff
+    rho, probability = herald_oracle(padded(state, 2 * cutoff), interferometer, choice)
+    n, m = cutoff + 1, rho.register.levels
+    spins = rho.matrix.reshape((m,) * 4)[:n, :n, :n, :n].reshape(n * n, n * n)
+    return DensityOperator(ModeRegister(2, cutoff), spins, _skip_positivity=True), probability
+
+
 def field_pair_statistics_oracle(ensemble, field1_efficiency: float, field2_efficiency: float, cutoff: int) -> FieldPairStats:
     rho = apply_loss(two_mode_squeezed(ensemble.chi, cutoff), ensemble.xi, 1)
     probs = click_probabilities(rho, [Detector("F1", field1_efficiency, (0,)), Detector("F2", field2_efficiency, (1,))])
@@ -251,11 +275,28 @@ def fringe_layout_oracle(
     bs2_T: float = 0.5,
     dark_prob: float = 0.0,
 ) -> JointProbabilities:
-    """Fringe layout by density-matrix propagation: phase on 2_L, recombiner,
-    then the population bench on the three-mode register."""
-    work = apply_beamsplitter(apply_phase(rho, phi, 0), bs2_T, 0, 1)
-    work = apply_beamsplitter(_with_vacuum_port(work), split, 1, 2)
-    return click_probabilities(work, _bench_detectors(eta_d2a, eta_d2b, eta_d2c, dark_prob))
+    """Fringe layout by carrying the phase-shifted rho onto the recombined and
+    split input Fock states (``_padded_bench_states``)."""
+    cutoff = rho.register.cutoff
+    v = _padded_bench_states(cutoff, split, bs2_T)
+    populations = np.einsum("ki,ij,kj->k", v, apply_phase(rho, phi, 0).matrix, v.conj()).real
+    return _pattern_probabilities(ModeRegister(3, 2 * cutoff), populations, _bench_detectors(eta_d2a, eta_d2b, eta_d2c, dark_prob))
+
+
+@functools.lru_cache(maxsize=16)
+def _padded_bench_states(cutoff: int, split: float, bs2_T: float) -> np.ndarray:
+    """Columns: each input Fock state |n_L, n_R, 0> with n <= ``cutoff``
+    propagated through the recombiner and the split pair on a three-mode
+    register of cutoff 2 * ``cutoff``, which holds every photon the inputs can
+    send to one output."""
+    register = ModeRegister(3, 2 * cutoff)
+    columns = [
+        apply_beamsplitter(apply_beamsplitter(fock_state(register, (n_l, n_r, 0)), bs2_T, 0, 1), split, 1, 2).amplitudes
+        for n_l, n_r in np.ndindex(cutoff + 1, cutoff + 1)
+    ]
+    states = np.array(columns).T
+    states.setflags(write=False)
+    return states
 
 
 def bench_unitary_embed_pair(eff: EfficiencyModel, phi: float | None) -> np.ndarray:
@@ -550,11 +591,8 @@ def truncation_warning(state: PureState) -> bool:
 
 
 def budget_as_dict(budget: ChannelBudget) -> dict[str, object]:
-    """The ``channel`` config block that ``ChannelBudget.from_dict`` reads."""
-    return {
-        "L": {k: list(v) for k, v in budget.left.items()},
-        "R": {k: list(v) for k, v in budget.right.items()},
-    }
+    """The ``channel`` config block of ``budget``."""
+    return {side: {k: list(v) for k, v in vars(comps).items()} for side, comps in (("L", budget.left), ("R", budget.right))}
 
 
 # an MLE start for records without a two-stage estimate: mostly vacuum, no coherence

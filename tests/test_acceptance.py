@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from dlczsim.config import ChannelBudget, config_from_dict
+from dlczsim.config import ChannelBudget, ChannelSide, config_from_dict
 from dlczsim.detection import sample_counts
 from dlczsim.entanglement import (
     backpropagate,
@@ -59,8 +59,8 @@ SIGMAS_D1A = {"p00": 7e-5, "p10": 5e-5, "p01": 5e-5, "p11": 2e-6}
 SIGMAS_D1B = {"p00": 7e-5, "p10": 4e-5, "p01": 5e-5, "p11": 2e-6}
 
 BUDGET = ChannelBudget(
-    left={"fc": (0.80, 0.02), "c": (0.70, 0.02), "f": (0.70, 0.02), "apd": (0.32, 0.02)},
-    right={"fc": (0.80, 0.02), "c": (0.65, 0.02), "f": (0.70, 0.02), "apd": (0.40, 0.02)},
+    ChannelSide(fc=(0.80, 0.02), c=(0.70, 0.02), f=(0.70, 0.02), apd=(0.32, 0.02)),
+    ChannelSide(fc=(0.80, 0.02), c=(0.65, 0.02), f=(0.70, 0.02), apd=(0.40, 0.02)),
 )
 
 UNIT_EFF = EfficiencyModel()

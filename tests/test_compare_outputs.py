@@ -1,6 +1,7 @@
 """``tools/compare_outputs.py`` names every difference between two trees'
 data files: numbers by their largest relative difference, and changed text,
-added and removed leaves, and files of one tree only, by path."""
+added and removed leaves, and files of one tree only, by path; and the
+new tree reruns the inverse's commands on the reference tree's records."""
 
 import importlib.util
 import json
@@ -68,3 +69,11 @@ def test_csv_uncertainty_columns_move_in_the_sigma_block(tmp_path):
     (tmp_path / "new.csv").write_text("plane,concurrence,sigma_concurrence\nz2,0.5,0.11\n")
     verdict = _compare_module().compare(tmp_path / "old.csv", tmp_path / "new.csv")
     assert verdict == "rest max rel diff 0.00e+00, sigma max rel diff 9.09e-02"
+
+
+def test_the_inverse_reruns_on_the_reference_trees_records(tmp_path):
+    commands = _compare_module().reference_commands(3, tmp_path / "old")
+    assert list(commands) == ["ana", "csv", "bp"]
+    for args in commands.values():
+        inputs = [Path(arg) for arg in args if "/" in arg]
+        assert inputs and all(path.is_relative_to(tmp_path / "old") for path in inputs)

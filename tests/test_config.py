@@ -2,12 +2,22 @@
 
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import jsonschema
+import numpy as np
 import pytest
 
-from dlczsim.config import CONFIG_SCHEMA, ConfigError, DetectorBench, ExperimentConfig, _validate, config_from_dict, preset_dict
+from dlczsim.config import (
+    CONFIG_SCHEMA,
+    ChannelSide,
+    ConfigError,
+    DetectorBench,
+    ExperimentConfig,
+    _validate,
+    config_from_dict,
+    preset_dict,
+)
 from dlczsim.protocol import EnsembleParams, HeraldChoice, InterferometerParams
 from dlczsim.tomography import EfficiencyModel
 
@@ -127,12 +137,17 @@ def test_config_blocks_are_the_dataclass_fields():
     assert props["interferometer"] is InterferometerParams.SCHEMA
     assert props["detectors"] is DetectorBench.SCHEMA
     assert props["herald"] is HeraldChoice.SCHEMA
+    assert props["channel"]["properties"]["L"] is props["channel"]["properties"]["R"] is ChannelSide.SCHEMA
+    # the top-level keys are ExperimentConfig's own fields
+    top = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
+    assert list(top) == ["cutoff", "trials", "seed", "layout", "fringe_phases"]
+    for name, f in top.items():
+        assert props[name] == f.metadata
     minimal = {key: value for key, value in preset_dict("ideal").items() if key in ("schema_version", "ensembles", "channel")}
     cfg = config_from_dict(minimal)
     assert (cfg.interferometer, cfg.herald, cfg.detectors) == (InterferometerParams(), HeraldChoice(), DetectorBench())
-    defaults = ExperimentConfig(cfg.left, cfg.right, cfg.budget)
-    for name in ("layout", "cutoff", "trials", "seed"):
-        assert getattr(cfg, name) == getattr(defaults, name)
+    assert cfg == ExperimentConfig(cfg.left, cfg.right, cfg.budget)
+    assert cfg.fringe_phases == config_from_dict({**minimal, "fringe_phases": {"num": 13}}).fringe_phases
 
 
 _BLOCKS = {  # block -> (a dataclass instance of it, its schema)
@@ -164,4 +179,16 @@ def test_config_dataclasses_check_their_fields_against_the_block_schema(block):
             with pytest.raises(ConfigError, match=f"^config field {name}: "):
                 replace(instance, **{name: value})
             checked += 1
+        if sub.get("type") == "number":
+            # a numpy scalar is checked as the number it holds; a numpy bool is no number
+            for value, scalar in ((0, np.int64), (1, np.int64), (0.5, np.float32), (math.inf, np.float32)):
+                try:
+                    replace(instance, **{name: value})
+                except ConfigError:
+                    with pytest.raises(ConfigError, match=f"^config field {name}: "):
+                        replace(instance, **{name: scalar(value)})
+                else:
+                    assert getattr(replace(instance, **{name: scalar(value)}), name) == value
+            with pytest.raises(ConfigError, match=f"^config field {name}: np.True_ is not of type 'number'"):
+                replace(instance, **{name: np.bool_(True)})
     assert checked >= 2 * len(schema["properties"])

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dlczsim.config import ChannelBudget, ConfigError, config_from_dict
+from dlczsim.config import ChannelBudget, ChannelSide, ConfigError, config_from_dict, preset_dict
 from dlczsim.entanglement import (
     UnphysicalBudgetError,
     backpropagate,
@@ -57,8 +57,8 @@ PUBLISHED_SIGMAS = {
 }
 
 BUDGET = ChannelBudget(
-    left={"fc": (0.80, 0.02), "c": (0.70, 0.02), "f": (0.70, 0.02), "apd": (0.32, 0.02)},
-    right={"fc": (0.80, 0.02), "c": (0.65, 0.02), "f": (0.70, 0.02), "apd": (0.40, 0.02)},
+    ChannelSide(fc=(0.80, 0.02), c=(0.70, 0.02), f=(0.70, 0.02), apd=(0.32, 0.02)),
+    ChannelSide(fc=(0.80, 0.02), c=(0.65, 0.02), f=(0.70, 0.02), apd=(0.40, 0.02)),
 )
 
 
@@ -202,32 +202,31 @@ def test_budget_totals_and_planes():
     assert abs(alpha_z1 - 0.32 * 0.70 * 0.70) < 1e-12
     with pytest.raises(ValueError, match="downstream"):
         BUDGET.segment("L", "z2", "z0")
-    round_trip = ChannelBudget.from_dict(budget_as_dict(BUDGET))
+    round_trip = config_from_dict({**preset_dict("paper"), "channel": budget_as_dict(BUDGET)}).budget
     assert round_trip.total("R") == BUDGET.total("R")
 
 
 def test_budget_validation():
-    # each side is checked against the channel side's schema block, so a
-    # non-finite uncertainty cannot reach ``segment``
+    # each side checks itself against its schema block, so a non-finite
+    # uncertainty cannot reach ``segment``
     for component, field in (
-        ((0.8, math.nan), "L/fc/1"),
-        ((0.8, math.inf), "L/fc/1"),
-        ((0.8, -math.inf), "L/fc/1"),
-        ((0.8, -0.02), "L/fc/1"),
-        ((0.0, 0.02), "L/fc/0"),
-        ((1.2, 0.02), "L/fc/0"),
+        ((0.8, math.nan), "fc/1"),
+        ((0.8, math.inf), "fc/1"),
+        ((0.8, -math.inf), "fc/1"),
+        ((0.8, -0.02), "fc/1"),
+        ((0.0, 0.02), "fc/0"),
+        ((1.2, 0.02), "fc/0"),
+        ((0.8,), "fc"),
     ):
         with pytest.raises(ConfigError, match=f"^config field {field}: "):
-            ChannelBudget(left={**BUDGET.left, "fc": component}, right=BUDGET.right)
-    with pytest.raises(ConfigError, match="^config field R: 'apd' is a required property"):
-        ChannelBudget(left=BUDGET.left, right={k: v for k, v in BUDGET.right.items() if k != "apd"})
+            replace(BUDGET.left, fc=component)
+    with pytest.raises(TypeError, match="'apd'"):
+        ChannelSide(**{k: v for k, v in vars(BUDGET.right).items() if k != "apd"})
 
 
 def test_backpropagate_identity_with_unit_budget():
-    unit = ChannelBudget(
-        left={k: (1.0, 0.0) for k in ("fc", "c", "f", "apd")},
-        right={k: (1.0, 0.0) for k in ("fc", "c", "f", "apd")},
-    )
+    unit_side = ChannelSide(**dict.fromkeys(("fc", "c", "f", "apd"), (1.0, 0.0)))
+    unit = ChannelBudget(unit_side, unit_side)
     rd = _published_rd(PUBLISHED_D1A, 0.70, with_sigmas=False)
     out = backpropagate(rd, unit, "z2")
     for key in ("p00", "p01", "p10", "p11"):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from helpers import (
     herald_probabilities_oracle,
     heralded_fields_oracle,
     ideal_config_dict,
+    load_preset,
     overlap_from_extinction_db,
+    padded_herald_oracle,
 )
 
 
@@ -178,6 +181,37 @@ def test_herald_reads_the_overlap_from_the_interferometer(overlap, cutoff):
     patterns = herald_probabilities(state, interf, choice)
     for pattern, p in herald_probabilities_oracle(state, interf, choice).items():
         assert abs(patterns[pattern] - p) < 1e-14
+
+
+def _padded_herald_deviation(interferometer, choice, cutoff):
+    """|dp| and the largest |d rho| entry between ``herald`` and the padded-register oracle on ``paper``'s sources."""
+    paper = load_preset("paper")
+    state = write_stage(paper.left, paper.right, cutoff)
+    rho, probability = herald(state, interferometer, choice)
+    oracle_rho, oracle_probability = padded_herald_oracle(state, interferometer, choice)
+    return abs(probability - oracle_probability), float(np.max(np.abs(rho.matrix - oracle_rho.matrix)))
+
+
+@pytest.mark.parametrize("cutoff", [2, 3])
+@pytest.mark.parametrize("which", ["D1a", "D1b"])
+def test_padded_herald_oracle_where_no_sector_is_clipped(which, cutoff):
+    # at bs1_T = 1 and overlap 1 the heralding splitter is the identity
+    interferometer = InterferometerParams(bs1_T=1.0, eta1=0.4)
+    deviation = _padded_herald_deviation(interferometer, HeraldChoice(which, False, 0.6, 0.8), cutoff)
+    assert max(deviation) < 1e-14
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="clipped splitter sectors (ROADMAP item 2): at cutoff 2 p_herald is off by -1.18e-2 relative at "
+    "overlap 0.663 and by -3.39e-2 at overlap 1, rho by up to 7.4e-3 and 1.6e-2",
+)
+@pytest.mark.parametrize("overlap", [load_preset("paper").interferometer.overlap, 1.0])
+def test_herald_matches_the_padded_register_oracle(overlap):
+    # sources at cutoff 2, every field-1 mode at 4: 15,625 dimensions with the orthogonal pair
+    paper = load_preset("paper")
+    deviation = _padded_herald_deviation(replace(paper.interferometer, overlap=overlap), paper.herald, 2)
+    assert max(deviation) < 1e-14
 
 
 @pytest.mark.parametrize("jitter", [0.0, 0.3])

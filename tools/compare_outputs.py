@@ -8,7 +8,11 @@ simulated JSON records, `analyze` on the same records read from CSV, and
 per preset and seed, and `backprop --plane z2` on the README's direct values
 once per preset.  One more case, `knobs`, runs the same for every seed on a
 config built from the reference tree's `paper` preset with each knob that the
-presets leave at its default turned on (KNOBS).  Prints per data file
+presets leave at its default turned on (KNOBS).  In every case the new tree
+also runs the inverse's commands (INVERSE: both analyses and `backprop`) on
+the reference tree's records and analysis result, tagged "reference
+records", so that the inverse is compared on the same input even where the
+forward model's bytes move on purpose.  Prints per data file
 "identical" or what differs: the largest relative difference of its numbers
 per block (`mle`, the uncertainties in `sigma`, and the `rest`) and, by key
 path, each changed text leaf and each leaf that only one file has; and a
@@ -43,6 +47,7 @@ COMMANDS = {
 }
 # the README's direct-values example: it reads no records, so it runs once per preset
 DIRECT = {"bpv": ["backprop", "--plane", "z2", "--p00", "0.98510", "--p10", "7.38e-3", "--p01", "7.51e-3", "--p11", "1.7e-5", "-v", "0.70"]}
+INVERSE = ("ana", "csv", "bp")  # the commands that read records or an analysis result
 HELP = ["", "simulate", "fringe-scan", "analyze", "backprop"]  # "" is the group itself
 # every preset keeps these at their defaults, so without this case no bytes are compared with them on
 KNOBS = {
@@ -74,6 +79,13 @@ def seeded_commands(seed, out):
         "bp": ["--result", str(out / "ana" / "tomography_result.json")],
     }
     return {name: [*args, *inputs[name]] for name, args in COMMANDS.items()}
+
+
+def reference_commands(seed, old):
+    """The INVERSE commands of ``seeded_commands``, reading the records and
+    the analysis result that the reference tree wrote under ``old``."""
+    commands = seeded_commands(seed, old)
+    return {name: commands[name] for name in INVERSE}
 
 
 def knobs_config(src, path):
@@ -202,6 +214,9 @@ def main():
                     run(args.new_src, source, seeded_commands(seed, new), new),
                 )
                 differs |= report(tag, codes, old, new)
+                reread = Path(work, "reference", tag)
+                reread_codes = run(args.new_src, source, reference_commands(seed, old), reread)
+                differs |= report(f"{tag} reference records", ({name: codes[0][name] for name in INVERSE}, reread_codes), old, reread)
                 if not (codes[0]["ana"] or codes[1]["ana"]):
                     text, moved = mle_line(old, new)
                     print(f"{tag} mle: {text}")
