@@ -319,8 +319,7 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
     _validate(data, CONFIG_SCHEMA)
 
     # only the keys present are passed on, so the field defaults are the only ones
-    top = {f.name: data[f.name] for f in _TOP_LEVEL if f.name in data}
-    top |= {name: int(value) for name, value in top.items() if CONFIG_SCHEMA["properties"][name].get("type") == "integer"}
+    top = {f.name: int(data[f.name]) if f.metadata.get("type") == "integer" else data[f.name] for f in _TOP_LEVEL if f.name in data}
     if "fringe_phases" in top:
         top["fringe_phases"] = _phases_from_entry(top["fringe_phases"])
     return ExperimentConfig(
