@@ -36,7 +36,6 @@ from .config import (
     LAYOUTS,
     PLANES,
     PRESETS,
-    ChannelBudget,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
@@ -49,18 +48,14 @@ from .detection import (
     CountRecord,
     RecordIntegrityError,
     fits_float,
-    merge_counts,
     read_count_records_csv,
     read_count_records_json,
     write_count_records_csv,
     write_count_records_json,
 )
-from .entanglement import (
-    UnphysicalBudgetError,
-    backpropagate,
-    concurrence_restricted,
-    witnesses,
-)
+from .detection import merge_counts  # noqa: F401 - bound here for the benchmark's layer tracer
+from .entanglement import PLANE_HEADER, UnphysicalBudgetError, analyze_records, plane_table
+from .entanglement import backpropagate, concurrence_restricted, witnesses  # noqa: F401 - bound here for the benchmark's layer tracer
 from .layouts import D2_IDS, PATTERNS
 from .pipeline import (
     full_experiment,
@@ -71,27 +66,18 @@ from .pipeline import (
 from .protocol import HeraldError
 from .tomography import (
     DIAG_KEYS,
-    AggregatedCounts,
     DataQualityError,
-    EfficiencyModel,
     FringeScan,
     InconsistentCountsError,
     MLEConvergenceError,
-    MLEOptions,
     RestrictedDensity,
     UnphysicalStateError,
     arm_clicks,
-    assemble_restricted,
     coherence_from_visibility,
-    estimate_coherence,
     fit_fringe,
-    in_bench_order,
-    invert_diagonal,
-    log_likelihood,
-    mle_fit,
     pattern_counts,
-    two_stage_block,
 )
+from .tomography import assemble_restricted, estimate_coherence, invert_diagonal, log_likelihood, mle_fit, two_stage_block  # noqa: F401 - bound here for the benchmark's layer tracer
 
 EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
@@ -333,20 +319,6 @@ def fringe_scan(config_path, preset, out_dir, seed, trials):
     click.echo(f"outputs in {out.out_dir}")
 
 
-PLANE_HEADER = ["plane", "herald", "concurrence", "sigma_concurrence", *DIAG_KEYS[:4], "d_abs"]
-
-
-def _plane_table(rd: RestrictedDensity, budget: ChannelBudget, planes, herald: str) -> tuple[dict, list[list]]:
-    """The state and concurrence at each plane, as JSON by plane and as ``PLANE_HEADER`` rows."""
-    payload, rows = {}, []
-    for target in planes:
-        rd_t = rd if target == "detectors" else backpropagate(rd, budget, target)
-        conc = concurrence_restricted(rd_t, herald=herald)
-        payload[target] = {"state": rd_t.as_dict(), "concurrence": conc.as_dict()}
-        rows.append([target, herald, conc.concurrence, conc.sigma_concurrence, *(getattr(rd_t, key) for key in DIAG_KEYS[:4]), rd_t.d_abs])
-    return payload, rows
-
-
 def _read_records(path: Path) -> list[CountRecord]:
     if not path.is_file():  # a name under --records; click checks --diag and --fringe
         raise ConfigError(f"no count record file {path}")
@@ -379,74 +351,27 @@ def analyze(config_path, preset, out_dir, seed, herald, records_dir, diag_path, 
     diag_records = _read_records(Path(diag_path))
     fringe_records = _read_records(Path(fringe_path))
     out = _Outputs(Path(out_dir))
-
-    herald_label = config.herald.which
-    unit_eff = EfficiencyModel(split=config.detectors.split, bs2_T=config.detectors.bs2_T)
-    # in bench order first, so that records listing their detectors in different orders merge
-    diag_rec, *extras = map(in_bench_order, diag_records)
-    for extra in extras:
-        diag_rec = merge_counts(diag_rec, extra)
-    estimate = invert_diagonal(AggregatedCounts.from_record(diag_rec), unit_eff, bootstrap=200, seed=config.seed)
-    fit = fit_fringe(FringeScan(fringe_records))
-    coherence = estimate_coherence(fit.visibility, estimate, unit_eff, coherence_mode, fit.sigma_visibility)
-    rd = assemble_restricted(estimate, coherence, fit.phase0)
-    conc = concurrence_restricted(rd, herald=herald_label, mc_samples=10000, seed=config.seed)
-    report = witnesses(rd)
-
-    result_payload = {
-        "herald": herald_label,
-        "reference": "detectors (unit detection efficiency)",
-        "populations": {k: estimate[k] for k in DIAG_KEYS},
-        "sigmas": dict(estimate.sigmas),
-        "bootstrap_sigmas": dict(estimate.bootstrap_sigmas or {}),
-        "visibility": fit.as_dict(),
-        "coherence": {"d_abs": coherence.d_abs, "sigma": coherence.sigma, "mode": coherence.mode},
-        "p_tilde": rd.p_tilde,
-        "flags": list(rd.flags),
-        "efficiency_model": unit_eff.as_dict(),
-        "concurrence": conc.as_dict(),
-        "witnesses": report.as_dict(),
-    }
-
-    if mle:
-        mle_result = mle_fit(diag_records, fringe_records, unit_eff, MLEOptions(), initial=rd)
-        ll_two_stage = log_likelihood(two_stage_block(rd), diag_records, fringe_records, unit_eff)
-        result_payload["mle"] = {
-            "restricted": mle_result.restricted.as_dict(),
-            "log_likelihood": mle_result.log_likelihood,
-            "log_likelihood_two_stage": ll_two_stage,
-            "iterations": mle_result.n_iterations,
-            "converged": mle_result.converged,
-            "concurrence": concurrence_restricted(mle_result.restricted).as_dict(),
-        }
-
-    planes = ["detectors"] if plane == "detectors" else ["detectors", plane]
-    plane_payload, plane_rows = _plane_table(rd, config.budget, planes, herald_label)
-    for entry in plane_payload.values():
-        entry["state"]["herald"] = herald_label
-    result_payload["planes"] = plane_payload
-    out.write_json("tomography_result.json", result_payload)
-    out.write_csv("concurrence_planes.csv", PLANE_HEADER, plane_rows)
+    payload, rows = analyze_records(
+        diag_records, fringe_records, config.detectors, config.budget,
+        herald=config.herald.which, seed=config.seed, plane=plane, mle=mle, coherence_mode=coherence_mode,
+    )
+    out.write_json("tomography_result.json", payload)
+    out.write_csv("concurrence_planes.csv", PLANE_HEADER, rows)
     out.manifest("analyze", data)
 
-    click.echo(f"herald {herald_label} | reference: detectors, unit detection efficiency")
+    fit, coherence, report, conc = (payload[key] for key in ("visibility", "coherence", "witnesses", "concurrence"))
+    click.echo(f"herald {payload['herald']} | reference: detectors, unit detection efficiency")
     for key in DIAG_KEYS:
-        click.echo(f"  {key} = {estimate[key]:.5e} +- {estimate.sigmas[key]:.1e}")
-    click.echo(f"  V = {fit.visibility:.4f} +- {fit.sigma_visibility:.4f}")
-    click.echo(f"  |d| = {coherence.d_abs:.4e} +- {coherence.sigma:.1e} ({coherence.mode})")
-    click.echo(f"  h_c2 = {report.h_c2:.4f} +- {report.sigma_h_c2:.4f}")
-    click.echo(
-        f"  C = {conc.concurrence:.4e} +- {conc.sigma_concurrence:.1e}"
-        f"  (P~C = {conc.lower_bound:.4e})"
-    )
+        click.echo(f"  {key} = {payload['populations'][key]:.5e} +- {payload['sigmas'][key]:.1e}")
+    click.echo(f"  V = {fit['visibility']:.4f} +- {fit['sigma_visibility']:.4f}")
+    click.echo(f"  |d| = {coherence['d_abs']:.4e} +- {coherence['sigma']:.1e} ({coherence['mode']})")
+    click.echo(f"  h_c2 = {report['h_c2']:.4f} +- {report['sigma_h_c2']:.4f}")
+    click.echo(f"  C = {conc['concurrence']:.4e} +- {conc['sigma_concurrence']:.1e}  (P~C = {conc['lower_bound']:.4e})")
     if plane != "detectors":
-        conc_t = plane_payload[plane]["concurrence"]
+        conc_t = payload["planes"][plane]["concurrence"]
         click.echo(f"  C at {plane} = {conc_t['concurrence']:.4e} +- {conc_t['sigma_concurrence']:.1e}")
     if mle:
-        click.echo(
-            f"  MLE: logL = {result_payload['mle']['log_likelihood']:.2f} "
-            f"(two-stage {result_payload['mle']['log_likelihood_two_stage']:.2f})"
-        )
+        click.echo(f"  MLE: logL = {payload['mle']['log_likelihood']:.2f} (two-stage {payload['mle']['log_likelihood_two_stage']:.2f})")
     click.echo(f"outputs in {out.out_dir}")
 
 
@@ -471,11 +396,17 @@ def _read_result(path: Path) -> tuple[dict, str | None]:
             raise RecordIntegrityError(f"{path}: field {'.'.join(keys)} is not a finite number")
         return value
 
+    def sigma(*keys):
+        value = number(*keys)
+        if value < 0:
+            raise RecordIntegrityError(f"{path}: field {'.'.join(keys)} is negative")
+        return value
+
     pops = {key: number("populations", key) for key in DIAG_KEYS[:4]}
     sig = payload.get("sigmas", {})
     if not isinstance(sig, dict):
         raise RecordIntegrityError(f"{path}: field sigmas is not an object")
-    sigmas = {key: number("sigmas", key) for key in pops if key in sig} | {"d": number("coherence", "sigma")}
+    sigmas = {key: sigma("sigmas", key) for key in pops if key in sig} | {"d": sigma("coherence", "sigma")}
     flags = payload.get("flags", [])
     if not (isinstance(flags, list) and all(isinstance(flag, str) for flag in flags)):
         raise RecordIntegrityError(f"{path}: field flags is not a list of strings")
@@ -507,7 +438,7 @@ def backprop(config_path, preset, out_dir, herald, result_path, plane, p00, p01,
     herald_label = herald_label or config.herald.which
 
     out = _Outputs(Path(out_dir))
-    payload, rows = _plane_table(rd, config.budget, PLANES, herald_label)
+    payload, rows = plane_table(rd, config.budget, PLANES, herald_label)
     state, conc = payload[plane]["state"], payload[plane]["concurrence"]
     click.echo(
         f"{plane}: C = {conc['concurrence']:.4e} +- {conc['sigma_concurrence']:.1e}, "

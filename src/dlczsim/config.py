@@ -243,7 +243,8 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """The typed configuration: one field a block, and the top-level keys of
-    a file, which state their default and schema with ``param``."""
+    a file, which state their default and schema with ``param`` and are
+    checked against it when the configuration is built."""
 
     left: EnsembleParams
     right: EnsembleParams
@@ -274,6 +275,9 @@ class ExperimentConfig:
         ],
     )
 
+    def __post_init__(self):
+        _validate({f.name: getattr(self, f.name) for f in _TOP_LEVEL}, _TOP_LEVEL_SCHEMA)
+
 
 def _pair(block) -> dict[str, Any]:
     """The schema of an L/R pair of config blocks."""
@@ -281,6 +285,7 @@ def _pair(block) -> dict[str, Any]:
 
 
 _TOP_LEVEL = [f for f in fields(ExperimentConfig) if f.metadata]  # the keys that are one field each
+_TOP_LEVEL_SCHEMA = {"type": "object", "properties": {f.name: dict(f.metadata) for f in _TOP_LEVEL}}
 
 CONFIG_SCHEMA: dict[str, Any] = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -288,7 +293,7 @@ CONFIG_SCHEMA: dict[str, Any] = {
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "description": {"type": "string"},  # like provenance, validated and hashed but not read
-        **{f.name: dict(f.metadata) for f in _TOP_LEVEL},
+        **_TOP_LEVEL_SCHEMA["properties"],
         "ensembles": _pair(EnsembleParams),
         "interferometer": InterferometerParams.SCHEMA,
         "herald": HeraldChoice.SCHEMA,

@@ -81,6 +81,9 @@ class CountRecord:
         phase = self.phase
         if phase is not None and (isinstance(phase, bool) or not isinstance(phase, Real) or not fits_float(phase)):
             raise RecordIntegrityError(f"phase {phase!r} is not a finite real number")
+        seed = self.seed
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0):
+            raise RecordIntegrityError(f"seed {seed!r} is not a non-negative integer")
         total = sum(self.tally.values())
         if total != self.trials:
             raise RecordIntegrityError(f"tally sums to {total}, trials is {self.trials}")

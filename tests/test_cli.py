@@ -205,6 +205,9 @@ _MALFORMED_RECORDS = {  # case -> (record, expected message)
     "string_trials": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": "10", "tally": {"000": 10}}, "wrong type"),
     "tally_list": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": [["000", 10]]}, "wrong type"),
     "unknown_detector": ({"detector_ids": ["D2a", "D2b", "D3"], "trials": 10, "tally": {"000": 10}}, "are not D2a, D2b, D2c"),
+    "string_seed": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": {"000": 10}, "seed": "x"}, "seed 'x' is not a non-negative integer"),
+    "negative_seed": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": {"000": 10}, "seed": -1}, "seed -1 is not a non-negative integer"),
+    "bool_seed": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": {"000": 10}, "seed": True}, "seed True is not a non-negative integer"),
 }
 
 
@@ -631,6 +634,11 @@ _MALFORMED_BACKPROP = {  # case -> (result file text or None, options, exit code
     "null_herald": (json.dumps({**_PUBLISHED_RESULT, "herald": None}), [], EXIT_INTEGRITY, "field herald is not D1a or D1b"),
     "flags_not_a_list": (json.dumps({**_PUBLISHED_RESULT, "flags": "clamped_p00"}), [], EXIT_INTEGRITY, "field flags is not a list of strings"),
     "flag_not_a_string": (json.dumps({**_PUBLISHED_RESULT, "flags": [1]}), [], EXIT_INTEGRITY, "field flags is not a list of strings"),
+    "negative_sigma": (json.dumps({**_PUBLISHED_RESULT, "sigmas": {"p00": -1.0}}), [], EXIT_INTEGRITY, "field sigmas.p00 is negative"),
+    "negative_coherence_sigma": (
+        json.dumps({**_PUBLISHED_RESULT, "coherence": {"d_abs": 5e-3, "sigma": -1e-4}}),
+        [], EXIT_INTEGRITY, "field coherence.sigma is negative",
+    ),
     "negative_p00": (None, ["--p00", "-0.5", *_BACKPROP_POPULATIONS], EXIT_PHYSICS, "p00 = -0.5 is negative"),
     "sum_above_one": (None, ["--p00", "0.99", *_BACKPROP_POPULATIONS], EXIT_PHYSICS, "retained probability"),
     "nan_visibility": (None, [*_PUBLISHED_POPULATIONS, "-v", "nan"], EXIT_PHYSICS, "|d| = nan is negative or not finite"),

@@ -192,3 +192,13 @@ def test_config_dataclasses_check_their_fields_against_the_block_schema(block):
             with pytest.raises(ConfigError, match=f"^config field {name}: np.True_ is not of type 'number'"):
                 replace(instance, **{name: np.bool_(True)})
     assert checked >= 2 * len(schema["properties"])
+
+
+@pytest.mark.parametrize(
+    "name, value", [("layout", "fringes"), ("trials", -5), ("seed", -1), ("fringe_phases", ()), ("cutoff", 6)]
+)
+def test_experiment_config_checks_its_top_level_fields(name, value):
+    # a value set in code fails as the same value in a file does
+    config = config_from_dict(preset_dict("ideal"))
+    with pytest.raises(ConfigError, match=f"^config field {name}: "):
+        replace(config, **{name: value})
