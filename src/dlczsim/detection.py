@@ -239,6 +239,8 @@ def read_count_records_json(path: str | Path) -> list[CountRecord]:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise RecordIntegrityError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, list) or not all(isinstance(entry, dict) for entry in payload):
+        raise RecordIntegrityError(f"{path}: not a JSON array of record objects")
     if not payload:
         raise RecordIntegrityError(f"{path}: no records")
     records = []

@@ -18,7 +18,7 @@ import numpy as np
 from . import detection, tomography
 from .config import ChannelBudget, DetectorBench
 from .detection import substream_rng
-from .tomography import CLAMP_SIGMA, DIAG_KEYS, DataQualityError, RestrictedDensity, coherence_from_visibility
+from .tomography import CLAMP_SIGMA, DIAG_KEYS, ROUNDING_TOL, DataQualityError, RestrictedDensity, coherence_from_visibility
 
 
 class UnphysicalBudgetError(ValueError):
@@ -154,12 +154,13 @@ def invert_attenuation(
 
     p01, p10, p11 = rd.p01 / alpha_r, rd.p10 / alpha_l, rd.p11 / (alpha_l * alpha_r)
     # vacuum absorbs the rescaling; keeping the input's total weight makes
-    # the all-ones budget an exact identity
+    # the all-ones budget an identity, up to a rounding residue in p00 that
+    # ``RestrictedDensity`` reads as 0
     p00 = rd.p_tilde - p01 - p10 - p11
     spread = rd.p10 + rd.p01
     vis = 2.0 * rd.d_abs / spread if spread > 0 else 0.0
     d_abs = coherence_from_visibility(vis, p10, p01)
-    if p00 < 0.0 or max(p01, p10, p11) > 1.0:
+    if p00 < -ROUNDING_TOL or max(p01, p10, p11) > 1.0:
         raise UnphysicalBudgetError(
             f"back-propagated populations unphysical: p00={p00:.4g}, p01={p01:.4g}, "
             f"p10={p10:.4g}, p11={p11:.4g}"

@@ -31,6 +31,7 @@ from .layouts import diagonal_layout_probabilities, fringe_layout_probabilities 
 TWO_PI = 2.0 * math.pi
 P_TILDE_TOL = 1e-3
 PSD_REL_TOL = 1e-9
+ROUNDING_TOL = 1e-12  # a population this close to 0 is rounding residue: states read it as 0 when negative, the inversion always
 CLAMP_SIGMA = 3.0  # negative diagonal estimates within this many sigma are clamped to zero
 
 Q_CLASSES: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
@@ -154,7 +155,7 @@ class RestrictedDensity:
             raise ValueError(f"sigmas are keyed by field name, got {sorted(self.sigmas)}")
         for name in DIAG_KEYS[:4]:
             v = getattr(self, name)
-            if v < -1e-12:
+            if v < -ROUNDING_TOL:
                 raise UnphysicalStateError(f"{name} = {v} is negative")
             if v < 0.0:
                 object.__setattr__(self, name, 0.0)
@@ -285,6 +286,21 @@ def _diagonal(elements: np.ndarray) -> np.ndarray:
     return np.diagonal(elements, axis1=1, axis2=2).real[:, [0, 1, 2, 3, 4]]
 
 
+def _wls(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """Least squares of y = design @ x with independent errors ``sigma``, whitened by them: the
+    estimate, its covariance, chi^2 and the solve operator (the covariance times the whitened
+    design^T), which maps whitened data y / sigma to the estimate.  The whitened normal matrix
+    is inverted, not factored by QR, so that an exactly singular design raises ``LinAlgError``;
+    one refinement step on the residual makes the estimate exact to rounding where the weights
+    span ten decades (an empty class, floored at 0.5/n)."""
+    whitened, data = design / sigma[:, None], y / sigma
+    cov = np.linalg.inv(whitened.T @ whitened)
+    solve = cov @ whitened.T
+    x = solve @ data
+    x += solve @ (data - whitened @ x)
+    return x, cov, float(np.sum((data - whitened @ x) ** 2)), solve
+
+
 @lru_cache(maxsize=64)
 def forward_class_matrix(eff: EfficiencyModel) -> np.ndarray:
     """Read-only map from the diagonal populations (p00, p01, p10, p11, p02)
@@ -305,12 +321,12 @@ def invert_diagonal(
     """Solve the detection forward map for the diagonal elements.
 
     Generalized least squares on the class frequencies with the multinomial
-    covariance (one redundant class dropped), with the normalization
-    constraint enforced through p00 = 1 - (p01 + p10 + p11 + p02).
+    covariance, as one ``_wls`` fit over all six classes, with the
+    normalization constraint enforced through p00 = 1 - (p01 + p10 + p11 + p02).
     Uncertainties come from the GLS covariance; ``bootstrap`` > 0 adds a
     resampling cross-check.  Estimates below -``CLAMP_SIGMA`` standard
-    deviations raise; small negatives within noise are clamped to zero and
-    flagged.
+    deviations raise; small negatives within noise, and rounding residue
+    below ``ROUNDING_TOL``, are clamped to zero and flagged.
     """
     q = aggregated.frequencies()
     n = aggregated.trials
@@ -318,36 +334,27 @@ def invert_diagonal(
         raise InconsistentCountsError("class frequencies outside the simplex")
     m = forward_class_matrix(eff)
 
-    # substitute p00 = 1 - sum(others); drop the most populated class as
-    # redundant (with an empty one dropped, the kept frequencies sum to 1 and
-    # their floored multinomial covariance is indefinite)
-    kept = np.arange(len(Q_CLASSES)) != np.argmax(q)
-    a_full = m[:, 1:] - m[:, [0]]
-    b_full = q - m[:, 0]
-    a = a_full[kept, :]
-    b = b_full[kept]
-    q_floor = np.clip(q[kept], 0.5 / n, None)
-    cov_q = (np.diag(q_floor) - np.outer(q_floor, q_floor)) / n
-    w = np.linalg.inv(cov_q)
-    normal = a.T @ w @ a
+    # substitute p00 = 1 - sum(others).  Each class has variance q/n, floored at 0.5/n, and the
+    # most populated class 1 - the others': the residuals sum to zero, so this is the GLS with
+    # that class dropped and the multinomial covariance of the others
+    top, q_floor = np.argmax(q), np.clip(q, 0.5 / n, None)
+    q_floor[top] = 1.0 - np.delete(q_floor, top).sum()
+    if not q_floor[top] > 0.0:
+        raise DataQualityError(f"{n} trials are too few: the floored class frequencies leave no variance")
+    sigma = np.sqrt(q_floor / n)
     try:
-        cov_x = np.linalg.inv(normal)
+        x, cov_x, chi2, solve = _wls(m[:, 1:] - m[:, [0]], q - m[:, 0], sigma)
     except np.linalg.LinAlgError as exc:
         raise DataQualityError(f"degenerate population design at split = {eff.split:g}: the classes do not fix every diagonal") from exc
-    x = cov_x @ (a.T @ w @ b)
-    resid = b - a @ x
-    chi2 = float(resid @ w @ resid)
 
     cov_full = _WITH_P00 @ cov_x @ _WITH_P00.T
 
-    values = {"p00": float(1.0 - x.sum())}
-    for key, v in zip(DIAG_KEYS[1:], x):
-        values[key] = float(v)
+    values = dict(zip(DIAG_KEYS, [float(1.0 - x.sum()), *x.tolist()]))
     sigmas = {key: float(math.sqrt(max(cov_full[i, i], 0.0))) for i, key in enumerate(DIAG_KEYS)}
 
     flags: list[str] = []
     for key in DIAG_KEYS:
-        if values[key] < 0.0:
+        if values[key] < ROUNDING_TOL:  # a boundary estimate reads 0 whatever the sign of its rounding residue
             if values[key] < -CLAMP_SIGMA * max(sigmas[key], 1e-300):
                 raise InconsistentCountsError(
                     f"{key} = {values[key]:.3e} below -{CLAMP_SIGMA} sigma ({sigmas[key]:.3e})"
@@ -362,22 +369,12 @@ def invert_diagonal(
         pvals = pvals / pvals.sum()
         # one size= draw is the stream of one draw per replicate, empty classes included
         qb = rng.multinomial(n, pvals, size=bootstrap) / n
-        # each replicate is its own matrix-vector product, as in a one-at-a-time
-        # solve: with an empty class the GLS weights reach 1e10, and a
-        # reassociated product moves the sigmas by 1e-10 relative
-        xb = (cov_x @ (a.T @ w @ (qb - m[:, 0])[:, kept, None]))[..., 0]
+        # one matrix-vector product through the solve operator per replicate
+        xb = (solve @ ((qb - m[:, 0]) / sigma)[..., None])[..., 0]
         samples = np.column_stack([1.0 - xb.sum(axis=1), xb])
         boot_sigmas = dict(zip(DIAG_KEYS, np.std(samples, axis=0, ddof=1).tolist()))
 
-    return DiagonalEstimate(
-        values=values,
-        sigmas=sigmas,
-        covariance=cov_full,
-        flags=tuple(flags),
-        trials=n,
-        chi2=chi2,
-        bootstrap_sigmas=boot_sigmas,
-    )
+    return DiagonalEstimate(values=values, sigmas=sigmas, covariance=cov_full, flags=tuple(flags), trials=n, chi2=chi2, bootstrap_sigmas=boot_sigmas)
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +455,10 @@ def _fit_single_arm(phis: np.ndarray, ys: np.ndarray, sigmas: np.ndarray) -> Arm
     uncertainty propagation is the delta method on the linear covariance.
     """
     design = np.column_stack([np.ones_like(phis), np.cos(phis), np.sin(phis)])
-    w = 1.0 / sigmas**2
-    normal = design.T @ (design * w[:, None])
     try:
-        cov = np.linalg.inv(normal)
+        (a0, b0, c0), cov, chi2, _ = _wls(design, ys, sigmas)
     except np.linalg.LinAlgError as exc:
         raise DataQualityError("degenerate fringe design matrix") from exc
-    beta = cov @ (design.T @ (ys * w))
-    a0, b0, c0 = beta
     if a0 <= 0.0:
         raise DataQualityError("fitted fringe baseline is not positive")
     amp = math.hypot(b0, c0)
@@ -480,8 +473,6 @@ def _fit_single_arm(phis: np.ndarray, ys: np.ndarray, sigmas: np.ndarray) -> Arm
         grad_p = np.zeros(3)
     sigma_v = math.sqrt(max(grad_v @ cov @ grad_v, 0.0))
     sigma_p = math.sqrt(max(grad_p @ cov @ grad_p, 0.0))
-    resid = ys - design @ beta
-    chi2 = float(np.sum((resid / sigmas) ** 2))
     return ArmFit(
         amplitude=float(a0),
         visibility=float(visibility),

@@ -211,11 +211,20 @@ _MALFORMED_RECORDS = {  # case -> (record, expected message)
 }
 
 
-@pytest.mark.parametrize("case", list(_MALFORMED_RECORDS))
+# case -> (file payload, expected message): each record above as a one-record
+# array, and top-level JSON that is not an array of record objects
+_MALFORMED_RECORD_FILES = {
+    **{case: ([record], message) for case, (record, message) in _MALFORMED_RECORDS.items()},
+    "top_level_number": (5, "not a JSON array of record objects"),
+    "top_level_object": ({"a": 1}, "not a JSON array of record objects"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_RECORD_FILES))
 def test_analyze_malformed_record_exits_integrity_code(runner, tmp_path, case):
-    record, message = _MALFORMED_RECORDS[case]
+    payload, message = _MALFORMED_RECORD_FILES[case]
     records = tmp_path / "counts.json"
-    records.write_text(json.dumps([record]))
+    records.write_text(json.dumps(payload))
     result = runner.invoke(
         main,
         ["analyze", "--preset", "paper", "--diag", str(records), "--fringe", str(records), "--out", str(tmp_path / "o")],
@@ -588,6 +597,16 @@ def test_backprop_direct_values_reproduces_published(runner, tmp_path):
     total = z2["state"]["p10"] + z2["state"]["p01"]
     assert abs(total - 0.110) < 0.005
     assert 0.015 <= z2["concurrence"]["concurrence"] <= 0.027
+
+
+def test_backprop_keeps_an_exact_ideal_state(runner, tmp_path):
+    # p00 = 0 through the identity budget of the ideal preset is rounding
+    # residue of -1.1e-16, not an unphysical population (exit 5)
+    args = ["--p00", "0", "--p01", "0.49941", "--p10", "0.49977", "--p11", "5e-4", "-v", "0.98"]
+    result = _run(runner, ["backprop", "--preset", "ideal", *args, "--out", str(tmp_path / "bp")])
+    assert result.exit_code == 0, result.output
+    payload = json.loads((tmp_path / "bp" / "backprop.json").read_text())
+    assert payload["z2"]["state"]["p00"] == 0.0
 
 
 def test_backprop_unphysical_budget_exit(runner, tmp_path):

@@ -234,6 +234,16 @@ def test_backpropagate_identity_with_unit_budget():
     assert abs(out.d_abs - rd.d_abs) < 1e-12
 
 
+@pytest.mark.parametrize("plane", ["z0", "z1", "z2"])
+def test_backpropagate_keeps_an_exact_state_exact(plane):
+    # the ideal preset's budget is the identity: p00 = P~ - p01 - p10 - p11
+    # leaves a rounding residue of -1.1e-16, which reads as 0, not as unphysical
+    rd = RestrictedDensity(0.0, 0.49941, 0.49977, 5e-4, d=0.49)
+    out = backpropagate(rd, config_from_dict(preset_dict("ideal")).budget, plane)
+    assert out.p00 == 0.0
+    assert (out.p01, out.p10, out.p11) == (rd.p01, rd.p10, rd.p11)
+
+
 def test_backpropagation_to_ensemble_plane_matches_published():
     rd_a = _published_rd(PUBLISHED_D1A, 0.70)
     out_a = backpropagate(rd_a, BUDGET, "z2")

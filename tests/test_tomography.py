@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 import dlczsim.tomography as tom
-from dlczsim.config import config_from_dict
+from dlczsim.config import config_from_dict, preset_dict
 from dlczsim.detection import CountRecord, RecordIntegrityError, aggregate_split_detector, sample_counts, substream_rng
 from dlczsim.fock import DensityOperator, ModeRegister
 from dlczsim.layouts import PATTERNS, SPLIT_PAIR, bench_povm, diagonal_layout_probabilities, fringe_layout_probabilities
-from dlczsim.pipeline import full_experiment
+from dlczsim.pipeline import full_experiment, sample_diagonal_records
 from dlczsim.tomography import (
     AggregatedCounts,
     DIAG_KEYS,
@@ -258,20 +259,27 @@ def test_inversion_without_vacuum_events(counts):
     assert abs(est["p10"] - counts[(1, 0)] / n) < 3.0 * est.sigmas["p10"]
 
 
+def test_inversion_of_too_few_trials_raises():
+    # two trials in two classes: the four empty classes, floored at 0.5/n,
+    # leave the most populated class a negative variance
+    counts = {(0, 0): 0, (0, 1): 0, (0, 2): 1, (1, 0): 0, (1, 1): 0, (1, 2): 1}
+    with pytest.raises(DataQualityError, match="2 trials are too few"):
+        invert_diagonal(AggregatedCounts(counts=counts, trials=2), EfficiencyModel())
+
+
 def _bootstrap_sigmas_one_at_a_time(agg, eff, bootstrap, seed):
-    """The diagonal bootstrap as a loop: one draw and one GLS solve per replicate."""
+    """The diagonal bootstrap as a loop: one draw and one solve-operator product per replicate."""
     q, n, m = agg.frequencies(), agg.trials, forward_class_matrix(eff)
-    kept = np.arange(len(Q_CLASSES)) != np.argmax(q)
-    a = (m[:, 1:] - m[:, [0]])[kept]
-    q_floor = np.clip(q[kept], 0.5 / n, None)
-    w = np.linalg.inv((np.diag(q_floor) - np.outer(q_floor, q_floor)) / n)
-    cov_x = np.linalg.inv(a.T @ w @ a)
+    top, q_floor = np.argmax(q), np.clip(q, 0.5 / n, None)
+    q_floor[top] = 1.0 - np.delete(q_floor, top).sum()
+    sigma = np.sqrt(q_floor / n)
+    *_, solve = tom._wls(m[:, 1:] - m[:, [0]], q - m[:, 0], sigma)
     rng = substream_rng(seed, stream=0x626F6F74)
     pvals = np.clip(q, 0.0, None)
     pvals = pvals / pvals.sum()
     rows = []
     for _ in range(bootstrap):
-        x = cov_x @ (a.T @ w @ (rng.multinomial(n, pvals) / n - m[:, 0])[kept])
+        x = solve @ ((rng.multinomial(n, pvals) / n - m[:, 0]) / sigma)
         rows.append([1.0 - x.sum(), *x])
     return dict(zip(DIAG_KEYS, np.std(rows, axis=0, ddof=1)))
 
@@ -290,6 +298,67 @@ def test_bootstrap_matches_one_replicate_at_a_time(counts, eff):
     oracle = _bootstrap_sigmas_one_at_a_time(agg, eff, 200, 5)
     for key in DIAG_KEYS:
         assert boot[key] == oracle[key], key
+
+
+def _exact_inverse(matrix):
+    """The inverse of a square matrix of Fractions, by Gauss-Jordan elimination."""
+    size = len(matrix)
+    rows = [[*row, *(Fraction(int(i == j)) for j in range(size))] for i, row in enumerate(matrix)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
+                rows[r] = [v - rows[r][col] * u for v, u in zip(rows[r], rows[col])]
+    return [row[size:] for row in rows]
+
+
+def _exact_product(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def _exact_dense_gls(agg, eff):
+    """(p01, p10, p11, p02) and their variances by generalized least squares in
+    exact arithmetic, with the most populated class dropped and the inverse of
+    the other five classes' multinomial covariance, each frequency floored at
+    0.5/n, as the weight."""
+    n = agg.trials
+    q = [Fraction(agg.counts[cls_], n) for cls_ in Q_CLASSES]
+    m = [[Fraction(v) for v in row] for row in forward_class_matrix(eff).tolist()]
+    top = q.index(max(q))
+    kept = [k for k in range(len(Q_CLASSES)) if k != top]
+    q_floor = [max(q[k], Fraction(1, 2 * n)) for k in kept]
+    a = [[m[k][j] - m[k][0] for j in range(1, len(DIAG_KEYS))] for k in kept]
+    b = [[q[k] - m[k][0]] for k in kept]
+    cov_q = [[(q_floor[i] * (i == j) - q_floor[i] * q_floor[j]) / n for j in range(len(kept))] for i in range(len(kept))]
+    w = _exact_inverse(cov_q)
+    # the dense weight is n / q~ on each kept class plus n / (1 - sum q~) on
+    # every pair: the dropped class enters with variance (1 - the others') / n
+    top_var = (1 - sum(q_floor)) / n
+    assert w == [[n / q_floor[i] * (i == j) + 1 / top_var for j in range(len(kept))] for i in range(len(kept))]
+    a_t_w = _exact_product(list(map(list, zip(*a))), w)
+    cov_x = _exact_inverse(_exact_product(a_t_w, a))
+    x = _exact_product(cov_x, _exact_product(a_t_w, b))
+    return [row[0] for row in x], [cov_x[i][i] for i in range(len(x))]
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+@pytest.mark.parametrize("preset", ["ideal", "paper"])
+def test_diagonal_fit_matches_the_exact_dense_gls(preset, seed):
+    # the six-class diagonal-weighted fit equals the dense GLS with one class
+    # dropped, empty classes (the vacuum on ideal, (1, 2) on paper) included:
+    # the refined estimates to rounding, their sigmas to the conditioning of
+    # the inverted normal matrix (2.4e-12 relative on ideal)
+    config = config_from_dict(preset_dict(preset))
+    record = sample_diagonal_records(full_experiment(config), config.trials, seed)
+    eff = EfficiencyModel(split=config.detectors.split, bs2_T=config.detectors.bs2_T)
+    agg = AggregatedCounts.from_record(record)
+    est = invert_diagonal(agg, eff)
+    values, variances = _exact_dense_gls(agg, eff)
+    for key, value, variance in zip(DIAG_KEYS[1:], values, variances):
+        assert est[key] == pytest.approx(float(value), rel=1e-13, abs=0.0), key
+        assert est.sigmas[key] == pytest.approx(math.sqrt(variance), rel=1e-10, abs=0.0), key
 
 
 @settings(max_examples=60, deadline=None)
