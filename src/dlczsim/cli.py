@@ -182,9 +182,9 @@ def _round_sig(x: float, sig: int = 12) -> float:
 
 
 def _round_floats(obj, sig: int = 12):
-    """Round every float in a JSON-ready payload; absorbs last-ulp run-to-run
-    noise from alignment-dependent BLAS reductions so outputs stay
-    byte-identical for a fixed config and seed."""
+    """Round every float in a JSON-ready payload to ``sig`` significant
+    digits, the data files' format: a change that only reorders a sum keeps
+    their bytes."""
     if isinstance(obj, float):
         return _round_sig(obj, sig)
     if isinstance(obj, dict):

@@ -156,9 +156,6 @@ def sample_counts(
     patterns = sorted(probs.probabilities)
     pvals = np.array([max(probs.probabilities[p], 0.0) for p in patterns])
     pvals = pvals / pvals.sum()
-    # quantize away last-ulp noise (BLAS reduction order varies with heap
-    # alignment across processes) so identical seeds give identical draws
-    pvals = np.round(pvals, 14)
     rng = substream_rng(seed, stream)
     draws = rng.multinomial(trials, pvals)
     tally = {pattern: int(n) for pattern, n in zip(patterns, draws)}

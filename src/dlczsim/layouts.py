@@ -3,7 +3,8 @@
 Two arrangements are used: the population (diagonal) layout with one detector
 on 2_L and a split detector pair on 2_R, and the interference (fringe) layout
 where a relative phase and a recombining beam splitter are inserted first.
-Both read exact joint click-pattern probabilities off one cached POVM.
+Both read exact joint click-pattern probabilities off one cached POVM, each
+Tr(E rho) >= 0 of two positive operators and so clipped at 0 against rounding.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def diagonal_layout_probabilities(
     transmittance ``split`` toward D2b, remainder toward D2c."""
     povm = bench_povm(rho.register.cutoff, eta_d2a, eta_d2b, eta_d2c, split, None, dark_prob)
     probs = np.diagonal(povm, axis1=1, axis2=2).real @ rho.probabilities()  # elements are Fock diagonal
-    return JointProbabilities(D2_IDS, dict(zip(PATTERNS, map(float, probs))))
+    return JointProbabilities(D2_IDS, dict(zip(PATTERNS, map(float, np.maximum(probs, 0.0)))))
 
 
 def fringe_layout_probabilities(
@@ -74,4 +75,4 @@ def fringe_layout_probabilities(
     analysis beam splitter, D2a on one output, split pair on the other."""
     povm = bench_povm(rho.register.cutoff, eta_d2a, eta_d2b, eta_d2c, split, bs2_T, dark_prob)
     probs = np.einsum("pij,ji->p", povm, apply_phase(rho, phi, 0).matrix).real
-    return JointProbabilities(D2_IDS, dict(zip(PATTERNS, map(float, probs))))
+    return JointProbabilities(D2_IDS, dict(zip(PATTERNS, map(float, np.maximum(probs, 0.0)))))

@@ -31,7 +31,7 @@ from .layouts import diagonal_layout_probabilities, fringe_layout_probabilities 
 TWO_PI = 2.0 * math.pi
 P_TILDE_TOL = 1e-3
 PSD_REL_TOL = 1e-9
-ROUNDING_TOL = 1e-12  # a population this close to 0 is rounding residue: states read it as 0 when negative, the inversion always
+ROUNDING_TOL = 1e-12  # a population this close to 0 is rounding residue: states read it as 0 when negative; the inversion and _read_block always
 CLAMP_SIGMA = 3.0  # negative diagonal estimates within this many sigma are clamped to zero
 
 Q_CLASSES: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
@@ -88,12 +88,17 @@ def pattern_counts(records: Sequence[CountRecord]) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, len(PATTERNS))
 
 
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over the last axis, term by term in index order: an accumulation
+    that no BLAS kernel reorders, so a sum of probabilities has one value."""
+    return np.cumsum(terms, axis=-1)[..., -1]
+
+
 def arm_clicks(per_pattern: np.ndarray) -> np.ndarray:
     """The two fringe arms of counts or probabilities given per pattern on the
-    last axis: clicks at D2a, and clicks summed over the split pair.  Each sum
-    runs pattern by pattern in ``PATTERNS`` order, an accumulation that no
-    BLAS kernel reorders, so a sum of probabilities has one value."""
-    return np.cumsum(per_pattern[..., None, :] * _ARM_WEIGHTS, axis=-1)[..., -1]
+    last axis: clicks at D2a, and clicks summed over the split pair, each an
+    ``_ordered_sum`` in ``PATTERNS`` order."""
+    return _ordered_sum(per_pattern[..., None, :] * _ARM_WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +229,9 @@ def restrict(rho: DensityOperator) -> RestrictedDensity:
 
 
 def _read_block(block: np.ndarray) -> RestrictedDensity:
-    """The restricted state of a matrix on the first 4 or all 6 ``_BLOCK_OCCS`` states."""
-    p00, p01, p10, p11, *two_photon = np.diagonal(block).real.tolist()
+    """The restricted state of a matrix on the first 4 or all 6 ``_BLOCK_OCCS`` states;
+    a population within ``ROUNDING_TOL`` of 0 reads 0."""
+    p00, p01, p10, p11, *two_photon = (0.0 if abs(p) < ROUNDING_TOL else p for p in np.diagonal(block).real.tolist())
     d = complex(block[1, 2])
     if p00 + p01 + p10 + p11 <= 0.0:
         raise ValueError("state has no weight on the restricted block")
@@ -280,12 +286,6 @@ def _bench_block(eff: EfficiencyModel, fringe: bool) -> np.ndarray:
     return povm[np.ix_(range(len(PATTERNS)), _BLOCK_IDX, _BLOCK_IDX)]
 
 
-def _diagonal(elements: np.ndarray) -> np.ndarray:
-    """The elements' diagonals on the DIAG_KEYS states, copied by a fancy index,
-    not sliced: the copy's layout fixes how BLAS rounds products with it."""
-    return np.diagonal(elements, axis1=1, axis2=2).real[:, [0, 1, 2, 3, 4]]
-
-
 def _wls(design: np.ndarray, y: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """Least squares of y = design @ x with independent errors ``sigma``, whitened by them: the
     estimate, its covariance, chi^2 and the solve operator (the covariance times the whitened
@@ -307,7 +307,7 @@ def forward_class_matrix(eff: EfficiencyModel) -> np.ndarray:
     to the aggregated class probabilities: the population POVM's diagonal on
     those basis states, summed over the patterns of each class."""
     out = np.zeros((len(Q_CLASSES), len(DIAG_KEYS)))  # shape (6 classes, 5 populations)
-    np.add.at(out, _PATTERN_CLASS, _diagonal(_bench_block(eff, fringe=False)))
+    np.add.at(out, _PATTERN_CLASS, np.diagonal(_bench_block(eff, fringe=False), axis1=1, axis2=2).real[:, : len(DIAG_KEYS)])
     out.setflags(write=False)
     return out
 
@@ -522,7 +522,7 @@ class CoherenceEstimate:
 def _fringe_arms(eff: EfficiencyModel) -> tuple[np.ndarray, np.ndarray]:
     """Per fringe arm at phase 0: the POVM diagonal on the DIAG_KEYS states and |<0,1|E|1,0>|."""
     arms = np.einsum("ap,pij->aij", _ARM_WEIGHTS, _bench_block(eff, fringe=True))
-    populations, coupling = _diagonal(arms), np.abs(arms[:, 1, 2])
+    populations, coupling = np.diagonal(arms, axis1=1, axis2=2).real[:, : len(DIAG_KEYS)], np.abs(arms[:, 1, 2])
     populations.setflags(write=False)
     coupling.setflags(write=False)
     return populations, coupling
@@ -545,7 +545,7 @@ def _model_visibility_slope(diagonals: Mapping[str, float], eff: EfficiencyModel
     pops = [max(v, 0.0) for v in raw]
     pops = np.array([1.0 - sum(pops), *pops])
     populations, coupling = _fringe_arms(eff)
-    base = populations @ pops
+    base = _ordered_sum(populations * pops)
     slope = float(np.sum(coupling / base))
     if not slope > 0.0:
         raise DataQualityError(f"model slope undefined: the fringe arms do not interfere at bs2_T = {eff.bs2_T:g}")
@@ -782,9 +782,7 @@ def mle_fit(
     mask = counts > 0
     if not mask.any():
         raise ValueError("records contain no events")
-    # the forms at a complex stride: numpy's matmul runs its own loop on them, while on
-    # contiguous forms BLAS sums forms @ x in another order and moves the endpoint's last bits
-    forms, counts = forms[mask].astype(complex).real, counts[mask].astype(float)
+    forms, counts = forms[mask], counts[mask].astype(float)
 
     # Cholesky of a strictly positive seed gives a well-conditioned start
     seed_block = two_stage_block(initial) + 1e-6 * np.eye(6)

@@ -159,15 +159,17 @@ def test_analyze_round_trip_and_exit_codes(runner, tmp_path):
 def test_analyze_ideal_preset_records(runner, tmp_path):
     # the lossless heralded state has p00 ~ 0, at the edge of the model's
     # range: the full coherence inversion must still quote a finite, positive
-    # sigma_|d| from its closed-form slope partials
+    # sigma_|d| from its closed-form slope partials, and the MLE's p00, a
+    # convergence residue, reads 0
     sim_out = tmp_path / "sim"
     assert _run(runner, ["simulate", "--preset", "ideal", "--layout", "both", "--seed", "11", "--out", str(sim_out)]).exit_code == 0
     ana_out = tmp_path / "ana"
-    result = _run(runner, ["analyze", "--preset", "ideal", "--records", str(sim_out), "--out", str(ana_out)])
+    result = _run(runner, ["analyze", "--preset", "ideal", "--records", str(sim_out), "--mle", "--out", str(ana_out)])
     assert result.exit_code == 0, result.output
     payload = json.loads((ana_out / "tomography_result.json").read_text())
     assert payload["coherence"]["mode"] == "full"
     assert 0.0 < payload["coherence"]["sigma"] < 0.01
+    assert payload["mle"]["restricted"]["p00"] == 0.0
 
 
 def test_analyze_ideal_preset_without_vacuum_events(runner, tmp_path):
@@ -382,6 +384,58 @@ def test_analyze_bytes_independent_of_hash_seed(tmp_path):
             subprocess.run([sys.executable, "-m", "dlczsim.cli", *args], env=env, check=True)
     for name in ("tomography_result.json", "concurrence_planes.csv"):
         assert (tmp_path / "1" / "ana" / name).read_bytes() == (tmp_path / "2" / "ana" / name).read_bytes(), name
+
+
+_EVERY_NUMBER = """
+import json
+import numpy as np
+from dlczsim import entanglement, pipeline
+from dlczsim.config import config_from_dict, preset_dict
+
+def hexed(obj):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, complex):
+        return [obj.real.hex(), obj.imag.hex()]
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {str(key): hexed(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [hexed(value) for value in obj]
+    return obj
+
+for preset in ("paper", "ideal"):
+    config = config_from_dict(preset_dict(preset))
+    result = pipeline.full_experiment(config)
+    diag = pipeline.sample_diagonal_records(result, config.trials, config.seed)
+    fringe = pipeline.sample_fringe_records(result, config.trials, config.seed)
+    analysis = entanglement.analyze_records(
+        [diag], fringe, config.detectors, config.budget, herald=result.herald_which, seed=config.seed, plane="z2", mle=True
+    )
+    print(json.dumps(hexed({
+        "herald": [result.herald_probability, dict(result.herald_patterns.items())],
+        "states": [rho.matrix for rho in (result.atomic, result.z2, result.z1, result.z0)],
+        "probabilities": [dict(probs.items()) for probs in (result.diagonal_probs, *(p for _, p in result.fringe_probs))],
+        "records": [dict(record.items()) for record in (diag, *fringe)],
+        "analysis": analysis,
+    }), sort_keys=True))
+"""
+
+
+def test_library_numbers_independent_of_blas_threading():
+    # the forward model, both samplers and the analysis chain with its MLE, each
+    # number as float.hex, in fresh interpreters on one BLAS thread and on the default
+    outputs = []
+    for threads in ("1", None):
+        env = _fresh_interpreter_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", _EVERY_NUMBER], env=env, check=True, capture_output=True, text=True)
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == 2
+    assert outputs[0] == outputs[1]
 
 
 def test_analyze_requires_records(runner, tmp_path):
@@ -693,6 +747,22 @@ def test_backprop_keeps_the_flags_analyze_raised(runner, tmp_path):
         assert set(flags) <= set(entry["state"]["flags"])
 
 
+@pytest.mark.parametrize(
+    "command, written",
+    [(["simulate", "--layout", "both"], "probs_fringe.csv"), (["fringe-scan"], "fringe_scan.csv")],
+    ids=["simulate", "fringe-scan"],
+)
+def test_ideal_probabilities_are_never_negative(runner, tmp_path, command, written):
+    # each is Tr(E rho) of two positive operators; the lossless bench's sums
+    # of its cancelling terms round to -1e-20 at phase 0 unless clipped
+    out = tmp_path / "out"
+    assert _run(runner, [*command, "--preset", "ideal", "--trials", "0", "--out", str(out)]).exit_code == 0
+    with (out / written).open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    numbers = [float(value) for row in rows for key, value in row.items() if key not in ("pattern_bits", "herald")]
+    assert len(numbers) > len(rows) and min(numbers) >= 0.0
+
+
 def test_fringe_scan_without_trials_writes_the_exact_arm_probabilities(runner, tmp_path):
     out = tmp_path / "scan0"
     assert _run(runner, ["fringe-scan", "--preset", "paper", "--trials", "0", "--out", str(out)]).exit_code == 0
@@ -742,7 +812,7 @@ def test_herald_flag_is_case_insensitive(runner, tmp_path, flag):
 
 
 def test_numpy_scalars_write_the_bytes_of_floats():
-    # fringe-scan --trials 0 --preset ideal: D1a, phase 0, n2b_plus_n2c
+    # a negative number of rounding size, as an unclipped sum of probabilities can be
     value = -8.128869315681114e-20
     for write in (_csv_cell, lambda x: json.dumps(_round_floats([x]))):
         assert write(np.float64(value)) == write(value)

@@ -45,7 +45,7 @@ def test_added_flag_is_named_by_path(tmp_path):
 
 def test_numbers_keep_their_relative_difference_by_block(tmp_path):
     verdict = _verdict(tmp_path, {"p00": 1.0, "mle": {"c": 2.0}}, {"p00": 1.1, "mle": {"c": 2.0}})
-    assert verdict == "mle max rel diff 0.00e+00, rest max rel diff 9.09e-02"
+    assert verdict == "mle max rel diff 0.00e+00, rest max rel diff 9.09e-02 at /p00"
 
 
 def test_file_only_in_the_new_tree_differs(tmp_path, capsys):
@@ -61,14 +61,14 @@ def test_file_only_in_the_new_tree_differs(tmp_path, capsys):
 def test_uncertainties_move_in_their_own_block(tmp_path):
     old = {"p00": 0.5, "sigmas": {"p00": 0.1}, "concurrence": {"c": 0.2, "mc_sigma": 0.3}, "mle": {"sigma_c": 1.0}}
     new = {"p00": 0.5, "sigmas": {"p00": 0.1}, "concurrence": {"c": 0.2, "mc_sigma": 0.33}, "mle": {"sigma_c": 1.0}}
-    assert _verdict(tmp_path, old, new) == "rest max rel diff 0.00e+00, sigma max rel diff 9.09e-02"
+    assert _verdict(tmp_path, old, new) == "rest max rel diff 0.00e+00, sigma max rel diff 9.09e-02 at /concurrence/mc_sigma"
 
 
 def test_csv_uncertainty_columns_move_in_the_sigma_block(tmp_path):
     (tmp_path / "old.csv").write_text("plane,concurrence,sigma_concurrence\nz2,0.5,0.1\n")
     (tmp_path / "new.csv").write_text("plane,concurrence,sigma_concurrence\nz2,0.5,0.11\n")
     verdict = _compare_module().compare(tmp_path / "old.csv", tmp_path / "new.csv")
-    assert verdict == "rest max rel diff 0.00e+00, sigma max rel diff 9.09e-02"
+    assert verdict == "rest max rel diff 0.00e+00, sigma max rel diff 9.09e-02 at /1/2"
 
 
 def test_the_inverse_reruns_on_the_reference_trees_records(tmp_path):

@@ -300,6 +300,22 @@ def test_bootstrap_matches_one_replicate_at_a_time(counts, eff):
         assert boot[key] == oracle[key], key
 
 
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_quoted_sigmas_against_the_bootstrap_with_an_empty_class(seed):
+    # ideal records hold no (0,0) event.  Where a class is populated the GLS sigma
+    # agrees with the 200-replicate bootstrap within its 3-sigma sampling band;
+    # p00's sigma is the floor's, sqrt(0.5)/n, while every replicate's p00 is rounding
+    config = config_from_dict(preset_dict("ideal"))
+    record = sample_diagonal_records(full_experiment(config), config.trials, seed)
+    agg = AggregatedCounts.from_record(record)
+    est = invert_diagonal(agg, EfficiencyModel(split=config.detectors.split, bs2_T=config.detectors.bs2_T), bootstrap=200, seed=seed)
+    assert agg.counts[(0, 0)] == 0
+    for key in DIAG_KEYS[1:]:
+        assert est.bootstrap_sigmas[key] / est.sigmas[key] == pytest.approx(1.0, abs=3.0 / math.sqrt(2 * 199)), key
+    assert est.sigmas["p00"] == pytest.approx(math.sqrt(0.5) / agg.trials, rel=1e-4)
+    assert est.bootstrap_sigmas["p00"] < tom.ROUNDING_TOL
+
+
 def _exact_inverse(matrix):
     """The inverse of a square matrix of Fractions, by Gauss-Jordan elimination."""
     size = len(matrix)

@@ -14,9 +14,10 @@ the reference tree's records and analysis result, tagged "reference
 records", so that the inverse is compared on the same input even where the
 forward model's bytes move on purpose.  Prints per data file
 "identical" or what differs: the largest relative difference of its numbers
-per block (`mle`, the uncertainties in `sigma`, and the `rest`) and, by key
-path, each changed text leaf and each leaf that only one file has; and a
-file that only one tree wrote.  Then one `mle` line: the MLE concurrence
+per block (`mle`, the uncertainties in `sigma`, and the `rest`), with the
+key path where it is when it is not 0, and, by key path, each changed text
+leaf and each leaf that only one file has; and a file that only one tree
+wrote.  Then one `mle` line: the MLE concurrence
 old -> new, |dC| in units of the two-stage sigma_C, the change in log L,
 the iterations old -> new and convergence.
 It also compares the `--help` text of `dlczsim` and of each command:
@@ -151,8 +152,9 @@ def number_block(key, header=None):
 
 def compare(old, new):
     """"identical", or the largest relative difference of the numbers that
-    both files hold at a key (per ``number_block``), then by key path each
-    leaf whose text changed and each leaf that only one file has."""
+    both files hold at a key (per ``number_block``) and, where it is not 0,
+    the first key path that has it, then by key path each leaf whose text
+    changed and each leaf that only one file has."""
     if not new.exists():
         return "missing in the new tree"
     if not old.exists():
@@ -169,11 +171,13 @@ def compare(old, new):
         if y is None or x is None:
             changes.append(f"{'removed' if y is None else 'added'} {key}")
         elif type(x) is type(y) is float:
-            block = number_block(key, header)
-            worst[block] = max(worst.get(block, 0.0), 0.0 if x == y else abs(x - y) / max(abs(x), abs(y)))
+            block, diff = number_block(key, header), 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+            if block not in worst or diff > worst[block][0]:
+                worst[block] = diff, key
         elif x != y:
             changes.append(f"changed {key}")
-    return ", ".join([*(f"{block} max rel diff {d:.2e}" for block, d in sorted(worst.items())), *changes])
+    blocks = (f"{block} max rel diff {d:.2e}{f' at {key}' if d else ''}" for block, (d, key) in sorted(worst.items()))
+    return ", ".join([*blocks, *changes])
 
 
 def mle_line(old, new):
