@@ -3,8 +3,8 @@
 Two arrangements are used: the population (diagonal) layout with one detector
 on 2_L and a split detector pair on 2_R, and the interference (fringe) layout
 where a relative phase and a recombining beam splitter are inserted first.
-Both read exact joint click-pattern probabilities off one cached POVM, each
-Tr(E rho) >= 0 of two positive operators and so clipped at 0 against rounding.
+Both read exact joint click-pattern probabilities off one cached POVM; each is
+Tr(E rho) of positive operators, so one that rounds below 0 is clipped to 0.
 """
 
 from __future__ import annotations
