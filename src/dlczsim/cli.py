@@ -34,6 +34,7 @@ from . import __version__
 from .config import (
     HERALDS,
     LAYOUTS,
+    MAX_TRIALS,
     PLANES,
     PRESETS,
     ConfigError,
@@ -42,12 +43,11 @@ from .config import (
     config_hash,
     load_config_dict,
     preset_dict,
+    read_json,
 )
 from .detection import (
-    MAX_TRIALS,
     CountRecord,
     RecordIntegrityError,
-    fits_float,
     read_count_records_csv,
     read_count_records_json,
     write_count_records_csv,
@@ -375,44 +375,30 @@ def analyze(config_path, preset, out_dir, seed, herald, records_dir, diag_path, 
     click.echo(f"outputs in {out.out_dir}")
 
 
+_NUMBER = {"type": "number"}
+_SIGMA = {"type": "number", "minimum": 0}
+_RESULT_SCHEMA = {  # what backprop reads of an analyze result
+    "type": "object",
+    "properties": {
+        "populations": {"type": "object", "properties": dict.fromkeys(DIAG_KEYS[:4], _NUMBER), "required": list(DIAG_KEYS[:4])},
+        "sigmas": {"type": "object", "properties": dict.fromkeys(DIAG_KEYS[:4], _SIGMA)},
+        "coherence": {"type": "object", "properties": {"d_abs": _NUMBER, "sigma": _SIGMA}, "required": ["d_abs", "sigma"]},
+        "flags": {"type": "array", "items": {"type": "string"}},
+        "herald": {"enum": list(HERALDS)},
+    },
+    "required": ["populations", "coherence"],
+}
+
+
 def _read_result(path: Path) -> tuple[dict, str | None]:
     """The restricted state (populations, |d|, sigmas and flags, as
     ``RestrictedDensity.clamped`` takes them) and the herald label of an
     ``analyze`` result file."""
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise RecordIntegrityError(f"{path}: invalid JSON ({exc})") from exc
-
-    def number(*keys):
-        value = payload
-        for depth, key in enumerate(keys, start=1):
-            if not isinstance(value, dict) or key not in value:
-                raise RecordIntegrityError(f"{path}: no field {'.'.join(keys[:depth])}")
-            value = value[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise RecordIntegrityError(f"{path}: field {'.'.join(keys)} is not a number")
-        if not fits_float(value):
-            raise RecordIntegrityError(f"{path}: field {'.'.join(keys)} is not a finite number")
-        return value
-
-    def sigma(*keys):
-        value = number(*keys)
-        if value < 0:
-            raise RecordIntegrityError(f"{path}: field {'.'.join(keys)} is negative")
-        return value
-
-    pops = {key: number("populations", key) for key in DIAG_KEYS[:4]}
-    sig = payload.get("sigmas", {})
-    if not isinstance(sig, dict):
-        raise RecordIntegrityError(f"{path}: field sigmas is not an object")
-    sigmas = {key: sigma("sigmas", key) for key in pops if key in sig} | {"d": sigma("coherence", "sigma")}
-    flags = payload.get("flags", [])
-    if not (isinstance(flags, list) and all(isinstance(flag, str) for flag in flags)):
-        raise RecordIntegrityError(f"{path}: field flags is not a list of strings")
-    if "herald" in payload and payload["herald"] not in HERALDS:
-        raise RecordIntegrityError(f"{path}: field herald is not {' or '.join(HERALDS)}")
-    return {**pops, "d_abs": number("coherence", "d_abs"), "sigmas": sigmas, "flags": flags}, payload.get("herald")
+    payload = read_json(path, _RESULT_SCHEMA, RecordIntegrityError)
+    keys, given, coherence = DIAG_KEYS[:4], payload.get("sigmas", {}), payload["coherence"]
+    sigmas = {key: given[key] for key in keys if key in given} | {"d": coherence["sigma"]}
+    pops = {key: payload["populations"][key] for key in keys}
+    return {**pops, "d_abs": coherence["d_abs"], "sigmas": sigmas, "flags": payload.get("flags", [])}, payload.get("herald")
 
 
 @main.command()

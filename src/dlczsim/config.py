@@ -19,17 +19,17 @@ import hashlib
 import json
 import math
 import numbers
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from .detection import MAX_TRIALS, fits_float
-
 SCHEMA_VERSION = 1
 PRESETS = ("paper", "paper_w120", "ideal")
 LAYOUTS = ("diagonal", "fringe")
 HERALDS = ("D1a", "D1b")  # the heralding detectors, in pattern order
+MAX_TRIALS = 2**63 - 1  # numpy samples and sums counts as int64
 
 PLANES: dict[str, tuple[str, ...]] = {
     "detectors": (),
@@ -40,6 +40,12 @@ PLANES: dict[str, tuple[str, ...]] = {
 
 class ConfigError(ValueError):
     """Configuration failed schema validation."""
+
+
+def fits_float(value: numbers.Real) -> bool:
+    """Whether a float holds the number: NaN, Infinity and integers beyond the
+    float range fail.  A Python integer is compared exactly, numpy scalars by value."""
+    return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
 
 
 _TYPES = {
@@ -62,13 +68,13 @@ def _equal(a: Any, b: Any) -> bool:
     return isinstance(a, bool) == isinstance(b, bool) and a == b
 
 
-def _validate(value: Any, schema: Mapping[str, Any], path: tuple = ()) -> None:
+def _validate(value: Any, schema: Mapping[str, Any], error: type = ConfigError, prefix: str = "config field", path: tuple = ()) -> None:
     """Check ``value`` against ``schema`` with the JSON Schema (draft 7)
-    keywords that ``CONFIG_SCHEMA`` uses; raise ``ConfigError`` naming the
-    JSON path of the first violation.  A number must also fit a float."""
+    keywords that ``CONFIG_SCHEMA`` uses; raise ``error`` naming, after ``prefix``,
+    the JSON path of the first violation.  A number must also fit a float."""
 
     def fail(message: str):
-        raise ConfigError(f"config field {'/'.join(map(str, path)) or '<root>'}: {message}")
+        raise error(f"{prefix} {'/'.join(map(str, path)) or '<root>'}: {message}")
 
     if "oneOf" in schema:  # its options differ in type, so the value's type picks the one that can hold
         options = [option for option in schema["oneOf"] if _TYPES[option["type"]](value)]
@@ -94,7 +100,7 @@ def _validate(value: Any, schema: Mapping[str, Any], path: tuple = ()) -> None:
             fail(f"{value!r} has {len(value)} items, not {low} to {high}")
         items = schema.get("items", {})  # one schema for all items, or one per position
         for index, (item, sub) in enumerate(zip(value, items if isinstance(items, list) else [items] * len(value))):
-            _validate(item, sub, (*path, index))
+            _validate(item, sub, error, prefix, (*path, index))
     elif kind == "object":
         properties = schema.get("properties", {})
         for key in schema.get("required", ()):
@@ -106,7 +112,7 @@ def _validate(value: Any, schema: Mapping[str, Any], path: tuple = ()) -> None:
                 fail(f"Additional properties are not allowed ({', '.join(map(repr, extra))} unexpected)")
         for key, sub in properties.items():
             if key in value:
-                _validate(value[key], sub, (*path, key))
+                _validate(value[key], sub, error, prefix, (*path, key))
 
 
 def param(default: Any = MISSING, **schema: Any) -> Any:
@@ -183,9 +189,9 @@ class DetectorBench:
     dark_prob: float = param(0.0, type="number", minimum=0, exclusiveMaximum=1)
 
 
-_COMPONENT = {  # (transmission, uncertainty)
+_COMPONENT = {  # (transmission, uncertainty); an uncertainty above 1 says nothing of a transmission
     "type": "array",
-    "items": [{"type": "number", "exclusiveMinimum": 0, "maximum": 1}, {"type": "number", "minimum": 0}],
+    "items": [{"type": "number", "exclusiveMinimum": 0, "maximum": 1}, UNIT_INTERVAL],
     "minItems": 2,
     "maxItems": 2,
 }
@@ -228,7 +234,7 @@ class ChannelBudget:
         for key in keys:
             value, err = getattr(comps, key)
             alpha *= value
-            rel_var += (err / value) ** 2
+            rel_var += (err / value) * (err / value)  # inf, not OverflowError, for a transmission near 0
         return alpha, alpha * math.sqrt(rel_var)
 
     def total(self, side: str) -> float:
@@ -342,11 +348,20 @@ def config_hash(data: Mapping[str, Any]) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-def load_config_dict(path: str | Path) -> dict[str, Any]:
+def read_json(path: str | Path, schema: Mapping[str, Any], error: type) -> Any:
+    """The JSON document of the UTF-8 file ``path``, checked against
+    ``schema``; a file that cannot be read, decoded or parsed, or that
+    violates the schema, raises ``error`` naming the file."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise error(f"{path}: invalid JSON ({exc})") from exc
+    _validate(data, schema, error, f"{path}: field")
+    return data
+
+
+def load_config_dict(path: str | Path) -> dict[str, Any]:
+    return read_json(path, {}, ConfigError)  # config_from_dict checks the schema
 
 
 def preset_dict(name: str) -> dict[str, Any]:

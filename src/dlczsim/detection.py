@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
@@ -21,20 +19,15 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .config import MAX_TRIALS, fits_float, read_json
+
 PROBABILITY_SUM_TOL = 1e-10
-MAX_TRIALS = 2**63 - 1  # numpy samples and sums counts as int64
 
 ClickPattern = tuple[int, ...]
 
 
 class RecordIntegrityError(ValueError):
     """A count record failed an internal consistency check."""
-
-
-def fits_float(value: Real) -> bool:
-    """Whether a float holds the number: NaN, Infinity and integers beyond the
-    float range fail.  A Python integer is compared exactly, numpy scalars by value."""
-    return abs(value) <= sys.float_info.max if isinstance(value, int) else math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -73,6 +66,8 @@ class CountRecord:
     seed: int | None = None
 
     def __post_init__(self):
+        if not all(isinstance(detector, str) for detector in self.detector_ids):
+            raise RecordIntegrityError(f"detector ids {self.detector_ids!r} are not all strings")
         for name, n in [("trials", self.trials), *((f"count of {pattern}", n) for pattern, n in self.tally.items())]:
             if isinstance(n, bool) or not isinstance(n, Integral):
                 raise RecordIntegrityError(f"{name} has the wrong type: {n!r} is not an integer")
@@ -187,29 +182,31 @@ def read_count_records_csv(path: str | Path, detector_ids: Sequence[str]) -> lis
     path = Path(path)
     groups: dict[tuple, dict[ClickPattern, int]] = {}
     order: list[tuple] = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise RecordIntegrityError(f"{path}: empty record file")
-        if header[:5] != ["phase_phi_radians", "pattern_bits", "count", "trials", "seed"]:
-            raise RecordIntegrityError(f"{path}: unexpected header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                phase = float(row[0]) if row[0] != "" else None
-                pattern = tuple(int(ch) for ch in row[1])
-                count = int(row[2])
-                trials = int(row[3])
-                seed = int(row[4]) if row[4] != "" else None
-            except (ValueError, IndexError) as exc:
-                raise RecordIntegrityError(f"{path}:{lineno}: malformed row {row!r}") from exc
-            key = (phase, trials, seed)
-            if key not in groups:
-                groups[key] = {}
-                order.append(key)
-            groups[key][pattern] = groups[key].get(pattern, 0) + count
+    try:  # csv.Error: a field beyond the csv module's size limit
+        with path.open(newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh)) or [None]
+    except (OSError, ValueError, csv.Error) as exc:
+        raise RecordIntegrityError(f"{path}: invalid CSV ({exc})") from exc
+    if header is None:
+        raise RecordIntegrityError(f"{path}: empty record file")
+    if header[:5] != ["phase_phi_radians", "pattern_bits", "count", "trials", "seed"]:
+        raise RecordIntegrityError(f"{path}: unexpected header {header}")
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        try:
+            phase = float(row[0]) if row[0] != "" else None
+            pattern = tuple(int(ch) for ch in row[1])
+            count = int(row[2])
+            trials = int(row[3])
+            seed = int(row[4]) if row[4] != "" else None
+        except (ValueError, IndexError) as exc:
+            raise RecordIntegrityError(f"{path}:{lineno}: malformed row {row!r}") from exc
+        key = (phase, trials, seed)
+        if key not in groups:
+            groups[key] = {}
+            order.append(key)
+        groups[key][pattern] = groups[key].get(pattern, 0) + count
     if not groups:
         raise RecordIntegrityError(f"{path}: no data rows")
     ids = tuple(detector_ids)
@@ -231,25 +228,24 @@ def write_count_records_json(records: Iterable[CountRecord], path: str | Path) -
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+# a file's structure; ``CountRecord`` checks the values
+_RECORDS_SCHEMA = {
+    "type": "array",
+    "minItems": 1,
+    "items": {
+        "type": "object",
+        "properties": {"detector_ids": {"type": "array"}, "tally": {"type": "object"}},
+        "required": ["detector_ids", "trials", "tally"],
+    },
+}
+
+
 def read_count_records_json(path: str | Path) -> list[CountRecord]:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise RecordIntegrityError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, list) or not all(isinstance(entry, dict) for entry in payload):
-        raise RecordIntegrityError(f"{path}: not a JSON array of record objects")
-    if not payload:
-        raise RecordIntegrityError(f"{path}: no records")
     records = []
-    for index, entry in enumerate(payload):
+    for index, entry in enumerate(read_json(path, _RECORDS_SCHEMA, RecordIntegrityError)):
+        tally = {tuple(int(ch) if ch in "01" else ch for ch in bits): n for bits, n in entry["tally"].items()}  # CountRecord rejects other bits
         try:
-            tally = {tuple(int(ch) for ch in bits): n for bits, n in entry["tally"].items()}
-            detector_ids, trials = tuple(entry["detector_ids"]), entry["trials"]
-        except KeyError as exc:
-            raise RecordIntegrityError(f"{path}: record {index} has no field {exc}") from exc
-        except ValueError as exc:
-            raise RecordIntegrityError(f"{path}: record {index} has malformed pattern bits ({exc})") from exc
-        except (AttributeError, TypeError) as exc:
-            raise RecordIntegrityError(f"{path}: record {index} has a field of the wrong type ({exc})") from exc
-        records.append(CountRecord(detector_ids, trials, tally, phase=entry.get("phase_phi_radians"), seed=entry.get("seed")))
+            records.append(CountRecord(tuple(entry["detector_ids"]), entry["trials"], tally, phase=entry.get("phase_phi_radians"), seed=entry.get("seed")))
+        except RecordIntegrityError as exc:
+            raise RecordIntegrityError(f"{path}: record {index}: {exc}") from exc
     return records

@@ -5,11 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 import numpy as np
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dlczsim
 from dlczsim.cli import EXIT_CONFIG, EXIT_FIT, EXIT_INTEGRITY, EXIT_PHYSICS, _csv_cell, _round_floats, main
@@ -203,36 +206,48 @@ _MALFORMED_RECORDS = {  # case -> (record, expected message)
     "negative_count": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": {"000": 15, "100": -5}}, "negative count"),
     "zero_trials": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 0, "tally": {"000": 0}}, "trials must be >= 1"),
     "non_binary_bits": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": {"020": 10}}, "bits other than 0/1"),
-    "missing_tally": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10}, "has no field 'tally'"),
+    "missing_tally": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10}, "counts.json: field 0: 'tally' is a required property"),
     "string_trials": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": "10", "tally": {"000": 10}}, "wrong type"),
-    "tally_list": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": [["000", 10]]}, "wrong type"),
+    "tally_list": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": [["000", 10]]}, "counts.json: field 0/tally: [['000', 10]] is not of type 'object'"),
     "unknown_detector": ({"detector_ids": ["D2a", "D2b", "D3"], "trials": 10, "tally": {"000": 10}}, "are not D2a, D2b, D2c"),
+    "detector_ids_string": ({"detector_ids": "D2a", "trials": 10, "tally": {"000": 10}}, "counts.json: field 0/detector_ids: 'D2a' is not of type 'array'"),
+    "null_detector_id": ({"detector_ids": ["D2a", None, "D2c"], "trials": 10, "tally": {"000": 10}}, "counts.json: record 0: detector ids ('D2a', None, 'D2c') are not all strings"),
+    "integer_detector_id": ({"detector_ids": ["D2a", 5, "D2c"], "trials": 10, "tally": {"000": 10}}, "counts.json: record 0: detector ids ('D2a', 5, 'D2c') are not all strings"),
     "string_seed": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": {"000": 10}, "seed": "x"}, "seed 'x' is not a non-negative integer"),
     "negative_seed": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": {"000": 10}, "seed": -1}, "seed -1 is not a non-negative integer"),
     "bool_seed": ({"detector_ids": ["D2a", "D2b", "D2c"], "trials": 10, "tally": {"000": 10}, "seed": True}, "seed True is not a non-negative integer"),
 }
 
 
-# case -> (file payload, expected message): each record above as a one-record
-# array, and top-level JSON that is not an array of record objects
+_CSV_HEADER = b"phase_phi_radians,pattern_bits,count,trials,seed\n"
+# case -> (file name, file bytes, expected message): each record above as a
+# one-record array, top-level JSON that is not a non-empty array of record
+# objects, and files that are not UTF-8 or that no parser reads
 _MALFORMED_RECORD_FILES = {
-    **{case: ([record], message) for case, (record, message) in _MALFORMED_RECORDS.items()},
-    "top_level_number": (5, "not a JSON array of record objects"),
-    "top_level_object": ({"a": 1}, "not a JSON array of record objects"),
+    **{case: ("counts.json", json.dumps([record]).encode(), message) for case, (record, message) in _MALFORMED_RECORDS.items()},
+    "top_level_number": ("counts.json", b"5", "counts.json: field <root>: 5 is not of type 'array'"),
+    "top_level_object": ("counts.json", b'{"a": 1}', "counts.json: field <root>: {'a': 1} is not of type 'array'"),
+    "no_records": ("counts.json", b"[]", "counts.json: field <root>: [] has 0 items, not 1 to inf"),
+    "json_not_utf8": ("counts.json", b'[{"detector_ids": ["D2\xe1"]}]', "counts.json: invalid JSON ('utf-8' codec can't decode byte 0xe1"),
+    "json_nested_deep": ("counts.json", b"[" * 100_000 + b"]" * 100_000, "counts.json: invalid JSON (maximum recursion depth exceeded"),
+    "csv_not_utf8": ("counts.csv", _CSV_HEADER + b",000,10,10,\xe1\n", "counts.csv: invalid CSV ('utf-8' codec can't decode byte 0xe1"),
+    "csv_field_beyond_limit": ("counts.csv", _CSV_HEADER + b",000,10,10," + b"1" * 200_000, "counts.csv: invalid CSV (field larger than field limit"),
 }
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED_RECORD_FILES))
 def test_analyze_malformed_record_exits_integrity_code(runner, tmp_path, case):
-    payload, message = _MALFORMED_RECORD_FILES[case]
-    records = tmp_path / "counts.json"
-    records.write_text(json.dumps(payload))
+    name, payload, message = _MALFORMED_RECORD_FILES[case]
+    records = tmp_path / name
+    records.write_bytes(payload)
     result = runner.invoke(
         main,
         ["analyze", "--preset", "paper", "--diag", str(records), "--fringe", str(records), "--out", str(tmp_path / "o")],
     )
     assert result.exit_code == EXIT_INTEGRITY, result.output
-    assert message in result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.output.startswith("error: ") and message in result.output
+    assert len(result.output.splitlines()) == 1
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +317,70 @@ def _permuted(record: dict, order=(2, 0, 1)) -> dict:
     """A JSON count record with its detectors listed in ``order``."""
     tally = {"".join(bits[k] for k in order): n for bits, n in record["tally"].items()}
     return {**record, "detector_ids": [record["detector_ids"][k] for k in order], "tally": tally}
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=4,
+)
+_RECORD_FIELDS = [("detector_ids",), *(("detector_ids", k) for k in range(3)), ("trials",), ("tally",), ("seed",), ("phase_phi_radians",)]
+
+
+def _replace(document, path: tuple, value) -> None:
+    for key in path[:-1]:
+        document = document[key]
+    document[path[-1]] = value
+
+
+def _write_inputs(work: Path, files: dict) -> list[str]:
+    """Write each JSON document (option -> document) to ``work``; the options that name them."""
+    options = []
+    for option, document in files.items():
+        path = work / f"{option}.json"
+        path.write_text(json.dumps(document))
+        options += [f"--{option}", str(path)]
+    return options
+
+
+def _key_paths(document: dict, depth: int = 2, path: tuple = ()):
+    """The paths of the keys of ``document`` and of its nested objects, ``depth`` levels deep."""
+    for key, value in document.items():
+        yield (*path, key)
+        if isinstance(value, dict) and depth > 1:
+            yield from _key_paths(value, depth - 1, (*path, key))
+
+
+# every input file ends analyze and backprop with exit 0 or a documented code, never a traceback
+@settings(max_examples=50, deadline=None)
+@given(layout=st.sampled_from(["diag", "fringe"]), index=st.integers(0, 12), field=st.sampled_from(_RECORD_FIELDS), value=_JSON_VALUES)
+def test_no_record_file_ends_in_a_traceback(paper_records, layout, index, field, value):
+    files = dict(zip(["diag", "fringe"], json.loads(json.dumps(paper_records))))  # a deep copy
+    _replace(files[layout][index % len(files[layout])], field, value)
+    with tempfile.TemporaryDirectory() as work:
+        result = CliRunner().invoke(main, ["analyze", "--preset", "paper", *_write_inputs(Path(work), files), "--out", f"{work}/o"])
+    assert result.exit_code in (0, EXIT_INTEGRITY, EXIT_FIT, EXIT_PHYSICS), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+
+
+@pytest.fixture(scope="module")
+def paper_result(paper_records, tmp_path_factory):
+    """The tomography_result.json document of ``analyze`` on the ``paper`` records."""
+    work = tmp_path_factory.mktemp("ana")
+    args = ["analyze", "--preset", "paper", *_write_inputs(work, dict(zip(["diag", "fringe"], paper_records))), "--out", str(work)]
+    assert CliRunner().invoke(main, args).exit_code == 0
+    return json.loads((work / "tomography_result.json").read_text())
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), value=_JSON_VALUES)
+def test_no_result_file_ends_in_a_traceback(paper_result, data, value):
+    document = json.loads(json.dumps(paper_result))  # a deep copy
+    _replace(document, data.draw(st.sampled_from(sorted(_key_paths(document)))), value)
+    with tempfile.TemporaryDirectory() as work:
+        result = CliRunner().invoke(main, ["backprop", "--preset", "paper", *_write_inputs(Path(work), {"result": document}), "--out", f"{work}/o"])
+    assert result.exit_code in (0, EXIT_INTEGRITY, EXIT_FIT, EXIT_PHYSICS), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
 
 
 def test_analyze_records_in_another_detector_order(runner, tmp_path):
@@ -599,13 +678,18 @@ def _schema_bounds():
 
 
 _SCHEMA_BOUNDS = list(_schema_bounds())
+# channel components -> analyze's exit code: a transmission the schema accepts whose
+# relative uncertainty overflows a float (no population survives back-propagation
+# to z2), and an uncertainty above 1, which the schema rejects
+_BUDGET_EXTREMES = {(("channel", "L", "apd"), (1e-300, 0.02)): EXIT_PHYSICS, (("channel", "L", "apd"), (0.5, 1e300)): EXIT_CONFIG}
+_CASES = [*_SCHEMA_BOUNDS, *_BUDGET_EXTREMES]
 # bounds whose bench cannot be inverted: analyze's exit code and the setting its message names
 _DEGENERATE_BENCHES = {("detectors", name): name for name in ("split", "bs2_T")}
 # a dark source leaves p10 (L) or p01 (R) within noise of zero: the coherence or the witness is undefined
 _DARK_SOURCES = {("ensembles", side, "chi") for side in "LR"}
 
 
-@pytest.mark.parametrize("path, value", _SCHEMA_BOUNDS, ids=[f"{'/'.join(path)}={value:g}" for path, value in _SCHEMA_BOUNDS])
+@pytest.mark.parametrize("path, value", _CASES, ids=[f"{'/'.join(path)}=" + ",".join(f"{v:g}" for v in np.atleast_1d(value)) for path, value in _CASES])
 def test_schema_bounds_end_with_an_exit_code(runner, tmp_path, path, value):
     # every value the schema accepts ends simulate and analyze with a
     # documented exit code and a message, never a traceback (exit 1)
@@ -625,8 +709,10 @@ def test_schema_bounds_end_with_an_exit_code(runner, tmp_path, path, value):
             assert result.output.startswith("error: ")
             break
         assert (out / "manifest.json").exists()
-    if path[0] == "ensembles" and value == 0.0:
+    if (path[0] == "ensembles" and value == 0.0) or _BUDGET_EXTREMES.get((path, value)) == EXIT_PHYSICS:
         assert json.loads((sim / "g12.json").read_text())[path[1]]["g12"] is None
+    if (path, value) in _BUDGET_EXTREMES:
+        assert result.exit_code == _BUDGET_EXTREMES[path, value]
     if path in _DEGENERATE_BENCHES:
         assert result.exit_code == EXIT_FIT
         assert f"{_DEGENERATE_BENCHES[path]} = {value:g}" in result.output
@@ -688,29 +774,43 @@ def test_backprop_unphysical_budget_exit(runner, tmp_path):
 _BACKPROP_POPULATIONS = ["--p10", "7.38e-3", "--p01", "7.51e-3", "--p11", "1.7e-5", "-v", "0.70"]
 _PUBLISHED_POPULATIONS = ["--p00", "0.98510", "--p10", "7.38e-3", "--p01", "7.51e-3", "--p11", "1.7e-5"]
 _PUBLISHED_RESULT = {"populations": {"p00": 0.98510, "p01": 7.51e-3, "p10": 7.38e-3, "p11": 1.7e-5}, "coherence": {"d_abs": 5e-3, "sigma": 1e-4}}
-_MALFORMED_BACKPROP = {  # case -> (result file text or None, options, exit code, expected message)
-    "invalid_json": ("{not json", [], EXIT_INTEGRITY, "invalid JSON"),
-    "no_populations": (json.dumps({"which": "D1a", "probability": 0.17}), [], EXIT_INTEGRITY, "no field populations"),
+def _config_text(**components) -> str:
+    """The ``paper`` preset with the given left-channel components, as a file's text."""
+    data = preset_dict("paper")
+    data["channel"]["L"].update(components)
+    return json.dumps(data)
+
+
+_MALFORMED_BACKPROP = {  # case -> (text of the file given to the last option or to --result, options, exit code, expected message)
+    "invalid_json": ("{not json", [], EXIT_INTEGRITY, "result.json: invalid JSON"),
+    "result_not_utf8": (json.dumps({**_PUBLISHED_RESULT, "herald": "D1\xe1"}, ensure_ascii=False), [], EXIT_INTEGRITY, "result.json: invalid JSON ('utf-8' codec can't decode byte 0xe1"),
+    "result_nested_deep": ("[" * 100_000 + "]" * 100_000, [], EXIT_INTEGRITY, "result.json: invalid JSON (maximum recursion depth exceeded"),
+    "config_not_utf8": (json.dumps({**preset_dict("paper"), "description": "caf\xe9"}, ensure_ascii=False), ["--config"], EXIT_CONFIG, "config.json: invalid JSON ('utf-8' codec can't decode byte 0xe9"),
+    "config_nested_deep": ("{\"a\": " * 100_000 + "1" + "}" * 100_000, ["--config"], EXIT_CONFIG, "config.json: invalid JSON (maximum recursion depth exceeded"),
+    # a transmission the schema accepts whose relative uncertainty overflows a float: no population survives
+    "budget_uncertainty_overflows": (_config_text(apd=[1e-300, 0.02]), [*_PUBLISHED_POPULATIONS, "-v", "0.70", "--config"], EXIT_PHYSICS, "back-propagated populations unphysical"),
+    "budget_uncertainty_above_one": (_config_text(apd=[0.5, 1e300]), ["--config"], EXIT_CONFIG, "config field channel/L/apd/1: 1e+300 is greater than the maximum of 1"),
+    "no_populations": (json.dumps({"which": "D1a", "probability": 0.17}), [], EXIT_INTEGRITY, "result.json: field <root>: 'populations' is a required property"),
     "mistyped_population": (
-        json.dumps({"populations": {"p00": 0.98, "p01": "7.5e-3", "p10": 7.4e-3, "p11": 1.7e-5}}),
-        [], EXIT_INTEGRITY, "field populations.p01 is not a number",
+        json.dumps({**_PUBLISHED_RESULT, "populations": {"p00": 0.98, "p01": "7.5e-3", "p10": 7.4e-3, "p11": 1.7e-5}}),
+        [], EXIT_INTEGRITY, "result.json: field populations/p01: '7.5e-3' is not of type 'number'",
     ),
     "non_finite_coherence": (
         json.dumps({"populations": {"p00": 0.98510, "p01": 7.51e-3, "p10": 7.38e-3, "p11": 1.7e-5}, "coherence": {"d_abs": math.nan, "sigma": 1e-4}}),
-        [], EXIT_INTEGRITY, "field coherence.d_abs is not a finite number",
+        [], EXIT_INTEGRITY, "result.json: field coherence/d_abs: nan is not a finite number",
     ),
     "population_beyond_float": (
         '{"populations": {"p00": 0.98510, "p01": 1%s, "p10": 7.38e-3, "p11": 1.7e-5}, "coherence": {"d_abs": 1e-3, "sigma": 1e-4}}' % ("0" * 400),
-        [], EXIT_INTEGRITY, "field populations.p01 is not a finite number",
+        [], EXIT_INTEGRITY, f"result.json: field populations/p01: {10**400} is not a finite number",
     ),
-    "unknown_herald": (json.dumps({**_PUBLISHED_RESULT, "herald": {"x": [1, 2]}}), [], EXIT_INTEGRITY, "field herald is not D1a or D1b"),
-    "null_herald": (json.dumps({**_PUBLISHED_RESULT, "herald": None}), [], EXIT_INTEGRITY, "field herald is not D1a or D1b"),
-    "flags_not_a_list": (json.dumps({**_PUBLISHED_RESULT, "flags": "clamped_p00"}), [], EXIT_INTEGRITY, "field flags is not a list of strings"),
-    "flag_not_a_string": (json.dumps({**_PUBLISHED_RESULT, "flags": [1]}), [], EXIT_INTEGRITY, "field flags is not a list of strings"),
-    "negative_sigma": (json.dumps({**_PUBLISHED_RESULT, "sigmas": {"p00": -1.0}}), [], EXIT_INTEGRITY, "field sigmas.p00 is negative"),
+    "unknown_herald": (json.dumps({**_PUBLISHED_RESULT, "herald": {"x": [1, 2]}}), [], EXIT_INTEGRITY, "result.json: field herald: {'x': [1, 2]} is not one of ['D1a', 'D1b']"),
+    "null_herald": (json.dumps({**_PUBLISHED_RESULT, "herald": None}), [], EXIT_INTEGRITY, "result.json: field herald: None is not one of ['D1a', 'D1b']"),
+    "flags_not_a_list": (json.dumps({**_PUBLISHED_RESULT, "flags": "clamped_p00"}), [], EXIT_INTEGRITY, "result.json: field flags: 'clamped_p00' is not of type 'array'"),
+    "flag_not_a_string": (json.dumps({**_PUBLISHED_RESULT, "flags": [1]}), [], EXIT_INTEGRITY, "result.json: field flags/0: 1 is not of type 'string'"),
+    "negative_sigma": (json.dumps({**_PUBLISHED_RESULT, "sigmas": {"p00": -1.0}}), [], EXIT_INTEGRITY, "result.json: field sigmas/p00: -1.0 is less than the minimum of 0"),
     "negative_coherence_sigma": (
         json.dumps({**_PUBLISHED_RESULT, "coherence": {"d_abs": 5e-3, "sigma": -1e-4}}),
-        [], EXIT_INTEGRITY, "field coherence.sigma is negative",
+        [], EXIT_INTEGRITY, "result.json: field coherence/sigma: -0.0001 is less than the minimum of 0",
     ),
     "negative_p00": (None, ["--p00", "-0.5", *_BACKPROP_POPULATIONS], EXIT_PHYSICS, "p00 = -0.5 is negative"),
     "sum_above_one": (None, ["--p00", "0.99", *_BACKPROP_POPULATIONS], EXIT_PHYSICS, "retained probability"),
@@ -723,13 +823,15 @@ _MALFORMED_BACKPROP = {  # case -> (result file text or None, options, exit code
 def test_backprop_malformed_input_exits_with_its_code(runner, tmp_path, case):
     text, options, code, message = _MALFORMED_BACKPROP[case]
     if text is not None:
-        result_file = tmp_path / "result.json"
-        result_file.write_text(text)
-        options = ["--result", str(result_file)]
+        options = options or ["--result"]
+        path = tmp_path / f"{options[-1].removeprefix('--')}.json"
+        path.write_text(text, encoding="latin-1")  # ASCII, but for the cases that are not UTF-8
+        options = [*options, str(path)]
     result = runner.invoke(main, ["backprop", *options, "--out", str(tmp_path / "bp")])
     assert result.exit_code == code, result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
-    assert "error:" in result.output and message in result.output
+    assert result.output.startswith("error: ") and message in result.output
+    assert len(result.output.splitlines()) == 1
 
 
 def test_backprop_keeps_the_flags_analyze_raised(runner, tmp_path):
