@@ -682,14 +682,14 @@ _SCHEMA_BOUNDS = list(_schema_bounds())
 # relative uncertainty overflows a float (no population survives back-propagation
 # to z2), and an uncertainty above 1, which the schema rejects
 _BUDGET_EXTREMES = {(("channel", "L", "apd"), (1e-300, 0.02)): EXIT_PHYSICS, (("channel", "L", "apd"), (0.5, 1e300)): EXIT_CONFIG}
-_CASES = [*_SCHEMA_BOUNDS, *_BUDGET_EXTREMES]
+_BOUNDS_AND_BUDGETS = [*_SCHEMA_BOUNDS, *_BUDGET_EXTREMES]
 # bounds whose bench cannot be inverted: analyze's exit code and the setting its message names
 _DEGENERATE_BENCHES = {("detectors", name): name for name in ("split", "bs2_T")}
 # a dark source leaves p10 (L) or p01 (R) within noise of zero: the coherence or the witness is undefined
 _DARK_SOURCES = {("ensembles", side, "chi") for side in "LR"}
 
 
-@pytest.mark.parametrize("path, value", _CASES, ids=[f"{'/'.join(path)}=" + ",".join(f"{v:g}" for v in np.atleast_1d(value)) for path, value in _CASES])
+@pytest.mark.parametrize("path, value", _BOUNDS_AND_BUDGETS, ids=[f"{'/'.join(path)}=" + ",".join(f"{v:g}" for v in np.atleast_1d(value)) for path, value in _BOUNDS_AND_BUDGETS])
 def test_schema_bounds_end_with_an_exit_code(runner, tmp_path, path, value):
     # every value the schema accepts ends simulate and analyze with a
     # documented exit code and a message, never a traceback (exit 1)
