@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import numbers
+import reprlib
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
@@ -79,25 +80,25 @@ def _validate(value: Any, schema: Mapping[str, Any], error: type = ConfigError, 
     if "oneOf" in schema:  # its options differ in type, so the value's type picks the one that can hold
         options = [option for option in schema["oneOf"] if _TYPES[option["type"]](value)]
         if len(options) != 1:
-            fail(f"{value!r} is not valid under any of the given schemas")
+            fail(f"{reprlib.repr(value)} is not valid under any of the given schemas")
         schema = options[0]
     if "const" in schema and not _equal(value, schema["const"]):
         fail(f"{schema['const']!r} was expected")
     if "enum" in schema and not any(_equal(value, option) for option in schema["enum"]):
-        fail(f"{value!r} is not one of {schema['enum']!r}")
+        fail(f"{reprlib.repr(value)} is not one of {schema['enum']!r}")
     kind = schema.get("type")
     if kind is not None and not _TYPES[kind](value):
-        fail(f"{value!r} is not of type {kind!r}")
+        fail(f"{reprlib.repr(value)} is not of type {kind!r}")
     if kind in ("number", "integer"):
         if kind == "number" and not fits_float(value):  # an integer is compared exactly
-            fail(f"{value!r} is not a finite number")
+            fail(f"{reprlib.repr(value)} is not a finite number")
         for keyword, violated, message in _BOUNDS:
             if keyword in schema and violated(value, schema[keyword]):
-                fail(f"{value!r} is {message} {schema[keyword]!r}")
+                fail(f"{reprlib.repr(value)} is {message} {schema[keyword]!r}")
     elif kind == "array":
         low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
         if not low <= len(value) <= high:
-            fail(f"{value!r} has {len(value)} items, not {low} to {high}")
+            fail(f"{reprlib.repr(value)} has {len(value)} items, not {low} to {high}")
         items = schema.get("items", {})  # one schema for all items, or one per position
         for index, (item, sub) in enumerate(zip(value, items if isinstance(items, list) else [items] * len(value))):
             _validate(item, sub, error, prefix, (*path, index))

@@ -174,6 +174,17 @@ def write_count_records_csv(records: Iterable[CountRecord], path: str | Path) ->
                 writer.writerow([phase, bits, record.tally[pattern], record.trials, seed])
 
 
+def _count_records(path: str | Path, fields: Iterable[tuple]) -> list[CountRecord]:
+    """A ``CountRecord`` of each tuple of its fields; its errors name the file and the record."""
+    records = []
+    for index, args in enumerate(fields):
+        try:
+            records.append(CountRecord(*args))
+        except RecordIntegrityError as exc:
+            raise RecordIntegrityError(f"{path}: record {index}: {exc}") from exc
+    return records
+
+
 def read_count_records_csv(path: str | Path, detector_ids: Sequence[str]) -> list[CountRecord]:
     """Parse a count CSV; rows sharing (phase, trials, seed) form one record.
 
@@ -181,7 +192,6 @@ def read_count_records_csv(path: str | Path, detector_ids: Sequence[str]) -> lis
     order."""
     path = Path(path)
     groups: dict[tuple, dict[ClickPattern, int]] = {}
-    order: list[tuple] = []
     try:  # csv.Error: a field beyond the csv module's size limit
         with path.open(newline="", encoding="utf-8") as fh:
             header, *rows = list(csv.reader(fh)) or [None]
@@ -202,15 +212,11 @@ def read_count_records_csv(path: str | Path, detector_ids: Sequence[str]) -> lis
             seed = int(row[4]) if row[4] != "" else None
         except (ValueError, IndexError) as exc:
             raise RecordIntegrityError(f"{path}:{lineno}: malformed row {row!r}") from exc
-        key = (phase, trials, seed)
-        if key not in groups:
-            groups[key] = {}
-            order.append(key)
-        groups[key][pattern] = groups[key].get(pattern, 0) + count
+        tally = groups.setdefault((phase, trials, seed), {})
+        tally[pattern] = tally.get(pattern, 0) + count
     if not groups:
         raise RecordIntegrityError(f"{path}: no data rows")
-    ids = tuple(detector_ids)
-    return [CountRecord(ids, trials, groups[(phase, trials, seed)], phase=phase, seed=seed) for phase, trials, seed in order]
+    return _count_records(path, ((tuple(detector_ids), trials, tally, phase, seed) for (phase, trials, seed), tally in groups.items()))
 
 
 def write_count_records_json(records: Iterable[CountRecord], path: str | Path) -> None:
@@ -241,11 +247,7 @@ _RECORDS_SCHEMA = {
 
 
 def read_count_records_json(path: str | Path) -> list[CountRecord]:
-    records = []
-    for index, entry in enumerate(read_json(path, _RECORDS_SCHEMA, RecordIntegrityError)):
+    def fields(entry: dict) -> tuple:
         tally = {tuple(int(ch) if ch in "01" else ch for ch in bits): n for bits, n in entry["tally"].items()}  # CountRecord rejects other bits
-        try:
-            records.append(CountRecord(tuple(entry["detector_ids"]), entry["trials"], tally, phase=entry.get("phase_phi_radians"), seed=entry.get("seed")))
-        except RecordIntegrityError as exc:
-            raise RecordIntegrityError(f"{path}: record {index}: {exc}") from exc
-    return records
+        return tuple(entry["detector_ids"]), entry["trials"], tally, entry.get("phase_phi_radians"), entry.get("seed")
+    return _count_records(path, map(fields, read_json(path, _RECORDS_SCHEMA, RecordIntegrityError)))

@@ -1,10 +1,12 @@
 """Detection-bench layouts for the two-mode field state.
 
-Two arrangements are used: the population (diagonal) layout with one detector
-on 2_L and a split detector pair on 2_R, and the interference (fringe) layout
-where a relative phase and a recombining beam splitter are inserted first.
-Both read exact joint click-pattern probabilities off one cached POVM; each is
-Tr(E rho) of positive operators, so one that rounds below 0 is clipped to 0.
+One bench serves both arrangements: a recombining beam splitter on (2_L, 2_R),
+then D2a on one output and a split detector pair on the other.  The
+interference (fringe) layout puts a relative phase on 2_L first; the population
+(diagonal) layout is the same bench with its recombiner transmitting, so D2a
+sees 2_L and the pair 2_R.  Both read exact joint click-pattern probabilities
+off one cached POVM; each is Tr(E rho) of positive operators, so one that
+rounds below 0 is clipped to 0.
 """
 
 from __future__ import annotations
@@ -23,25 +25,22 @@ PATTERNS = tuple(np.ndindex(2, 2, 2))  # click bits in D2_IDS order
 
 @lru_cache(maxsize=64)
 def bench_povm(
-    cutoff: int, eta_d2a: float, eta_d2b: float, eta_d2c: float, split: float, bs2_T: float | None, dark_prob: float
+    cutoff: int, eta_d2a: float, eta_d2b: float, eta_d2c: float, split: float, bs2_T: float, dark_prob: float
 ) -> np.ndarray:
-    """Read-only POVM on the two-mode input (2_L, 2_R), one element per pattern
-    of ``PATTERNS``, with the auxiliary splitter port in vacuum.  ``bs2_T=None``
-    is the population layout; otherwise the recombiner is included at phase 0.
-    The recombiner can send every input photon to one output, so its outputs
-    and the split pair live on modes of cutoff 2 * ``cutoff``, where no
-    splitter sector the inputs reach is clipped."""
-    levels = cutoff + 1
-    if bs2_T is None:  # no mode holds more than cutoff photons
-        reach, u = cutoff, np.kron(np.eye(levels), beamsplitter_unitary(cutoff, split))[:, ::levels]  # columns |n_L, n_R, 0>
-    else:
-        reach = 2 * cutoff
-        inputs = ((reach + 1) * np.arange(levels)[:, None] + np.arange(levels)).ravel()  # |n_L, n_R> with n <= cutoff
-        recombined = beamsplitter_unitary(reach, bs2_T)[:, inputs].reshape(reach + 1, reach + 1, -1)
-        # the split pair takes the second output and the auxiliary port in vacuum
-        u = (beamsplitter_unitary(reach, split)[:, :: reach + 1] @ recombined).reshape((reach + 1) ** 3, -1)
-    weights = click_weights(ModeRegister(3, reach), ((0,), (1,), (2,)), (eta_d2a, eta_d2b, eta_d2c), dark_prob)
-    povm = np.einsum("pk,ki,kj->pij", weights, u.conj(), u)
+    """Read-only POVM on the two-mode input (2_L, 2_R), one element per pattern of
+    ``PATTERNS``: the recombiner of transmittance ``bs2_T`` at phase 0 (1.0 for the
+    population layout), then the split pair on its second output, auxiliary port in
+    vacuum.  The outputs are modes of cutoff 2 * ``cutoff``, which hold every photon
+    the inputs can send to one output, so no splitter sector they reach is clipped;
+    the sum runs over the output states reached, those of at most 2 * ``cutoff`` photons."""
+    levels, reach = cutoff + 1, 2 * cutoff
+    inputs = ((reach + 1) * np.arange(levels)[:, None] + np.arange(levels)).ravel()  # |n_L, n_R> with n <= cutoff
+    recombined = beamsplitter_unitary(reach, bs2_T)[:, inputs].reshape(reach + 1, reach + 1, -1)
+    u = (beamsplitter_unitary(reach, split)[:, :: reach + 1] @ recombined).reshape((reach + 1) ** 3, -1)
+    register = ModeRegister(3, reach)
+    reached = register.occupations().sum(axis=1) <= reach  # every other row of u is 0
+    weights = click_weights(register, ((0,), (1,), (2,)), (eta_d2a, eta_d2b, eta_d2c), dark_prob)
+    povm = np.einsum("pk,ki,kj->pij", weights[:, reached], u[reached].conj(), u[reached])
     povm.setflags(write=False)
     return povm
 
@@ -54,11 +53,9 @@ def diagonal_layout_probabilities(
     split: float = 0.5,
     dark_prob: float = 0.0,
 ) -> JointProbabilities:
-    """Population measurement: D2a on 2_L; 2_R divided on a splitter of
-    transmittance ``split`` toward D2b, remainder toward D2c."""
-    povm = bench_povm(rho.register.cutoff, eta_d2a, eta_d2b, eta_d2c, split, None, dark_prob)
-    probs = np.diagonal(povm, axis1=1, axis2=2).real @ rho.probabilities()  # elements are Fock diagonal
-    return JointProbabilities(D2_IDS, dict(zip(PATTERNS, map(float, np.maximum(probs, 0.0)))))
+    """Population measurement, the fringe layout at phase 0 with its recombiner
+    transmitting: D2a on 2_L; 2_R split toward D2b (transmittance ``split``) and D2c."""
+    return fringe_layout_probabilities(rho, 0.0, eta_d2a, eta_d2b, eta_d2c, split, 1.0, dark_prob)
 
 
 def fringe_layout_probabilities(

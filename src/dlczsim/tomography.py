@@ -31,7 +31,7 @@ from .layouts import diagonal_layout_probabilities, fringe_layout_probabilities 
 TWO_PI = 2.0 * math.pi
 P_TILDE_TOL = 1e-3
 PSD_REL_TOL = 1e-9
-ROUNDING_TOL = 1e-12  # a population this close to 0 is rounding residue: states read it as 0 when negative; the inversion and _read_block always
+ROUNDING_TOL = 1e-12  # a population this close to 0 is rounding residue: states read it as 0 when negative; the inversion and _read_block read it as 0 whatever its sign
 CLAMP_SIGMA = 3.0  # negative diagonal estimates within this many sigma are clamped to zero
 
 Q_CLASSES: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2))
@@ -278,11 +278,10 @@ class DiagonalEstimate:
         return self.values[key]
 
 
-def _bench_block(eff: EfficiencyModel, fringe: bool) -> np.ndarray:
-    """The bench's POVM on the two-photon block basis, one element per pattern, of
-    the population layout or (``fringe``) the fringe layout at phase 0: the
-    inverse's one reading of the bench, at cutoff 2 and without dark counts."""
-    povm = bench_povm(2, eff.d2a, eff.d2b, eff.d2c, eff.split, eff.bs2_T if fringe else None, 0.0)
+def _bench_block(eff: EfficiencyModel, bs2_T: float) -> np.ndarray:
+    """The bench's POVM on the two-photon block basis, one element per pattern, its recombiner
+    transmitting ``bs2_T`` at phase 0 (1.0: the population layout); the inverse reads it at cutoff 2, no dark counts."""
+    povm = bench_povm(2, eff.d2a, eff.d2b, eff.d2c, eff.split, bs2_T, 0.0)
     return povm[np.ix_(range(len(PATTERNS)), _BLOCK_IDX, _BLOCK_IDX)]
 
 
@@ -307,7 +306,7 @@ def forward_class_matrix(eff: EfficiencyModel) -> np.ndarray:
     to the aggregated class probabilities: the population POVM's diagonal on
     those basis states, summed over the patterns of each class."""
     out = np.zeros((len(Q_CLASSES), len(DIAG_KEYS)))  # shape (6 classes, 5 populations)
-    np.add.at(out, _PATTERN_CLASS, np.diagonal(_bench_block(eff, fringe=False), axis1=1, axis2=2).real[:, : len(DIAG_KEYS)])
+    np.add.at(out, _PATTERN_CLASS, np.diagonal(_bench_block(eff, 1.0), axis1=1, axis2=2).real[:, : len(DIAG_KEYS)])
     out.setflags(write=False)
     return out
 
@@ -521,7 +520,7 @@ class CoherenceEstimate:
 @lru_cache(maxsize=64)
 def _fringe_arms(eff: EfficiencyModel) -> tuple[np.ndarray, np.ndarray]:
     """Per fringe arm at phase 0: the POVM diagonal on the DIAG_KEYS states and |<0,1|E|1,0>|."""
-    arms = np.einsum("ap,pij->aij", _ARM_WEIGHTS, _bench_block(eff, fringe=True))
+    arms = np.einsum("ap,pij->aij", _ARM_WEIGHTS, _bench_block(eff, eff.bs2_T))
     populations, coupling = np.diagonal(arms, axis1=1, axis2=2).real[:, : len(DIAG_KEYS)], np.abs(arms[:, 1, 2])
     populations.setflags(write=False)
     coupling.setflags(write=False)
@@ -558,7 +557,7 @@ def estimate_coherence(
     visibility: float,
     diagonals: DiagonalEstimate,
     eff: EfficiencyModel,
-    mode: str = "simplified",
+    mode: str,
     sigma_visibility: float = 0.0,
 ) -> CoherenceEstimate:
     """Convert a fringe visibility into the coherence magnitude |d|.
@@ -710,9 +709,9 @@ def _mle_elements(eff: EfficiencyModel, n_diag: int, phis: tuple[float, ...]) ->
     ``PATTERNS`` order (``n_diag`` population records, then one fringe record
     per phase), and the real symmetric A_k with Tr(E_k G G+) = x^T A_k x in
     the factor parameters x."""
-    diag = np.broadcast_to(_bench_block(eff, fringe=False), (n_diag, len(PATTERNS), 6, 6))
+    diag = np.broadcast_to(_bench_block(eff, 1.0), (n_diag, len(PATTERNS), 6, 6))
     rotation = np.exp(-1j * np.array(phis)[:, None, None] * (_BLOCK_NL[:, None] - _BLOCK_NL[None, :]))
-    fringe = _bench_block(eff, fringe=True)[None, :, :, :] * rotation[:, None, :, :]
+    fringe = _bench_block(eff, eff.bs2_T)[None, :, :, :] * rotation[:, None, :, :]
     elements = np.concatenate([diag, fringe]).reshape(-1, 6, 6)
     forms = np.ascontiguousarray((elements[:, _FACTOR_ROWS[None, :], _FACTOR_ROWS[:, None]] * _FORM_KERNEL).real)
     elements.setflags(write=False)

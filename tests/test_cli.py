@@ -232,6 +232,8 @@ _MALFORMED_RECORD_FILES = {
     "json_nested_deep": ("counts.json", b"[" * 100_000 + b"]" * 100_000, "counts.json: invalid JSON (maximum recursion depth exceeded"),
     "csv_not_utf8": ("counts.csv", _CSV_HEADER + b",000,10,10,\xe1\n", "counts.csv: invalid CSV ('utf-8' codec can't decode byte 0xe1"),
     "csv_field_beyond_limit": ("counts.csv", _CSV_HEADER + b",000,10,10," + b"1" * 200_000, "counts.csv: invalid CSV (field larger than field limit"),
+    "csv_negative_count": ("counts.csv", _CSV_HEADER + b",000,15,10,\n,100,-5,10,\n", "counts.csv: record 0: pattern (1, 0, 0) has negative count -5"),
+    "csv_bit_two": ("counts.csv", _CSV_HEADER + b",200,10,10,\n", "counts.csv: record 0: pattern (2, 0, 0) has bits other than 0/1"),
 }
 
 
@@ -787,6 +789,10 @@ _MALFORMED_BACKPROP = {  # case -> (text of the file given to the last option or
     "result_nested_deep": ("[" * 100_000 + "]" * 100_000, [], EXIT_INTEGRITY, "result.json: invalid JSON (maximum recursion depth exceeded"),
     "config_not_utf8": (json.dumps({**preset_dict("paper"), "description": "caf\xe9"}, ensure_ascii=False), ["--config"], EXIT_CONFIG, "config.json: invalid JSON ('utf-8' codec can't decode byte 0xe9"),
     "config_nested_deep": ("{\"a\": " * 100_000 + "1" + "}" * 100_000, ["--config"], EXIT_CONFIG, "config.json: invalid JSON (maximum recursion depth exceeded"),
+    # values the parser reads whose quotation would grow with them; in a fresh process the parser
+    # reads arrays up to about 980 deep, fewer under the test runner's deeper stack
+    "config_nested_array": ("[" * 500 + "]" * 500, ["--config"], EXIT_CONFIG, "config field <root>: [[[[[[[...]]]]]]] is not of type 'object'"),
+    "config_long_array": (json.dumps({**preset_dict("paper"), "cutoff": [0] * 10_000}), ["--config"], EXIT_CONFIG, "config field cutoff: [0, 0, 0, 0, 0, 0, ...] is not of type 'integer'"),
     # a transmission the schema accepts whose relative uncertainty overflows a float: no population survives
     "budget_uncertainty_overflows": (_config_text(apd=[1e-300, 0.02]), [*_PUBLISHED_POPULATIONS, "-v", "0.70", "--config"], EXIT_PHYSICS, "back-propagated populations unphysical"),
     "budget_uncertainty_above_one": (_config_text(apd=[0.5, 1e300]), ["--config"], EXIT_CONFIG, "config field channel/L/apd/1: 1e+300 is greater than the maximum of 1"),
@@ -801,7 +807,7 @@ _MALFORMED_BACKPROP = {  # case -> (text of the file given to the last option or
     ),
     "population_beyond_float": (
         '{"populations": {"p00": 0.98510, "p01": 1%s, "p10": 7.38e-3, "p11": 1.7e-5}, "coherence": {"d_abs": 1e-3, "sigma": 1e-4}}' % ("0" * 400),
-        [], EXIT_INTEGRITY, f"result.json: field populations/p01: {10**400} is not a finite number",
+        [], EXIT_INTEGRITY, f"result.json: field populations/p01: 1{'0' * 17}...{'0' * 19} is not a finite number",
     ),
     "unknown_herald": (json.dumps({**_PUBLISHED_RESULT, "herald": {"x": [1, 2]}}), [], EXIT_INTEGRITY, "result.json: field herald: {'x': [1, 2]} is not one of ['D1a', 'D1b']"),
     "null_herald": (json.dumps({**_PUBLISHED_RESULT, "herald": None}), [], EXIT_INTEGRITY, "result.json: field herald: None is not one of ['D1a', 'D1b']"),
@@ -832,6 +838,7 @@ def test_backprop_malformed_input_exits_with_its_code(runner, tmp_path, case):
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert result.output.startswith("error: ") and message in result.output
     assert len(result.output.splitlines()) == 1
+    assert len(result.output.replace(str(tmp_path), "").encode()) < 200  # the message, less the file's directory
 
 
 def test_backprop_keeps_the_flags_analyze_raised(runner, tmp_path):

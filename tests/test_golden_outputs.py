@@ -17,7 +17,6 @@ and the diff of ``tests/golden_outputs.json`` is reviewed with it.
 
 import hashlib
 import json
-import sys
 import tempfile
 from pathlib import Path
 
@@ -78,4 +77,3 @@ def test_cli_outputs_match_the_golden_hashes(tmp_path):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         GOLDEN.write_text(json.dumps(golden_hashes(Path(work)), indent=1, sort_keys=True) + "\n")
-    sys.exit(0)

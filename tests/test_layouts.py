@@ -1,5 +1,5 @@
 """The cached bench POVM against density-matrix propagation through the
-three-mode bench."""
+three-mode bench, of which the population layout is the transmitting case."""
 
 import numpy as np
 import pytest
@@ -39,6 +39,11 @@ def test_bench_povm_matches_density_propagation(cutoff, dark_prob, split, bs2_T)
         assert list(got.probabilities) == list(want.probabilities) == list(PATTERNS)
         for pattern in PATTERNS:
             assert abs(got[pattern] - want[pattern]) < 1e-14
+    # the population layout is the fringe bench at phase 0 with its recombiner
+    # transmitting, whose elements are Fock diagonal
+    assert pairs[0][0] == fringe_layout_probabilities(rho, 0.0, *ETAS, split, 1.0, dark_prob)
+    population = bench_povm(cutoff, *ETAS, split, 1.0, dark_prob)
+    assert not population[:, ~np.eye(population.shape[1], dtype=bool)].any()
 
 
 def test_bench_povm_is_shared_and_read_only():
