@@ -807,6 +807,7 @@ _MALFORMED_BACKPROP = {  # case -> (text of the file given to the last option or
     ),
     "population_beyond_float": (
         '{"populations": {"p00": 0.98510, "p01": 1%s, "p10": 7.38e-3, "p11": 1.7e-5}, "coherence": {"d_abs": 1e-3, "sigma": 1e-4}}' % ("0" * 400),
+        # reprlib quotes the 401-digit integer by 40 characters
         [], EXIT_INTEGRITY, f"result.json: field populations/p01: 1{'0' * 17}...{'0' * 19} is not a finite number",
     ),
     "unknown_herald": (json.dumps({**_PUBLISHED_RESULT, "herald": {"x": [1, 2]}}), [], EXIT_INTEGRITY, "result.json: field herald: {'x': [1, 2]} is not one of ['D1a', 'D1b']"),
