@@ -20,6 +20,13 @@ outputs.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread per command unless the user chose a count (OpenBLAS reads all
+# three variables).  Set before numpy loads; child processes inherit it.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 import hashlib
 import json
 import math

@@ -110,7 +110,7 @@ def _validate(value: Any, schema: Mapping[str, Any], error: type = ConfigError, 
         if schema.get("additionalProperties", True) is False:
             extra = [key for key in value if key not in properties]
             if extra:
-                fail(f"Additional properties are not allowed ({', '.join(map(repr, extra))} unexpected)")
+                fail(f"Additional properties are not allowed ({reprlib.repr(extra)[1:-1]} unexpected)")
         for key, sub in properties.items():
             if key in value:
                 _validate(value[key], sub, error, prefix, (*path, key))

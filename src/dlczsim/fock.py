@@ -25,11 +25,6 @@ TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-9
 NORM_TOL = 1e-12
 
-# Eigenvalue checks are O(dim^3); above this dimension construction skips the
-# spectral positivity test (Hermiticity/trace are always enforced) and
-# callers run DensityOperator.assert_positive() explicitly where needed.
-EIGEN_CHECK_MAX_DIM = 1024
-
 # Guard against accidentally requesting an enormous tensor product.
 DEFAULT_MAX_DIM = 1 << 16
 
@@ -147,7 +142,7 @@ class DensityOperator:
         mat.setflags(write=False)
         self.register = register
         self.matrix = mat
-        if not _skip_positivity and register.dim <= EIGEN_CHECK_MAX_DIM:
+        if not _skip_positivity:
             self.assert_positive()
 
     def assert_positive(self) -> None:
@@ -207,15 +202,15 @@ def _contract(t: np.ndarray, mat: np.ndarray, axes: Sequence[int]) -> np.ndarray
     return np.moveaxis(t, range(k), axes)
 
 
-def _apply_on_vector(vec: np.ndarray, register: ModeRegister, mat: np.ndarray, modes: Sequence[int]) -> np.ndarray:
-    return _contract(vec.reshape((register.levels,) * register.n_modes), mat, modes).reshape(register.dim)
-
-
-def _apply_on_density(rho: np.ndarray, register: ModeRegister, mat: np.ndarray, modes: Sequence[int]) -> np.ndarray:
-    """(M x I) rho (M x I)^dag with M acting on ``modes``."""
-    n = register.n_modes
-    t = _contract(rho.reshape((register.levels,) * (2 * n)), mat, modes)  # ket side
-    return _contract(t, mat.conj(), [n + m for m in modes]).reshape(register.dim, register.dim)  # bra side, conjugated
+def _apply(state: State, mat: np.ndarray, modes: Sequence[int]) -> np.ndarray:
+    """(M x I) psi for a pure state, (M x I) rho (M x I)^dag for a density
+    operator, with M acting on ``modes``."""
+    register = state.register
+    data = state.amplitudes if isinstance(state, PureState) else state.matrix
+    t = _contract(data.reshape((register.levels,) * (register.n_modes * data.ndim)), mat, modes)  # ket side
+    if data.ndim == 2:
+        t = _contract(t, mat.conj(), [register.n_modes + m for m in modes])  # bra side, conjugated
+    return t.reshape(data.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -288,10 +283,10 @@ def apply_beamsplitter(state: State, transmittance: float, i: int, j: int) -> St
     _check_mode(register, j)
     if i == j:
         raise ValueError("beam splitter needs two distinct modes")
-    mat = beamsplitter_unitary(register.cutoff, transmittance)
+    out = _apply(state, beamsplitter_unitary(register.cutoff, transmittance), [i, j])
     if isinstance(state, PureState):
-        return PureState(register, _apply_on_vector(state.amplitudes, register, mat, [i, j]), state.truncation_deficit)
-    return DensityOperator(register, _apply_on_density(state.matrix, register, mat, [i, j]), _skip_positivity=True)
+        return PureState(register, out, state.truncation_deficit)
+    return DensityOperator(register, out, _skip_positivity=True)
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +325,13 @@ def apply_loss(state: State, eta: float, mode: int) -> DensityOperator:
     """CPTP attenuation (beam splitter to a traced-out vacuum ancilla)."""
     register = state.register
     _check_mode(register, mode)
-    kraus = loss_kraus_operators(register.cutoff, eta)
+    branches = (_apply(state, k, [mode]) for k in loss_kraus_operators(register.cutoff, eta))
     if isinstance(state, PureState):
-        branches = [_apply_on_vector(state.amplitudes, register, k, [mode]) for k in kraus]
-        rho = sum(np.outer(b, b.conj()) for b in branches)
-    else:
-        rho = np.zeros_like(state.matrix)
-        for k in kraus:
-            rho += _apply_on_density(state.matrix, register, k, [mode])
-    return DensityOperator(register, rho, _skip_positivity=True)
+        branches = (np.outer(b, b.conj()) for b in branches)
+    return DensityOperator(register, sum(branches), _skip_positivity=True)
 
 
-def apply_phase_jitter(state: State, sigma: float, mode: int) -> DensityOperator:
+def apply_phase_jitter(rho: DensityOperator, sigma: float, mode: int) -> DensityOperator:
     """Gaussian phase-diffusion channel: rho_nm *= exp(-sigma^2 (n-m)^2 / 2).
 
     Exact ensemble average of a per-trial Gaussian phase of std ``sigma``
@@ -349,9 +339,8 @@ def apply_phase_jitter(state: State, sigma: float, mode: int) -> DensityOperator
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    register = state.register
+    register = rho.register
     _check_mode(register, mode)
-    rho = state.to_density() if isinstance(state, PureState) else state
     if sigma == 0.0:
         return rho
     n = register.mode_numbers(mode)

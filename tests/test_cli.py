@@ -504,19 +504,57 @@ for preset in ("paper", "ideal"):
 """
 
 
+# OpenBLAS reads its thread count from any of these
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# appended to a child's code: its last line is the process's thread count, or "?" without /proc
+_PRINT_THREADS = """
+import os
+_status = "/proc/self/status"
+print(next(line.split()[1] for line in open(_status) if line.startswith("Threads:")) if os.path.exists(_status) else "?")
+"""
+
+
+def _run_child(code: str, **threads: str) -> list[str]:
+    """Runs ``code`` in a fresh interpreter with only the given thread variables set; its output lines."""
+    env = _fresh_interpreter_env()
+    for name in _THREAD_VARIABLES:
+        env.pop(name, None)
+    env.update(threads)
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout.splitlines()
+
+
 def test_library_numbers_independent_of_blas_threading():
     # the forward model, both samplers and the analysis chain with its MLE, each
     # number as float.hex, in fresh interpreters on one BLAS thread and on the default
-    outputs = []
-    for threads in ("1", None):
-        env = _fresh_interpreter_env()
-        env.pop("OPENBLAS_NUM_THREADS", None)
-        if threads is not None:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        proc = subprocess.run([sys.executable, "-c", _EVERY_NUMBER], env=env, check=True, capture_output=True, text=True)
-        outputs.append(proc.stdout)
-    assert outputs[0].count("\n") == 2
-    assert outputs[0] == outputs[1]
+    *pinned, pinned_threads = _run_child(_EVERY_NUMBER + _PRINT_THREADS, OPENBLAS_NUM_THREADS="1")
+    *default, default_threads = _run_child(_EVERY_NUMBER + _PRINT_THREADS)
+    assert len(pinned) == 2
+    assert pinned == default
+    if default_threads != "?":  # the comparison is between two threadings, not one twice
+        assert pinned_threads == "1"
+        assert int(default_threads) > 1 or len(os.sched_getaffinity(0)) == 1
+
+
+def test_cli_runs_on_one_blas_thread_by_default():
+    code = "import os\nfrom dlczsim.cli import main\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))" + _PRINT_THREADS
+    variable, threads = _run_child(code)
+    assert variable == "1"
+    if threads == "?":
+        pytest.skip("no /proc/self/status to count threads")
+    assert threads == "1"
+
+
+@pytest.mark.parametrize("name", _THREAD_VARIABLES)
+def test_cli_keeps_the_users_thread_setting(name):
+    code = "import os\nfrom dlczsim.cli import main\nprint({n: os.environ.get(n) for n in %r})" % (_THREAD_VARIABLES,)
+    (setting,) = _run_child(code, **{name: "2"})
+    assert setting == repr({n: "2" if n == name else None for n in _THREAD_VARIABLES})
+
+
+def test_package_import_loads_no_numpy():
+    code = "import sys, dlczsim\nprint('numpy' in sys.modules)\nprint(all(getattr(dlczsim, n) for n in dlczsim.__all__))"
+    assert _run_child(code) == ["False", "True"]
 
 
 def test_analyze_requires_records(runner, tmp_path):
@@ -793,6 +831,8 @@ _MALFORMED_BACKPROP = {  # case -> (text of the file given to the last option or
     # reads arrays up to about 980 deep, fewer under the test runner's deeper stack
     "config_nested_array": ("[" * 500 + "]" * 500, ["--config"], EXIT_CONFIG, "config field <root>: [[[[[[[...]]]]]]] is not of type 'object'"),
     "config_long_array": (json.dumps({**preset_dict("paper"), "cutoff": [0] * 10_000}), ["--config"], EXIT_CONFIG, "config field cutoff: [0, 0, 0, 0, 0, 0, ...] is not of type 'integer'"),
+    "config_many_keys": (json.dumps({**preset_dict("paper"), **{f"k{i}": 0 for i in range(2000)}}), ["--config"], EXIT_CONFIG, "config field <root>: Additional properties are not allowed ('k0', 'k1', 'k2', 'k3', 'k4', 'k5', ... unexpected)"),
+    "config_long_key": (json.dumps({**preset_dict("paper"), "k" * 10_000: 0}), ["--config"], EXIT_CONFIG, "config field <root>: Additional properties are not allowed ('kkkkkkkkkkkk...kkkkkkkkkkkkk' unexpected)"),
     # a transmission the schema accepts whose relative uncertainty overflows a float: no population survives
     "budget_uncertainty_overflows": (_config_text(apd=[1e-300, 0.02]), [*_PUBLISHED_POPULATIONS, "-v", "0.70", "--config"], EXIT_PHYSICS, "back-propagated populations unphysical"),
     "budget_uncertainty_above_one": (_config_text(apd=[0.5, 1e300]), ["--config"], EXIT_CONFIG, "config field channel/L/apd/1: 1e+300 is greater than the maximum of 1"),

@@ -48,6 +48,14 @@ def test_density_operator_rejects_invalid():
         DensityOperator(reg, neg)
 
 
+def test_density_operator_checks_positivity_at_any_dimension():
+    reg = ModeRegister(1, 1100)  # 1101 levels: an eigenvalue check is O(dim^3), and still runs
+    diag = np.zeros(reg.dim)
+    diag[:2] = 1.2, -0.2
+    with pytest.raises(ValueError, match="positive"):
+        DensityOperator(reg, np.diag(diag))
+
+
 def test_pure_state_norm_enforced():
     reg = ModeRegister(1, 1)
     with pytest.raises(ValueError, match="norm"):
