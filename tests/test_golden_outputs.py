@@ -1,9 +1,9 @@
 """Golden hashes of the CLI's outputs: for each command run by
 ``tools/compare_outputs.py`` (``COMMANDS`` at seeds 3, 11 and 29, and the
 README's direct-values ``backprop`` once per preset) on ``paper``,
-``paper_w120``, ``ideal`` and the tool's ``knobs`` config, the ``outputs``
-hashes and ``config_sha256`` of its ``manifest.json``; and the SHA-256 of each
-``--help`` text.
+``paper_w120``, ``ideal`` and the tool's ``knobs`` config, and at seed 3 alone
+on its ``cutoff5`` config, the ``outputs`` hashes and ``config_sha256`` of its
+``manifest.json``; and the SHA-256 of each ``--help`` text.
 
 The hashes hold for the environment they were made in: numpy 2.4.6 on
 OpenBLAS 0.3.31, and click 8.4.0.  A change that moves bytes on purpose
@@ -57,10 +57,8 @@ def golden_hashes(work: Path) -> dict[str, str]:
         f"help {command or 'dlczsim'}": hashlib.sha256(_invoke(runner, [*command.split(), "--help"]).stdout_bytes).hexdigest()
         for command in TOOL.HELP
     }
-    knobs = work / "knobs.json"
-    TOOL.knobs_config(ROOT / "src", knobs)
-    for case, source in [*((preset, ["--preset", preset]) for preset in PRESETS), ("knobs", ["--config", str(knobs)])]:
-        for seed in SEEDS:
+    for case, source, seeds in TOOL.cases(ROOT / "src", PRESETS, SEEDS, work):
+        for seed in seeds:
             tag = f"{case} seed {seed}"
             hashes.update(_manifest_hashes(runner, tag, TOOL.seeded_commands(seed, work / tag), source, work / tag))
         hashes.update(_manifest_hashes(runner, f"{case} direct", TOOL.DIRECT, source, work / case))

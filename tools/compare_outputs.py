@@ -6,9 +6,10 @@ exact probabilities (`--trials 0`), `analyze --mle --plane z2` on the
 simulated JSON records, `analyze` on the same records read from CSV, and
 `backprop --plane z2` on the analysis result with each tree on PYTHONPATH
 per preset and seed, and `backprop --plane z2` on the README's direct values
-once per preset.  One more case, `knobs`, runs the same for every seed on a
-config built from the reference tree's `paper` preset with each knob that the
-presets leave at its default turned on (KNOBS).  In every case the new tree
+once per preset.  Two more cases run the same on configs built from the
+reference tree's `paper` preset: `knobs`, for every seed, with each knob that
+the presets leave at its default turned on (KNOBS), and `cutoff5`, for the
+first seed, at the schema's largest cutoff (CUTOFF5).  In every case the new tree
 also runs the inverse's commands (INVERSE: both analyses and `backprop`) on
 the reference tree's records and analysis result, tagged "reference
 records", so that the inverse is compared on the same input even where the
@@ -56,6 +57,8 @@ KNOBS = {
     "interferometer": {"eta1": 0.4, "eta2": 0.3, "phase_jitter_sigma": 0.15},
     "detectors": {"dark_prob": 1e-4, "eta_d2b": 0.35},
 }
+# the schema maximum: the largest registers, the herald's 6**6 = 46,656 dimensions among them
+CUTOFF5 = {"cutoff": 5}
 
 
 def tree_env(src):
@@ -89,12 +92,25 @@ def reference_commands(seed, old):
     return {name: commands[name] for name in INVERSE}
 
 
-def knobs_config(src, path):
-    """Writes the `paper` preset of the tree ``src`` with KNOBS set to ``path``."""
+def paper_config(src, path, changes):
+    """Writes the `paper` preset of the tree ``src`` with ``changes`` set to
+    ``path``; a block of ``changes`` is merged into the preset's block."""
     data = json.loads(Path(src, "dlczsim", "presets", "paper.json").read_text())
-    for block, knobs in KNOBS.items():
-        data[block] = {**data[block], **knobs}
+    for key, value in changes.items():
+        data[key] = {**data[key], **value} if isinstance(value, dict) else value
     path.write_text(json.dumps(data))
+
+
+def cases(src, presets, seeds, work):
+    """(tag, config arguments, seeds) of each case: every preset and `knobs`
+    at every seed, `cutoff5` at the first; the configs are written from the
+    tree ``src`` under ``work``."""
+    configs = {"knobs": (KNOBS, seeds), "cutoff5": (CUTOFF5, seeds[:1])}
+    out = [(preset, ["--preset", preset], seeds) for preset in presets]
+    for name, (changes, case_seeds) in configs.items():
+        paper_config(src, Path(work, f"{name}.json"), changes)
+        out.append((name, ["--config", str(Path(work, f"{name}.json"))], case_seeds))
+    return out
 
 
 def run(src, source, commands, out):
@@ -206,11 +222,8 @@ def main():
         print(f"help {command or 'dlczsim'}: {'identical' if old_text == new_text else 'differs'}")
         differs |= old_text != new_text
     with tempfile.TemporaryDirectory() as work:
-        knobs = Path(work, "knobs.json")
-        knobs_config(args.old_src, knobs)
-        cases = [(preset, ["--preset", preset]) for preset in args.presets.split(",")]
-        for preset, source in [*cases, ("knobs", ["--config", str(knobs)])]:
-            for seed in args.seeds.split(","):
+        for preset, source, seeds in cases(args.old_src, args.presets.split(","), args.seeds.split(","), work):
+            for seed in seeds:
                 tag = f"{preset} seed {seed}"
                 old, new = Path(work, "old", tag), Path(work, "new", tag)
                 codes = (
