@@ -98,7 +98,7 @@ class PureState:
         if amps.shape != (self.register.dim,):
             raise ValueError("amplitude vector has wrong dimension")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails this too
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -106,10 +106,6 @@ class PureState:
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def to_density(self) -> "DensityOperator":
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityOperator(self.register, rho, _skip_positivity=True)
 
     def tensor(self, other: "PureState") -> "PureState":
         if other.register.cutoff != self.register.cutoff:
@@ -132,11 +128,12 @@ class DensityOperator:
         mat = np.asarray(matrix, dtype=complex)
         if mat.shape != (register.dim, register.dim):
             raise ValueError("matrix has wrong dimension for register")
+        # each check is written so that NaN fails it too
         herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian within {HERMITICITY_TOL} (deviation {herm:.2e})")
         tr = np.trace(mat).real
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
         mat = 0.5 * (mat + mat.conj().T)
         mat.setflags(write=False)
@@ -147,7 +144,7 @@ class DensityOperator:
 
     def assert_positive(self) -> None:
         lowest = np.linalg.eigvalsh(self.matrix)[0]
-        if lowest < -POSITIVITY_TOL:
+        if not lowest >= -POSITIVITY_TOL:
             raise ValueError(f"matrix not positive: min eigenvalue {lowest:.3e} < -{POSITIVITY_TOL}")
 
     def probabilities(self) -> np.ndarray:
@@ -194,12 +191,13 @@ def two_mode_squeezed(chi: float, cutoff: int) -> PureState:
 
 
 def _contract(t: np.ndarray, mat: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Apply ``mat`` to the level axes ``axes`` of the tensor ``t``."""
-    k = len(axes)
-    t = np.moveaxis(t, axes, range(k))
+    """Apply ``mat`` to the level axes ``axes`` of the tensor ``t``; the
+    matrix's row and column index runs over ``axes`` in the order given."""
+    perm = [*axes, *(axis for axis in range(t.ndim) if axis not in axes)]
+    t = t.transpose(perm)
     shape = t.shape
     t = (mat @ t.reshape(mat.shape[1], -1)).reshape(shape)
-    return np.moveaxis(t, range(k), axes)
+    return t.transpose(np.argsort(perm))
 
 
 def _apply(state: State, mat: np.ndarray, modes: Sequence[int]) -> np.ndarray:
@@ -337,8 +335,8 @@ def apply_phase_jitter(rho: DensityOperator, sigma: float, mode: int) -> Density
     Exact ensemble average of a per-trial Gaussian phase of std ``sigma``
     applied to the mode.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     register = rho.register
     _check_mode(register, mode)
     if sigma == 0.0:

@@ -102,7 +102,7 @@ def herald(
     the trace over those modes weighted by the event's click weights."""
     t, weights = _field1_view(state, interferometer, choice)
     # rows where the chosen detector clicks, indexed by the other detector's bit
-    clicked = np.moveaxis(weights.reshape(2, 2, -1), HERALDS.index(choice.which), 0)[1]
+    clicked = np.take(weights.reshape(2, 2, -1), 1, axis=HERALDS.index(choice.which))
     w = clicked[0] if choice.exclusive else clicked[0] + clicked[1]
     reduced = np.einsum("bt,t,ct->bc", t, w, t.conj())
     probability = float(np.trace(reduced).real)

@@ -75,6 +75,27 @@ def expm_beamsplitter(cutoff: int, transmittance: float) -> np.ndarray:
     return expm(theta * gen)
 
 
+def moveaxis_contract(t: np.ndarray, mat: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``fock._contract`` through ``np.moveaxis``: ``mat`` applied to the level
+    axes ``axes`` of ``t``, moved to the front in the order given and back."""
+    k = len(axes)
+    t = np.moveaxis(t, axes, range(k))
+    shape = t.shape
+    t = (mat @ t.reshape(mat.shape[1], -1)).reshape(shape)
+    return np.moveaxis(t, range(k), axes)
+
+
+def moveaxis_apply(state, mat: np.ndarray, modes: Sequence[int]) -> np.ndarray:
+    """``fock._apply`` with ``moveaxis_contract``: the ket side, and for a
+    density matrix the bra side with ``mat.conj()``."""
+    register = state.register
+    data = state.amplitudes if isinstance(state, PureState) else state.matrix
+    t = moveaxis_contract(data.reshape((register.levels,) * (register.n_modes * data.ndim)), mat, modes)
+    if data.ndim == 2:
+        t = moveaxis_contract(t, mat.conj(), [register.n_modes + m for m in modes])
+    return t.reshape(data.shape)
+
+
 def random_density_operator(register: ModeRegister, rng: np.random.Generator, rank: int | None = None) -> DensityOperator:
     """Random full-support state from the Ginibre ensemble."""
     dim = register.dim
@@ -628,6 +649,11 @@ def fock_state(register: ModeRegister, occupation: Sequence[int]) -> PureState:
     amps = np.zeros(register.dim, dtype=complex)
     amps[register.index(occupation)] = 1.0
     return PureState(register, amps)
+
+
+def to_density(state: PureState) -> DensityOperator:
+    """|psi><psi| of a state vector."""
+    return DensityOperator(state.register, np.outer(state.amplitudes, state.amplitudes.conj()), _skip_positivity=True)
 
 
 def fidelity(a: PureState | DensityOperator, b: PureState | DensityOperator) -> float:

@@ -46,6 +46,7 @@ from helpers import (
     fock_state,
     partial_trace,
     random_density_operator,
+    to_density,
 )
 
 
@@ -78,7 +79,7 @@ def test_pair_source_joint_click_vs_series_oracle():
     chi = 0.1
     st = two_mode_squeezed(chi, 6)
     probs = _pattern_probs(st, [[0], [1]], [1.0, 1.0])
-    oracle = brute_force_pattern_probs(st.to_density().matrix, st.register, [Detector("A", 1.0, (0,)), Detector("B", 1.0, (1,))])
+    oracle = brute_force_pattern_probs(to_density(st).matrix, st.register, [Detector("A", 1.0, (0,)), Detector("B", 1.0, (1,))])
     for pattern in oracle:
         assert abs(probs[pattern] - oracle[pattern]) < 1e-8
     # the series value itself: renormalized geometric tail

@@ -11,6 +11,7 @@ from dlczsim.fock import (
     apply_beamsplitter,
     apply_loss,
     apply_phase,
+    _apply,
     apply_phase_jitter,
     beamsplitter_unitary,
     no_click_weights,
@@ -22,10 +23,12 @@ from helpers import (
     expm_beamsplitter,
     fidelity,
     fock_state,
+    moveaxis_apply,
     partial_trace,
     pi0_series_matrix,
     random_density_operator,
     tmss_probabilities_series,
+    to_density,
     truncation_warning,
 )
 
@@ -46,6 +49,15 @@ def test_density_operator_rejects_invalid():
     neg = np.diag([1.2, -0.2, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="positive"):
         DensityOperator(reg, neg)
+    # every comparison with NaN is False, so each check must be written to fail on it
+    with np.errstate(invalid="ignore", over="ignore"):
+        for bad in ([[math.nan, 0], [0, math.nan]], [[math.inf, 0], [0, 0]], [[0.5, math.nan], [math.nan, 0.5]]):
+            with pytest.raises(ValueError, match="Hermitian"):
+                DensityOperator(ModeRegister(1, 1), bad)
+            with pytest.raises(ValueError, match="Hermitian"):
+                DensityOperator(ModeRegister(1, 1), bad, _skip_positivity=True)
+        with pytest.raises(ValueError, match="trace"):
+            DensityOperator(ModeRegister(1, 1), np.diag([1e308, 1e308]))
 
 
 def test_density_operator_checks_positivity_at_any_dimension():
@@ -60,6 +72,9 @@ def test_pure_state_norm_enforced():
     reg = ModeRegister(1, 1)
     with pytest.raises(ValueError, match="norm"):
         PureState(reg, np.array([1.0, 1.0]))
+    for bad in ([math.nan, 0.0], [math.inf, 0.0], [1.0, complex(0.0, math.nan)]):
+        with pytest.raises(ValueError, match="norm"):
+            PureState(reg, np.array(bad))
 
 
 def test_register_bounds():
@@ -110,6 +125,33 @@ def test_tmss_domain_errors():
 
 
 # ---------------------------------------------------------------------------
+# generic tensor application
+
+
+def _random_pure_state(register: ModeRegister, rng: np.random.Generator) -> PureState:
+    amps = rng.normal(size=register.dim) + 1j * rng.normal(size=register.dim)
+    return PureState(register, amps / np.linalg.norm(amps))
+
+
+def test_apply_matches_the_moveaxis_contraction_bit_for_bit():
+    """``_apply`` permutes axes with ``transpose``; the ``np.moveaxis`` form
+    gives the same array to the bit, for every single mode and every ordered
+    pair of distinct modes, descending pairs included."""
+    rng = np.random.default_rng(29)
+    for n_modes in range(1, 5):
+        for cutoff in range(1, 4):
+            register = ModeRegister(n_modes, cutoff)
+            states = (_random_pure_state(register, rng), random_density_operator(register, rng))
+            singles = [(m,) for m in range(n_modes)]
+            pairs = [(i, j) for i in range(n_modes) for j in range(n_modes) if i != j]
+            for modes in singles + pairs:
+                side = register.levels ** len(modes)
+                mat = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+                for state in states:
+                    assert np.array_equal(_apply(state, mat, modes), moveaxis_apply(state, mat, modes)), (n_modes, cutoff, modes)
+
+
+# ---------------------------------------------------------------------------
 # beam splitter
 
 
@@ -121,7 +163,7 @@ def test_beamsplitter_identity_at_full_transmission():
 
 
 def test_beamsplitter_single_photon_split():
-    rho = fock_state(ModeRegister(2, 2), (1, 0)).to_density()
+    rho = to_density(fock_state(ModeRegister(2, 2), (1, 0)))
     out = apply_beamsplitter(rho, 0.5, 0, 1)
     reg = out.register
     i10, i01 = reg.index((1, 0)), reg.index((0, 1))
@@ -189,7 +231,7 @@ def test_phase_identity_and_populations():
 def test_phase_pi_flips_single_mode_coherence():
     reg = ModeRegister(1, 1)
     plus = PureState(reg, np.array([1.0, 1.0]) / math.sqrt(2))
-    out = apply_phase(plus.to_density(), math.pi, 0)
+    out = apply_phase(to_density(plus), math.pi, 0)
     assert abs(out.matrix[0, 1] + 0.5) < 1e-12
     assert abs(out.matrix[0, 0] - 0.5) < 1e-12
 
@@ -249,6 +291,13 @@ def test_phase_jitter_dephasing_factors():
             assert abs(out.matrix[n, m] - rho.matrix[n, m] * factor) < 1e-14
 
 
+def test_phase_jitter_rejects_invalid_sigma():
+    rho = random_density_operator(ModeRegister(1, 2), np.random.default_rng(3))
+    for sigma in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            apply_phase_jitter(rho, sigma, 0)
+
+
 # ---------------------------------------------------------------------------
 # partial trace (the oracle in tests/helpers.py that the reduced-state checks use)
 
@@ -258,7 +307,7 @@ def test_partial_trace_product_state():
     b = vacuum(ModeRegister(1, 2))
     joint = a.tensor(b)
     reduced = partial_trace(joint, [0, 1])
-    assert np.max(np.abs(reduced.matrix - a.to_density().matrix)) < 1e-12
+    assert np.max(np.abs(reduced.matrix - to_density(a).matrix)) < 1e-12
 
 
 def test_partial_trace_thermal_marginal():

@@ -33,6 +33,7 @@ from helpers import (
     load_preset,
     overlap_from_extinction_db,
     padded_herald_oracle,
+    to_density,
 )
 
 
@@ -272,7 +273,7 @@ def test_read_stage_tenth_efficiency_arithmetic():
     amp[reg.index((0, 1))] = 1.0 / math.sqrt(2)
     from dlczsim.fock import PureState
 
-    atomic = PureState(reg, amp).to_density()
+    atomic = to_density(PureState(reg, amp))
     out = restrict(read_stage(atomic, 0.1, 0.1))
     assert abs(out.p00 - 0.9) < 1e-12
     assert abs(out.p10 + out.p01 - 0.1) < 1e-12
