@@ -8,10 +8,10 @@ from dlczsim.fock import (
     DensityOperator,
     ModeRegister,
     PureState,
+    _apply,
     apply_beamsplitter,
     apply_loss,
     apply_phase,
-    _apply,
     apply_phase_jitter,
     beamsplitter_unitary,
     no_click_weights,

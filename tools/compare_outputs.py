@@ -9,8 +9,8 @@ per preset and seed, and `backprop --plane z2` on the README's direct values
 once per preset.  Two more cases run the same on configs built from the
 reference tree's `paper` preset: `knobs`, for every seed, with each knob that
 the presets leave at its default turned on (KNOBS), and `cutoff5`, for the
-first seed, at the schema's largest cutoff (CUTOFF5).  In every case the new tree
-also runs the inverse's commands (INVERSE: both analyses and `backprop`) on
+first seed, at the schema's largest cutoff (CUTOFF5).  In every case the new
+tree also runs the inverse's commands (INVERSE: both analyses and `backprop`) on
 the reference tree's records and analysis result, tagged "reference
 records", so that the inverse is compared on the same input even where the
 forward model's bytes move on purpose.  Prints per data file
@@ -108,8 +108,9 @@ def cases(src, presets, seeds, work):
     configs = {"knobs": (KNOBS, seeds), "cutoff5": (CUTOFF5, seeds[:1])}
     out = [(preset, ["--preset", preset], seeds) for preset in presets]
     for name, (changes, case_seeds) in configs.items():
-        paper_config(src, Path(work, f"{name}.json"), changes)
-        out.append((name, ["--config", str(Path(work, f"{name}.json"))], case_seeds))
+        path = Path(work, f"{name}.json")
+        paper_config(src, path, changes)
+        out.append((name, ["--config", str(path)], case_seeds))
     return out
 
 
