@@ -73,7 +73,7 @@ def test_csv_uncertainty_columns_move_in_the_sigma_block(tmp_path):
 
 def test_the_inverse_reruns_on_the_reference_trees_records(tmp_path):
     commands = _compare_module().reference_commands(3, tmp_path / "old")
-    assert list(commands) == ["ana", "csv", "bp"]
+    assert list(commands) == ["ana", "csv", "simple", "bp"]
     for args in commands.values():
         inputs = [Path(arg) for arg in args if "/" in arg]
         assert inputs and all(path.is_relative_to(tmp_path / "old") for path in inputs)

@@ -2,8 +2,9 @@
 ``tools/compare_outputs.py`` (``COMMANDS`` at seeds 3, 11 and 29, and the
 README's direct-values ``backprop`` once per preset) on ``paper``,
 ``paper_w120``, ``ideal`` and the tool's ``knobs`` config, and at seed 3 alone
-on its ``cutoff5`` config, the ``outputs`` hashes and ``config_sha256`` of its
-``manifest.json``; and the SHA-256 of each ``--help`` text.
+on its ``cutoff5`` and ``phases`` configs, the ``outputs`` hashes and
+``config_sha256`` of its ``manifest.json``; and the SHA-256 of each ``--help``
+text.
 
 The hashes hold for the environment they were made in: numpy 2.4.6 on
 OpenBLAS 0.3.31, and click 8.4.0.  A change that moves bytes on purpose

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Compare the CLI data files that two dlczsim source trees write.
 
-Runs `simulate --layout both`, `fringe-scan` on sampled records and on the
-exact probabilities (`--trials 0`), `analyze --mle --plane z2` on the
-simulated JSON records, `analyze` on the same records read from CSV, and
-`backprop --plane z2` on the analysis result with each tree on PYTHONPATH
-per preset and seed, and `backprop --plane z2` on the README's direct values
-once per preset.  Two more cases run the same on configs built from the
-reference tree's `paper` preset: `knobs`, for every seed, with each knob that
-the presets leave at its default turned on (KNOBS), and `cutoff5`, for the
-first seed, at the schema's largest cutoff (CUTOFF5).  In every case the new
-tree also runs the inverse's commands (INVERSE: both analyses and `backprop`) on
+Runs `simulate --layout both`, the same heralded by D1b (`--herald d1b`),
+`fringe-scan` on sampled records and on the exact probabilities
+(`--trials 0`), `analyze --mle --plane z2` on the simulated JSON records,
+`analyze` on the same records read from CSV, `analyze --coherence-mode
+simplified` on the JSON records, and `backprop --plane z2` on the analysis
+result with each tree on PYTHONPATH per preset and seed, and `backprop
+--plane z2` on the README's direct values once per preset.  Three more cases
+run the same on configs built from the reference tree's `paper` preset:
+`knobs`, for every seed, with each knob that the presets leave at its default
+turned on (KNOBS), and, for the first seed, `cutoff5` at the schema's largest
+cutoff (CUTOFF5) and `phases` with the fringe phases given as a list
+(PHASES).  In every case the new tree also runs the inverse's commands
+(INVERSE: the three analyses and `backprop`) on
 the reference tree's records and analysis result, tagged "reference
 records", so that the inverse is compared on the same input even where the
 forward model's bytes move on purpose.  Prints per data file
@@ -33,6 +36,7 @@ or change in log L; 0 when every output is the same.
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -41,15 +45,17 @@ from pathlib import Path
 
 COMMANDS = {
     "sim": ["simulate", "--layout", "both"],
+    "d1b": ["simulate", "--layout", "both", "--herald", "d1b"],  # the command-line herald override
     "scan": ["fringe-scan"],
     "scan0": ["fringe-scan", "--trials", "0"],  # the probability branch of the fringe table
     "ana": ["analyze", "--mle", "--plane", "z2"],
     "csv": ["analyze"],  # the CSV record reader
+    "simple": ["analyze", "--coherence-mode", "simplified"],  # the textbook coherence relation
     "bp": ["backprop", "--plane", "z2"],  # samples nothing, so it takes no --seed
 }
 # the README's direct-values example: it reads no records, so it runs once per preset
 DIRECT = {"bpv": ["backprop", "--plane", "z2", "--p00", "0.98510", "--p10", "7.38e-3", "--p01", "7.51e-3", "--p11", "1.7e-5", "-v", "0.70"]}
-INVERSE = ("ana", "csv", "bp")  # the commands that read records or an analysis result
+INVERSE = ("ana", "csv", "simple", "bp")  # the commands that read records or an analysis result
 HELP = ["", "simulate", "fringe-scan", "analyze", "backprop"]  # "" is the group itself
 # every preset keeps these at their defaults, so without this case no bytes are compared with them on
 KNOBS = {
@@ -59,6 +65,8 @@ KNOBS = {
 }
 # the schema maximum: the largest registers, the herald's 6**6 = 46,656 dimensions among them
 CUTOFF5 = {"cutoff": 5}
+# the list form of the fringe phases: nine phases over one turn, its ends included
+PHASES = {"fringe_phases": [2 * math.pi * k / 8 for k in range(9)]}
 
 
 def tree_env(src):
@@ -76,10 +84,12 @@ def seeded_commands(seed, out):
     records and the analysis result written under ``out``."""
     inputs = {
         "sim": ["--seed", str(seed)],
+        "d1b": ["--seed", str(seed)],
         "scan": ["--seed", str(seed)],
         "scan0": [],
         "ana": ["--seed", str(seed), "--records", str(out / "sim")],
         "csv": ["--seed", str(seed), "--diag", str(out / "sim" / "counts_diagonal.csv"), "--fringe", str(out / "sim" / "counts_fringe.csv")],
+        "simple": ["--seed", str(seed), "--records", str(out / "sim")],
         "bp": ["--result", str(out / "ana" / "tomography_result.json")],
     }
     return {name: [*args, *inputs[name]] for name, args in COMMANDS.items()}
@@ -103,9 +113,9 @@ def paper_config(src, path, changes):
 
 def cases(src, presets, seeds, work):
     """(tag, config arguments, seeds) of each case: every preset and `knobs`
-    at every seed, `cutoff5` at the first; the configs are written from the
-    tree ``src`` under ``work``."""
-    configs = {"knobs": (KNOBS, seeds), "cutoff5": (CUTOFF5, seeds[:1])}
+    at every seed, `cutoff5` and `phases` at the first; the configs are
+    written from the tree ``src`` under ``work``."""
+    configs = {"knobs": (KNOBS, seeds), "cutoff5": (CUTOFF5, seeds[:1]), "phases": (PHASES, seeds[:1])}
     out = [(preset, ["--preset", preset], seeds) for preset in presets]
     for name, (changes, case_seeds) in configs.items():
         path = Path(work, f"{name}.json")
