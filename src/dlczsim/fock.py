@@ -4,8 +4,8 @@ States live on a tensor product of bosonic modes, each truncated at a
 configurable photon-number cutoff.  The module provides the state carriers
 (:class:`PureState`, :class:`DensityOperator`), the linear-optics primitives
 (beam splitter, phase shifter, attenuation channel, phase-jitter dephasing),
-and the threshold-detector model: the Fock diagonal of the no-click element,
-the normally ordered :exp(-eta n):, and of every joint click-pattern element.
+and the threshold-detector model in one function, ``click_weights``: the Fock
+diagonal of every joint click-pattern element, from the no-click :exp(-eta n):.
 
 All values are immutable after construction and every operation is a pure
 function, so the API is safe to use from concurrent callers.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -97,7 +97,8 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (self.register.dim,):
             raise ValueError("amplitude vector has wrong dimension")
-        norm = np.linalg.norm(amps)
+        with np.errstate(invalid="ignore", over="ignore"):  # an infinite or overflowing norm fails the check without a warning
+            norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails this too
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         amps = amps.copy()
@@ -128,11 +129,12 @@ class DensityOperator:
         mat = np.asarray(matrix, dtype=complex)
         if mat.shape != (register.dim, register.dim):
             raise ValueError("matrix has wrong dimension for register")
-        # each check is written so that NaN fails it too
-        herm = np.max(np.abs(mat - mat.conj().T))
+        # each check is written so that NaN fails it too, and an infinite or
+        # overflowing entry fails it without a warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            herm, tr = np.max(np.abs(mat - mat.conj().T)), np.trace(mat).real
         if not herm <= HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian within {HERMITICITY_TOL} (deviation {herm:.2e})")
-        tr = np.trace(mat).real
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
         mat = 0.5 * (mat + mat.conj().T)
@@ -351,35 +353,29 @@ def apply_phase_jitter(rho: DensityOperator, sigma: float, mode: int) -> Density
 # detector elements
 
 
-def no_click_weights(register: ModeRegister, modes: Iterable[int], efficiency: float, dark_prob: float = 0.0) -> np.ndarray:
-    """Diagonal of the no-click POVM element for a detector covering ``modes``.
-
-    With a -> sqrt(eta) a the normally ordered no-click operator
-    :exp(-eta n): has Fock diagonal (1-eta)^n; an optional per-window dark
-    count multiplies by (1 - dark_prob).
-    """
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {efficiency}")
-    if not 0.0 <= dark_prob < 1.0:
-        raise ValueError(f"dark-count probability must lie in [0, 1), got {dark_prob}")
-    w = np.ones(register.dim)
-    for mode in modes:
-        _check_mode(register, mode)
-        w = w * (1.0 - efficiency) ** register.mode_numbers(mode)
-    return w * (1.0 - dark_prob)
-
-
 def click_weights(
     register: ModeRegister, groups: Sequence[Sequence[int]], efficiencies: Sequence[float], dark_prob: float = 0.0
 ) -> np.ndarray:
     """Fock diagonals of the joint click-pattern elements of threshold
     detectors, one detector per mode group: a ``(2**k, dim)`` array whose rows
-    follow ``np.ndindex((2,) * k)`` (bit 1 = click).  Every element is Fock
-    diagonal, so a pattern's probability is its row dotted with the state's
-    populations, and conditioning on it is a trace weighted by that row."""
+    follow ``np.ndindex((2,) * k)`` (bit 1 = click).  With a -> sqrt(eta) a a
+    detector's no-click element is the normally ordered :exp(-eta n): over its
+    modes, of Fock diagonal (1-eta)^n per mode; an optional per-window dark
+    count multiplies it by (1 - dark_prob).  Every element is Fock diagonal,
+    so a pattern's probability is its row dotted with the state's populations,
+    and conditioning on it is a trace weighted by that row."""
+    if not 0.0 <= dark_prob < 1.0:
+        raise ValueError(f"dark-count probability must lie in [0, 1), got {dark_prob}")
     modes = [mode for group in groups for mode in group]
     if len(set(modes)) != len(modes):
         raise ValueError("a mode is assigned to more than one detector")
-    no_click = np.array([no_click_weights(register, group, eta, dark_prob) for group, eta in zip(groups, efficiencies, strict=True)])
+    no_click = np.ones((len(groups), register.dim))
+    for w, group, eta in zip(no_click, groups, efficiencies, strict=True):
+        if not 0.0 <= eta <= 1.0:
+            raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
+        for mode in group:
+            _check_mode(register, mode)
+            w *= (1.0 - eta) ** register.mode_numbers(mode)
+    no_click *= 1.0 - dark_prob
     patterns = np.array(list(np.ndindex((2,) * len(groups))))
     return np.where(patterns[:, :, None] == 0, no_click, 1.0 - no_click).prod(axis=1)

@@ -1,8 +1,9 @@
 """Reverse pipeline: from count records to the restricted density matrix.
 
-Stage one inverts the aggregated click classes of the population layout for
-the photon-number diagonals; stage two fits the interference fringes for a
-visibility and converts it into the single-excitation coherence, either with
+Every count record is read through ``pattern_counts``.  Stage one inverts the
+population layout's counts, summed into click classes, for the photon-number
+diagonals; stage two fits the interference fringes for a visibility and
+converts it into the single-excitation coherence, either with
 the textbook relation |d| = V (p10 + p01) / 2 or by inverting the exact
 fringe-layout forward model.  A joint maximum-likelihood fit over both
 measurement configurations (Newton's method, numpy only) cross-checks it.
@@ -23,9 +24,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import UNIT_INTERVAL, config_block, param
-from .detection import CountRecord, RecordIntegrityError, aggregate_split_detector, substream_rng
+from .detection import CountRecord, RecordIntegrityError, substream_rng
 from .fock import DensityOperator, ModeRegister
-from .layouts import D2_IDS, PATTERNS, SPLIT_PAIR, bench_povm
+from .layouts import D2_IDS, PATTERNS, bench_povm
 from .layouts import diagonal_layout_probabilities, fringe_layout_probabilities  # noqa: F401 - bound here for the benchmark's layer tracer
 
 TWO_PI = 2.0 * math.pi
@@ -257,8 +258,9 @@ class AggregatedCounts:
 
     @classmethod
     def from_record(cls, record: CountRecord) -> "AggregatedCounts":
-        classes = aggregate_split_detector(in_bench_order(record), SPLIT_PAIR)
-        return cls(counts={cls_: classes.get(cls_, 0) for cls_ in Q_CLASSES}, trials=record.trials)
+        counts = np.zeros(len(Q_CLASSES), dtype=np.int64)
+        np.add.at(counts, _PATTERN_CLASS, pattern_counts([record])[0])  # integer sums: exact up to MAX_TRIALS
+        return cls(counts=dict(zip(Q_CLASSES, counts.tolist())), trials=record.trials)
 
     def frequencies(self) -> np.ndarray:
         return np.array([self.counts.get(cls_, 0) / self.trials for cls_ in Q_CLASSES])

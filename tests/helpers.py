@@ -30,7 +30,6 @@ from dlczsim.fock import (
     apply_loss,
     apply_phase,
     beamsplitter_unitary,
-    no_click_weights,
     two_mode_squeezed,
 )
 from dlczsim.pipeline import _propagate
@@ -122,7 +121,10 @@ class Detector(NamedTuple):
 def _pattern_weights(register: ModeRegister, detectors, pattern) -> np.ndarray:
     weights = np.ones(register.dim)
     for det, bit in zip(detectors, pattern):
-        w = no_click_weights(register, det.modes, det.efficiency, det.dark_prob)
+        w = np.ones(register.dim)  # the no-click diagonal: (1 - eta)^n per mode, times (1 - dark_prob)
+        for mode in det.modes:
+            w = w * (1.0 - det.efficiency) ** register.mode_numbers(mode)
+        w = w * (1.0 - det.dark_prob)
         weights = weights * (w if bit == 0 else 1.0 - w)
     return weights
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dlczsim.fock import (
     apply_phase,
     apply_phase_jitter,
     beamsplitter_unitary,
-    no_click_weights,
+    click_weights,
     two_mode_squeezed,
     vacuum,
 )
@@ -49,8 +50,10 @@ def test_density_operator_rejects_invalid():
     neg = np.diag([1.2, -0.2, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="positive"):
         DensityOperator(reg, neg)
-    # every comparison with NaN is False, so each check must be written to fail on it
-    with np.errstate(invalid="ignore", over="ignore"):
+    # every comparison with NaN is False, so each check must be written to fail
+    # on it; and a caller running with warnings as errors gets the ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for bad in ([[math.nan, 0], [0, math.nan]], [[math.inf, 0], [0, 0]], [[0.5, math.nan], [math.nan, 0.5]]):
             with pytest.raises(ValueError, match="Hermitian"):
                 DensityOperator(ModeRegister(1, 1), bad)
@@ -72,9 +75,11 @@ def test_pure_state_norm_enforced():
     reg = ModeRegister(1, 1)
     with pytest.raises(ValueError, match="norm"):
         PureState(reg, np.array([1.0, 1.0]))
-    for bad in ([math.nan, 0.0], [math.inf, 0.0], [1.0, complex(0.0, math.nan)]):
-        with pytest.raises(ValueError, match="norm"):
-            PureState(reg, np.array(bad))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([math.nan, 0.0], [math.inf, 0.0], [1.0, complex(0.0, math.nan)], [1e308, 1e308]):
+            with pytest.raises(ValueError, match="norm"):
+                PureState(reg, np.array(bad))
 
 
 def test_register_bounds():
@@ -337,8 +342,9 @@ def test_partial_trace_keep_all_and_errors():
 
 
 def _no_click(state, modes, eta: float) -> float:
-    """Tr(rho :exp(-eta n):) from the Fock diagonal the detectors use."""
-    return float(no_click_weights(state.register, modes, eta) @ state.probabilities())
+    """Tr(rho :exp(-eta n):) from the Fock diagonal the detectors use: the
+    no-click row of one detector on ``modes``."""
+    return float(click_weights(state.register, [modes], [eta])[0] @ state.probabilities())
 
 
 def test_no_click_on_vacuum_and_single_photon():
@@ -380,12 +386,12 @@ def test_no_click_expectation_within_unit_interval():
         assert -1e-10 <= val <= 1.0 + 1e-10
 
 
-def test_no_click_weights_validation():
+def test_click_weights_validation():
     reg = ModeRegister(1, 2)
-    with pytest.raises(ValueError):
-        no_click_weights(reg, [0], 1.2)
-    with pytest.raises(ValueError):
-        no_click_weights(reg, [0], 0.5, dark_prob=1.0)
+    with pytest.raises(ValueError, match="efficiency"):
+        click_weights(reg, [[0]], [1.2])
+    with pytest.raises(ValueError, match="dark-count"):
+        click_weights(reg, [[0]], [0.5], dark_prob=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 import dlczsim.tomography as tom
-from dlczsim.config import config_from_dict, preset_dict
+from dlczsim.config import MAX_TRIALS, config_from_dict, preset_dict
 from dlczsim.detection import CountRecord, RecordIntegrityError, aggregate_split_detector, sample_counts, substream_rng
 from dlczsim.fock import DensityOperator, ModeRegister
-from dlczsim.layouts import PATTERNS, SPLIT_PAIR, bench_povm, diagonal_layout_probabilities, fringe_layout_probabilities
+from dlczsim.layouts import D2_IDS, PATTERNS, SPLIT_PAIR, bench_povm, diagonal_layout_probabilities, fringe_layout_probabilities
 from dlczsim.pipeline import full_experiment, sample_diagonal_records
 from dlczsim.tomography import (
     AggregatedCounts,
@@ -30,6 +30,7 @@ from dlczsim.tomography import (
     estimate_coherence,
     fit_fringe,
     forward_class_matrix,
+    in_bench_order,
     invert_diagonal,
     log_likelihood,
     mle_fit,
@@ -749,16 +750,27 @@ def test_records_in_another_detector_order_read_the_same(order):
 
 
 def test_readout_matches_record_by_record_sums():
-    # the pattern-count matrix reads the same classes and arms as summing
-    # each tally, and the arm sums of probabilities run in pattern order
-    diag_rec, fringe_recs, _ = _published_regime_records(77)
+    # the pattern-count matrix reads the same arms as summing each tally, and
+    # the arm sums of probabilities run in pattern order
+    _, fringe_recs, _ = _published_regime_records(77)
     scan = FringeScan(fringe_recs).arm_data()
     assert all(np.array_equal(a, b) for a, b in zip(scan, fringe_arms_loop(fringe_recs)))
-    classes = aggregate_split_detector(diag_rec, SPLIT_PAIR)
-    assert AggregatedCounts.from_record(diag_rec).counts == {cls: classes.get(cls, 0) for cls in Q_CLASSES}
     for _, probs in full_experiment(config_from_dict(ideal_config_dict())).fringe_probs:
         arms = arm_clicks(np.array([probs[pattern] for pattern in PATTERNS])).tolist()
         assert arms == [sum(p * w for p, w in zip(probs.probabilities.values(), weights)) for weights in tom._ARM_WEIGHTS.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=st.permutations(D2_IDS), trials=st.integers(1, MAX_TRIALS), data=st.data())
+def test_aggregated_counts_read_through_pattern_counts(order, trials, data):
+    # the classes are the split pair's aggregation of the record in bench
+    # order, summed in integers, so a record of any detector order and any
+    # count up to MAX_TRIALS reads exactly (a float sum fails above 2**53)
+    cuts = sorted(data.draw(st.lists(st.integers(0, trials), min_size=len(PATTERNS) - 1, max_size=len(PATTERNS) - 1)))
+    counts = [b - a for a, b in zip([0, *cuts], [*cuts, trials])]
+    record = CountRecord(tuple(order), trials, dict(zip(PATTERNS, counts)))
+    classes = aggregate_split_detector(in_bench_order(record), SPLIT_PAIR)
+    assert AggregatedCounts.from_record(record).counts == {cls: classes.get(cls, 0) for cls in Q_CLASSES}
 
 
 def test_records_of_other_detectors_rejected():
