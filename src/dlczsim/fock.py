@@ -6,6 +6,9 @@ configurable photon-number cutoff.  The module provides the state carriers
 (beam splitter, phase shifter, attenuation channel, phase-jitter dephasing),
 and the threshold-detector model in one function, ``click_weights``: the Fock
 diagonal of every joint click-pattern element, from the no-click :exp(-eta n):.
+The detection bench reads only a beam splitter's exact photon-number sectors,
+``beamsplitter_sectors``; ``beamsplitter_unitary`` completes the sectors the
+cutoff clips, which only the herald's (1_R, 1_L) splitter reaches.
 
 All values are immutable after construction and every operation is a pure
 function, so the API is safe to use from concurrent callers.
@@ -130,14 +133,16 @@ class DensityOperator:
         if mat.shape != (register.dim, register.dim):
             raise ValueError("matrix has wrong dimension for register")
         # each check is written so that NaN fails it too, and an infinite or
-        # overflowing entry fails it without a warning
+        # overflowing entry, the symmetrisation's included, fails it without a warning
         with np.errstate(invalid="ignore", over="ignore"):
             herm, tr = np.max(np.abs(mat - mat.conj().T)), np.trace(mat).real
+            mat = 0.5 * (mat + mat.conj().T)
         if not herm <= HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian within {HERMITICITY_TOL} (deviation {herm:.2e})")
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        mat = 0.5 * (mat + mat.conj().T)
+        if not np.isfinite(mat).all():
+            raise ValueError("matrix entries overflow when symmetrised")
         mat.setflags(write=False)
         self.register = register
         self.matrix = mat
@@ -217,9 +222,9 @@ def _apply(state: State, mat: np.ndarray, modes: Sequence[int]) -> np.ndarray:
 # two-mode beam splitter
 
 
-@lru_cache(maxsize=64)
-def beamsplitter_unitary(cutoff: int, transmittance: float) -> np.ndarray:
-    """Two-mode beam-splitter unitary on the truncated pair space.
+def beamsplitter_sectors(cutoff: int, transmittance: float) -> np.ndarray:
+    """Two-mode beam-splitter unitary on its exact sectors, those of total photon
+    number <= cutoff; the sectors above, which truncation clips, are left at 0.
 
     Convention (rotation on the mode operators):
 
@@ -227,51 +232,43 @@ def beamsplitter_unitary(cutoff: int, transmittance: float) -> np.ndarray:
         b -> -sqrt(1-T) a + sqrt(T) b
 
     so a single photon entering mode ``a`` is transmitted into the ``a``
-    output slot with probability T, and T=1 is the identity.  The matrix is
-    block diagonal in total photon number.  Sectors with total <= cutoff are
-    built exactly from the binomial expansion of the transformed creation
-    operators; truncation-clipped sectors are completed by exponentiating the
-    clipped generator (in the eigenbasis of 1j * gen) so U stays unitary.
+    output slot with probability T, and T=1 is the identity.  Each sector is the
+    binomial expansion of U|m,n> = (c a+ - s b+)^m (s a+ + c b+)^n |0,0> / sqrt(m! n!).
     """
     if not 0.0 <= transmittance <= 1.0:
         raise ValueError(f"transmittance must lie in [0, 1], got {transmittance}")
     c = math.sqrt(transmittance)
     s = math.sqrt(1.0 - transmittance)
     levels = cutoff + 1
-    dim = levels * levels
-    out = np.zeros((dim, dim), dtype=complex)
-    fact = [math.factorial(k) for k in range(2 * cutoff + 1)]
+    out = np.zeros((levels,) * 4, dtype=complex)  # out[p, q, m, n] = <p,q|U|m,n>
+    fact = [math.factorial(k) for k in range(levels)]
+    pa = [np.array([math.comb(m, j) * c**j * (-s) ** (m - j) for j in range(m + 1)]) for m in range(levels)]
+    pb = [np.array([math.comb(n, l) * s**l * c ** (n - l) for l in range(n + 1)]) for n in range(levels)]
+    for m in range(levels):
+        for n in range(levels - m):
+            amp = np.convolve(pa[m], pb[n])
+            for p in range(m + n + 1):
+                out[p, m + n - p, m, n] = amp[p] * math.sqrt(fact[p] * fact[m + n - p] / (fact[m] * fact[n]))
+    return out.reshape(levels * levels, -1)
 
-    def idx(na: int, nb: int) -> int:
-        return na * levels + nb
 
-    for total in range(0, 2 * cutoff + 1):
-        ks = list(range(max(0, total - cutoff), min(total, cutoff) + 1))
-        if total <= cutoff:
-            # exact sector: U|m,n> = (c a+ - s b+)^m (s a+ + c b+)^n |0,0> / sqrt(m! n!)
-            for m in ks:
-                n = total - m
-                pa = np.array([math.comb(m, j) * c**j * (-s) ** (m - j) for j in range(m + 1)])
-                pb = np.array([math.comb(n, l) * s**l * c ** (n - l) for l in range(n + 1)])
-                amp = np.convolve(pa, pb)
-                for p in range(total + 1):
-                    norm = math.sqrt(fact[p] * fact[total - p] / (fact[m] * fact[n]))
-                    out[idx(p, total - p), idx(m, n)] = amp[p] * norm
-        else:
-            # clipped sector: rotation generator restricted to available states
-            size = len(ks)
-            gen = np.zeros((size, size))
-            for pos in range(size - 1):
-                kk = ks[pos]
-                elem = math.sqrt((kk + 1) * (total - kk))
-                gen[pos + 1, pos] = elem   # a+ b
-                gen[pos, pos + 1] = -elem  # -a b+
-            theta = math.atan2(s, c)
-            lam, vec = np.linalg.eigh(1j * gen)
-            block = ((vec * np.exp(-1j * theta * lam)) @ vec.conj().T).real
-            for col, m in enumerate(ks):
-                for row, p in enumerate(ks):
-                    out[idx(p, total - p), idx(m, total - m)] = block[row, col]
+@lru_cache(maxsize=64)
+def beamsplitter_unitary(cutoff: int, transmittance: float) -> np.ndarray:
+    """Two-mode beam-splitter unitary on the truncated pair space: the exact
+    sectors of :func:`beamsplitter_sectors`, with the truncation-clipped
+    sectors (total photon number above ``cutoff``) completed by exponentiating
+    the clipped generator (in the eigenbasis of 1j * gen) so U stays unitary.
+    """
+    out = beamsplitter_sectors(cutoff, transmittance)
+    levels = cutoff + 1
+    theta = math.atan2(math.sqrt(1.0 - transmittance), math.sqrt(transmittance))
+    for total in range(levels, 2 * levels - 1):
+        # the rotation generator on the sector's states |k, total - k>, k = total - cutoff ... cutoff
+        # (a+ b below the diagonal, -a b+ above); |k, total - k> is row cutoff * k + total
+        elem = [math.sqrt((k + 1) * (total - k)) for k in range(total - cutoff, cutoff)]
+        lam, vec = np.linalg.eigh(1j * (np.diag(elem, -1) - np.diag(elem, 1)))
+        sector = slice(cutoff * (total - cutoff) + total, cutoff * cutoff + total + 1, cutoff)
+        out[sector, sector] = ((vec * np.exp(-1j * theta * lam)) @ vec.conj().T).real
     out.setflags(write=False)
     return out
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .detection import JointProbabilities
-from .fock import DensityOperator, ModeRegister, apply_phase, beamsplitter_unitary, click_weights
+from .fock import DensityOperator, ModeRegister, apply_phase, beamsplitter_sectors, click_weights
 
 D2_IDS = ("D2a", "D2b", "D2c")
 SPLIT_PAIR = ("D2b", "D2c")
@@ -31,12 +31,13 @@ def bench_povm(
     ``PATTERNS``: the recombiner of transmittance ``bs2_T`` at phase 0 (1.0 for the
     population layout), then the split pair on its second output, auxiliary port in
     vacuum.  The outputs are modes of cutoff 2 * ``cutoff``, which hold every photon
-    the inputs can send to one output, so no splitter sector they reach is clipped;
-    the sum runs over the output states reached, those of at most 2 * ``cutoff`` photons."""
+    the inputs can send to one output, so the splitters' exact sectors are all it reads
+    (the clipped completion is the herald's); the sum runs over the output states
+    reached, those of at most 2 * ``cutoff`` photons."""
     levels, reach = cutoff + 1, 2 * cutoff
     inputs = ((reach + 1) * np.arange(levels)[:, None] + np.arange(levels)).ravel()  # |n_L, n_R> with n <= cutoff
-    recombined = beamsplitter_unitary(reach, bs2_T)[:, inputs].reshape(reach + 1, reach + 1, -1)
-    u = (beamsplitter_unitary(reach, split)[:, :: reach + 1] @ recombined).reshape((reach + 1) ** 3, -1)
+    recombined = beamsplitter_sectors(reach, bs2_T)[:, inputs].reshape(reach + 1, reach + 1, -1)
+    u = (beamsplitter_sectors(reach, split)[:, :: reach + 1] @ recombined).reshape((reach + 1) ** 3, -1)
     register = ModeRegister(3, reach)
     reached = register.occupations().sum(axis=1) <= reach  # every other row of u is 0
     weights = click_weights(register, ((0,), (1,), (2,)), (eta_d2a, eta_d2b, eta_d2c), dark_prob)

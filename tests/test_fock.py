@@ -14,11 +14,13 @@ from dlczsim.fock import (
     apply_loss,
     apply_phase,
     apply_phase_jitter,
+    beamsplitter_sectors,
     beamsplitter_unitary,
     click_weights,
     two_mode_squeezed,
     vacuum,
 )
+from dlczsim.layouts import bench_povm
 
 from helpers import (
     expm_beamsplitter,
@@ -61,6 +63,10 @@ def test_density_operator_rejects_invalid():
                 DensityOperator(ModeRegister(1, 1), bad, _skip_positivity=True)
         with pytest.raises(ValueError, match="trace"):
             DensityOperator(ModeRegister(1, 1), np.diag([1e308, 1e308]))
+        # Hermitian with unit trace, but its symmetrisation overflows
+        for skip in (False, True):
+            with pytest.raises(ValueError, match="overflow"):
+                DensityOperator(ModeRegister(1, 1), [[1, 1e308], [1e308, 0]], _skip_positivity=skip)
 
 
 def test_density_operator_checks_positivity_at_any_dimension():
@@ -202,6 +208,23 @@ def test_beamsplitter_matches_expm_oracle(cutoff, transmittance):
     assert np.max(np.abs(mat.conj().T @ mat - np.eye((cutoff + 1) ** 2))) < 1e-13
 
 
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
+@pytest.mark.parametrize("transmittance", [0.0, 0.3, 0.5, 0.9134, 1.0])
+def test_beamsplitter_sectors_are_the_unitarys_exact_sectors(cutoff, transmittance):
+    sectors = beamsplitter_sectors(cutoff, transmittance)
+    totals = ModeRegister(2, cutoff).occupations().sum(axis=1)
+    exact = (totals[:, None] <= cutoff) & (totals[None, :] <= cutoff)
+    assert np.array_equal(sectors[exact], beamsplitter_unitary(cutoff, transmittance)[exact])
+    assert not sectors[~exact].any()
+
+
+def test_bench_reads_no_clipped_splitter_sector():
+    bench_povm.cache_clear()
+    beamsplitter_unitary.cache_clear()
+    bench_povm(3, 0.9, 0.7, 0.55, 0.3, 0.4, 0.0)
+    assert beamsplitter_unitary.cache_info().misses == 0
+
+
 def test_beamsplitter_composition_unitary_and_number_conserving():
     mat = beamsplitter_unitary(3, 0.37)
     twice = mat @ mat
@@ -218,6 +241,9 @@ def test_beamsplitter_usage_errors():
         apply_beamsplitter(st, 0.5, 1, 1)
     with pytest.raises(ValueError, match="transmittance"):
         apply_beamsplitter(st, 1.2, 0, 1)
+    for transmittance in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError, match="transmittance"):
+            beamsplitter_sectors(3, transmittance)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """The cached bench POVM against density-matrix propagation through the
 three-mode bench, of which the population layout is the transmitting case."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,14 @@ from helpers import diagonal_layout_oracle, fringe_layout_oracle, load_preset, r
 ETAS = (0.392 * 0.32, 0.364 * 0.40, 0.364 * 0.40)
 SCAN = np.array(load_preset("paper").fringe_phases)
 PHI_OFFSET = 0.37  # a static interferometer.phi on top of the scanned grid
+# (eta_d2a, eta_d2b, eta_d2c, split, bs2_T, dark_prob)
+BENCHES = {
+    "paper": astuple(load_preset("paper").detectors),
+    "lossless": (1.0, 1.0, 1.0, 0.5, 0.5, 0.0),
+    "lossless_transmitting": (1.0, 1.0, 1.0, 0.5, 1.0, 0.0),
+    "unequal": (0.9, 0.7, 0.55, 0.3, 0.4, 0.0),
+    "unequal_dark": (0.9, 0.7, 0.55, 0.3, 0.4, 1e-3),
+}
 
 
 @pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
@@ -57,3 +67,17 @@ def test_bench_povm_is_shared_and_read_only():
     for phi in SCAN:
         fringe_layout_probabilities(rho, phi, *ETAS, 0.5, 0.5, 0.0)
     assert bench_povm.cache_info().hits == hits + len(SCAN)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
+@pytest.mark.parametrize("bench", BENCHES.values(), ids=BENCHES.keys())
+def test_bench_povm_is_nonnegative_and_keeps_its_structural_zeros(cutoff, bench):
+    povm = bench_povm(cutoff, *bench)
+    photons = ModeRegister(2, cutoff).occupations().sum(axis=1)
+    for pattern, element in zip(PATTERNS, povm):
+        assert np.diagonal(element).real.min() >= 0.0
+        assert np.linalg.eigvalsh(element)[0] >= -1e-15
+        if bench[-1] == 0.0:
+            # without dark counts, k clicks need at least k photons
+            fewer = photons < sum(pattern)
+            assert not element[fewer].any() and not element[:, fewer].any()
